@@ -22,7 +22,7 @@ sometimes quoted for this construction; exact rational arithmetic on nodes
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from .divided_differences import Samples
 from .errors import IndexOutOfRange, NuVanishes, PoleEvaluation, ZeroSampleValue
@@ -57,15 +57,6 @@ class RationalInterpolant:
                 raise PoleEvaluation(f"z = {z} is a pole of V_{self.index}")
             denom = denom * factor
         return self.numerator(z) / denom
-
-    def pole_derivative(self, s: int) -> Scalar:
-        """omega'_{n+2}(a_s) over this pole set: prod_{i != s}(a_s - a_i)."""
-        a_s = self.pole_nodes[s]
-        prod: Scalar = 1
-        for i, a in enumerate(self.pole_nodes):
-            if i != s:
-                prod = prod * (a_s - a)
-        return prod
 
     def __repr__(self):
         return f"RationalInterpolant(index={self.index}, numerator={self.numerator!r})"
@@ -144,6 +135,27 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
     return BiorthogonalSystem(family, tuple(ts), tuple(nus), tuple(vs), tuple(diagonal))
 
 
+def _residue_terms(v: RationalInterpolant, samples: Samples) -> List[Tuple[Scalar, Scalar]]:
+    """(T-hat_m(a_s), A_s omega'_{m+2}(a_s)) for the poles s = 0..m+1 of V_m;
+    ZeroSampleValue(s) names the smallest s with A_s = 0."""
+    count = v.index + 2
+    if count > len(samples):
+        raise IndexOutOfRange(f"pairing with V_{v.index} needs samples up to index {v.index + 1}")
+    if 0 in samples.values[:count]:
+        raise ZeroSampleValue(samples.values.index(0))
+    return [(v.numerator(samples.grid[s]),
+             samples.values[s] * nodal_derivative_at(v.pole_nodes, count, s))
+            for s in range(count)]
+
+
+def _residue_sum(p_values: Sequence[Scalar], terms: List[Tuple[Scalar, Scalar]]) -> Scalar:
+    """sum_s p(a_s) t_s / d_s over the terms, in ascending s."""
+    total: Scalar = 0
+    for p_value, (t_value, d_value) in zip(p_values, terms):
+        total = total + p_value * t_value / d_value
+    return total
+
+
 def pairing(p: Polynomial, v: RationalInterpolant, samples: Samples) -> Scalar:
     """Residue-sum pairing of a polynomial with V_m.
 
@@ -152,17 +164,8 @@ def pairing(p: Polynomial, v: RationalInterpolant, samples: Samples) -> Scalar:
     contribute, so extending the samples beyond index m+1 never changes the
     value.
     """
-    if v.index + 1 > samples.last_index:
-        raise IndexOutOfRange(
-            f"pairing with V_{v.index} needs samples up to index {v.index + 1}")
-    total: Scalar = 0
-    for s in range(v.index + 2):
-        a_value = samples.values[s]
-        if a_value == 0:
-            raise ZeroSampleValue(s)
-        a_s = samples.grid[s]
-        total = total + p(a_s) * v.numerator(a_s) / (a_value * v.pole_derivative(s))
-    return total
+    terms = _residue_terms(v, samples)
+    return _residue_sum([p(a) for a in samples.grid.nodes[: len(terms)]], terms)
 
 
 def orthogonality_moment(family: MonicInterpolantFamily, n: int, j: int) -> Scalar:
@@ -192,14 +195,16 @@ def biorthogonality_matrix(system: BiorthogonalSystem, samples: Samples,
     """Matrix of pairings <P-hat_n, V_m> for n, m <= n_max.
 
     Diagonal with entries -1/(nu_n alpha_n); every off-diagonal entry is
-    exactly zero in exact arithmetic.
+    exactly zero in exact arithmetic.  Every entry is still a computed residue
+    sum, bit-identical to pairing(P-hat_n, V_m, samples); evaluating each
+    P-hat_n at the nodes once and building each V_m's terms once makes it O(N^3).
     """
     if n_max > system.n_max or n_max > system.family.n_max:
         raise IndexOutOfRange(f"matrix to {n_max} exceeds system size {system.n_max}")
-    return [
-        [pairing(system.family.phats[n], system.vs[m], samples) for m in range(n_max + 1)]
-        for n in range(n_max + 1)
-    ]
+    terms = [_residue_terms(v, samples) for v in system.vs[: n_max + 1]]
+    nodes = samples.grid.nodes[: n_max + 2]
+    rows = ([phat(a) for a in nodes] for phat in system.family.phats[: n_max + 1])
+    return [[_residue_sum(node_values, t) for t in terms] for node_values in rows]
 
 
 def expand_in_interpolants(q_poly: Polynomial, system: BiorthogonalSystem,

@@ -13,8 +13,9 @@ A problem file is {"nodes": [...], "values": [...], "mode": "exact"|"float"}
 with scalars as strings ("3", "-1/2", "0.25").  Reports echo the command,
 digest the inputs, list outputs and one verdict per declared check.  Exit
 codes: 0 all checks pass, 1 some check failed, 2 unparsable input or bad
-parameter, 3 index/degree out of range, 4 degenerate data (zero alpha/nu/
-sample value; the index is in the message).
+parameter (also a non-finite tolerance or --h, or an --h so large that the
+contour integrand overflows), 3 index/degree out of range, 4 degenerate data
+(zero alpha/nu/sample value; the index is in the message).
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ from .exponential import (
     exp_t_closed,
     exp_v_alt_eval,
 )
-from .interpolation import family_from_recurrence, lagrange_interpolant, monic_family
+from .interpolation import (family_from_recurrence, lagrange_interpolant, monic_family,
+                            recurrence_step)
 from .numerics import (
     EXACT,
     FLOAT,
@@ -59,7 +61,7 @@ from .numerics import (
     format_scalar,
     parse_scalar,
 )
-from .polynomials import Polynomial
+from .polynomials import Polynomial, nodal_polynomial
 
 NORMALIZATION_NOTES = [
     "Diagonal pairing values are -1/(nu_n*alpha_n).  The +1/alpha_n constant "
@@ -73,7 +75,7 @@ NORMALIZATION_NOTES = [
 
 _DEGENERATE = (DegenerateInterpolant, DegenerateInput, NuVanishes, ZeroSampleValue)
 _RANGE = (IndexOutOfRange, InsufficientNodes)
-_PARSE = (ParseError, InvalidParameter, ZeroDenominator)
+_PARSE = (ParseError, InvalidParameter, ZeroDenominator, NonFiniteSample)
 
 
 def _digest(payload) -> str:
@@ -141,6 +143,11 @@ def _check(name: str, passed: bool, residual) -> dict:
     return {"name": name, "pass": bool(passed), "residual": format_scalar(residual)}
 
 
+def _within(residual, mode: str, tol: Tolerance) -> bool:
+    """Exact residuals must vanish; float ones must lie within tol of zero."""
+    return residual == 0 if mode == EXACT else approx_equal(float(residual), 0.0, tol)
+
+
 def _polys_equal(a: Polynomial, b: Polynomial, mode: str, tol: Tolerance) -> bool:
     if mode == EXACT:
         return a == b
@@ -175,8 +182,7 @@ def cmd_interpolate(samples: Samples, degree: int, mode: str, tol: Tolerance,
         diff = abs(newton(samples.grid[k]) - samples.values[k])
         diff = max(diff, abs(lagrange(samples.grid[k]) - samples.values[k]))
         condition_residual = max(condition_residual, diff)
-    conditions_hold = condition_residual == 0 if mode == EXACT else \
-        approx_equal(float(condition_residual), 0.0, tol)
+    conditions_hold = _within(condition_residual, mode, tol)
 
     checks = [
         _check("newton_lagrange_equal", routes_equal, _coeff_residual(newton, lagrange)),
@@ -189,9 +195,6 @@ def cmd_interpolate(samples: Samples, degree: int, mode: str, tol: Tolerance,
 
 def cmd_recurrence(samples: Samples, n_max: int, mode: str, tol: Tolerance,
                    digest: str) -> dict:
-    from .interpolation import recurrence_step
-    from .polynomials import nodal_polynomial
-
     family = monic_family(samples, n_max)
 
     step_residual = 0
@@ -215,14 +218,11 @@ def cmd_recurrence(samples: Samples, n_max: int, mode: str, tol: Tolerance,
     for n in range(n_max + 1):
         phat_residual = max(phat_residual, _coeff_residual(rebuilt.phats[n], family.phats[n]))
 
-    def ok(residual):
-        return residual == 0 if mode == EXACT else approx_equal(float(residual), 0.0, tol)
-
     checks = [
-        _check("recurrence_consistency", ok(step_residual), step_residual),
-        _check("nodal_difference_identity", ok(rel1_residual), rel1_residual),
-        _check("values_roundtrip", ok(value_residual), value_residual),
-        _check("phats_roundtrip", ok(phat_residual), phat_residual),
+        _check("recurrence_consistency", _within(step_residual, mode, tol), step_residual),
+        _check("nodal_difference_identity", _within(rel1_residual, mode, tol), rel1_residual),
+        _check("values_roundtrip", _within(value_residual, mode, tol), value_residual),
+        _check("phats_roundtrip", _within(phat_residual, mode, tol), phat_residual),
     ]
     outputs = {
         "alphas": _scalars_json(family.alphas),
@@ -249,12 +249,9 @@ def cmd_check_biortho(samples: Samples, n_max: int, mode: str, tol: Tolerance,
             else:
                 off_residual = max(off_residual, abs(matrix[n][m]))
 
-    def ok(residual):
-        return residual == 0 if mode == EXACT else approx_equal(float(residual), 0.0, tol)
-
     checks = [
-        _check("off_diagonal_zero", ok(off_residual), off_residual),
-        _check("diagonal_matches_formula", ok(diag_residual), diag_residual),
+        _check("off_diagonal_zero", _within(off_residual, mode, tol), off_residual),
+        _check("diagonal_matches_formula", _within(diag_residual, mode, tol), diag_residual),
     ]
     outputs = {
         "matrix": [_scalars_json(row) for row in matrix],
@@ -280,8 +277,7 @@ def cmd_expand(samples: Samples, poly: Polynomial, mode: str, tol: Tolerance,
     for k, coeff in enumerate(xi):
         reconstructed = reconstructed + family.phats[k].scale(coeff)
     residual = _coeff_residual(reconstructed, poly)
-    reconstruction_ok = residual == 0 if mode == EXACT else \
-        approx_equal(float(residual), 0.0, tol)
+    reconstruction_ok = _within(residual, mode, tol)
 
     checks = [_check("reconstruction", reconstruction_ok, residual)]
     outputs = {
@@ -415,6 +411,13 @@ def _parse_poly_argument(text: str, mode: str) -> Polynomial:
         raise ParseError(str(exc))
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biorthopoly",
@@ -450,17 +453,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", required=True, help='rational q as "p/q" or "p"; not 0 or 1')
     p.add_argument("--n-max", type=int, default=4)
     p.add_argument("--with-contour", action="store_true")
-    p.add_argument("--h", type=float, default=None,
+    p.add_argument("--h", type=_finite_float, default=None,
                    help="exponent scale for the contour check (default ln q)")
     p.add_argument("--contour", default=None, metavar="RADIUS/SAMPLES",
                    help="override the default circle")
-    p.add_argument("--contour-tolerance", type=float, default=1e-8)
+    p.add_argument("--contour-tolerance", type=_finite_float, default=1e-8)
 
     p = sub.add_parser("hermite", help="contour-integral divided difference")
-    p.add_argument("--h", type=float, required=True)
+    p.add_argument("--h", type=_finite_float, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--contour", default=None, metavar="RADIUS/SAMPLES")
-    p.add_argument("--contour-tolerance", type=float, default=1e-8)
+    p.add_argument("--contour-tolerance", type=_finite_float, default=1e-8)
 
     return parser
 
@@ -488,22 +491,12 @@ def _dispatch(args) -> dict:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         report = _dispatch(args)
-    except _PARSE as exc:
+    except _PARSE + _RANGE + _DEGENERATE as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except _RANGE as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except _DEGENERATE as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
-    except NonFiniteSample as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, _PARSE) else 3 if isinstance(exc, _RANGE) else 4
     print(json.dumps(report, indent=2))
     return 0 if report["passed"] else 1
 

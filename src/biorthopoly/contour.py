@@ -61,11 +61,12 @@ def contour_integral(integrand: Callable[[complex], complex], circle: Circle) ->
     """(2 pi i)**-1 times the circle integral of the integrand."""
     points = circle.points()
     values = np.empty(circle.sample_count, dtype=complex)
-    for j, zeta in enumerate(points):
-        value = complex(integrand(zeta))
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise NonFiniteSample(f"integrand non-finite at zeta = {zeta}")
-        values[j] = value
+    with np.errstate(all="ignore"):  # overflow is reported as NonFiniteSample
+        for j, zeta in enumerate(points):
+            value = complex(integrand(zeta))
+            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+                raise NonFiniteSample(f"integrand non-finite at zeta = {zeta}")
+            values[j] = value
     return complex(np.sum(values * (points - circle.center)) / circle.sample_count)
 
 

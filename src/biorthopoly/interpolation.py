@@ -17,11 +17,7 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-from .divided_differences import (
-    Samples,
-    divided_differences_recursive,
-    newton_interpolant,
-)
+from .divided_differences import Samples, divided_differences_recursive
 from .errors import DegenerateInput, DegenerateInterpolant, IndexOutOfRange
 from .numerics import Scalar
 from .polynomials import Grid, Polynomial, nodal_derivative_at, nodal_polynomial
@@ -84,21 +80,24 @@ class MonicInterpolantFamily:
 def monic_family(samples: Samples, n_max: int) -> MonicInterpolantFamily:
     """Divided differences plus monic interpolants up to degree n_max.
 
-    Fails with DegenerateInterpolant(n) on the first vanishing alpha_n;
-    alpha_0 = A_0 is required nonzero as well, since the residue pairing
-    downstream divides by the sample values.
+    One table and one Newton pass (P_n = P_{n-1} + alpha_n omega_n) cost
+    O(N^2); each P-hat_n repeats newton_interpolant(samples, n).divide(alpha_n)
+    operation for operation.  Fails with DegenerateInterpolant(n) on the
+    first vanishing alpha_n; alpha_0 = A_0 is required nonzero as well,
+    since the residue pairing downstream divides by the sample values.
     """
     if n_max < 0 or n_max > samples.last_index:
         raise IndexOutOfRange(f"n_max = {n_max} outside 0..{samples.last_index}")
     table = divided_differences_recursive(samples)
     alphas = table.diffs[: n_max + 1]
+    phats, interpolant, omega = [], Polynomial.zero(), Polynomial.constant(1)
     for n, alpha in enumerate(alphas):
         if alpha == 0:
             raise DegenerateInterpolant(n)
-    phats = tuple(
-        newton_interpolant(samples, n).divide(alphas[n]) for n in range(n_max + 1)
-    )
-    return MonicInterpolantFamily(samples.grid, samples.values, alphas, phats)
+        interpolant = interpolant + omega.scale(alpha)  # P_n
+        phats.append(interpolant.divide(alpha))
+        omega = omega * Polynomial((-samples.grid[n], 1))
+    return MonicInterpolantFamily(samples.grid, samples.values, alphas, tuple(phats))
 
 
 def recurrence_step(phat_n: Polynomial, phat_nm1: Polynomial, a_n: Scalar,

@@ -11,6 +11,7 @@ contour module uses them, privately.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -33,8 +34,8 @@ class Tolerance:
     abs: float = 1e-12
 
     def __post_init__(self):
-        if self.rel < 0 or self.abs < 0:
-            raise InvalidParameter("tolerance components must be nonnegative")
+        if not all(math.isfinite(x) and x >= 0 for x in (self.rel, self.abs)):
+            raise InvalidParameter("tolerance components must be finite and nonnegative")
 
 
 DEFAULT_TOLERANCE = Tolerance()

@@ -177,7 +177,7 @@ def nodal_polynomial(grid: Grid, k: int) -> Polynomial:
     return poly
 
 
-def nodal_derivative_at(grid: Grid, k_plus_1: int, s: int) -> Scalar:
+def nodal_derivative_at(grid: Grid | Sequence[Scalar], k_plus_1: int, s: int) -> Scalar:
     """omega'_{k+1}(a_s) = prod_{i<=k, i!=s} (a_s - a_i); nonzero by distinctness."""
     if k_plus_1 < 1 or k_plus_1 > len(grid):
         raise IndexOutOfRange(f"omega'_{k_plus_1} needs {k_plus_1} nodes, grid has {len(grid)}")

@@ -90,6 +90,24 @@ def test_build_system_worked_example(worked):
     assert system.diagonal == (F(-1, 2), F(-1))
 
 
+def test_build_system_nu_vanishes_before_zero_sample_value():
+    # A_1 = 0 makes nu_0 = 0; the diagonal at n = 0 would also divide by A_1
+    samples = make_samples([0, 1, 2], [1, 0, 5])
+    family = monic_family(samples, 2)
+    with pytest.raises(NuVanishes) as err:
+        build_system(family, 1)
+    assert err.value.index == 0
+
+
+def test_build_system_zero_sample_value_smallest_index():
+    # A_2 = A_3 = 0: the diagonal at n = 1 is the first to meet a zero
+    samples = make_samples([0, 1, 2, 3, 4], [1, 3, 0, 0, 4])
+    family = monic_family(samples, 4)
+    with pytest.raises(ZeroSampleValue) as err:
+        build_system(family, 3)
+    assert err.value.index == 2
+
+
 def test_build_system_nu_vanishes():
     # alphas (1, 2, -4) on grid (0,1,2,3) make nu_1 = 1 + 2/(-4) - 1/2 = 0
     samples = make_samples([0, 1, 2, 3], [1, 3, -3, 1])
@@ -127,6 +145,18 @@ def test_pairing_rejects_zero_sample_value():
     poisoned = make_samples([0, 1, 2], [1, 0, 5])
     with pytest.raises(ZeroSampleValue) as err:
         pairing(family.phats[0], system.vs[1], poisoned)
+    assert err.value.index == 1
+
+
+def test_pairing_reports_smallest_zero_index(worked):
+    samples, family = worked
+    system = build_system(family, 1)
+    poisoned = make_samples([0, 1, 2], [1, 0, 0])
+    with pytest.raises(ZeroSampleValue) as err:
+        pairing(family.phats[0], system.vs[1], poisoned)
+    assert err.value.index == 1
+    with pytest.raises(ZeroSampleValue) as err:
+        biorthogonality_matrix(system, poisoned, 1)
     assert err.value.index == 1
 
 
@@ -192,6 +222,28 @@ def test_matrix_diagonal_random():
                     assert matrix[n][m] == -1 / (system.nus[n] * family.alphas[n])
                 else:
                     assert matrix[n][m] == 0
+
+
+def test_matrix_entries_match_pairing_float():
+    """Float mode: each matrix entry is pairing(P-hat_n, V_m) bit for bit."""
+    rng = random.Random(47)
+    checked = 0
+    while checked < 12:
+        exact = usable_random_samples(rng, rng.randint(3, 14))
+        s = Samples.from_pairs([float(a) / 4 for a in exact.grid.nodes],
+                               [float(v) / 3 for v in exact.values])
+        n_max = s.last_index - 1
+        family = monic_family(s, s.last_index)
+        try:
+            system = build_system(family, n_max)
+        except NuVanishes:
+            continue
+        checked += 1
+        matrix = biorthogonality_matrix(system, s, n_max)
+        for n in range(n_max + 1):
+            for m in range(n_max + 1):
+                expected = pairing(family.phats[n], system.vs[m], s)
+                assert repr(matrix[n][m]) == repr(expected)
 
 
 def test_scale_equivariance():

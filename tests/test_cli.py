@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -218,6 +219,38 @@ def test_hermite_bad_contour_spec(capsys):
     code, _ = run(capsys, ["hermite", "--h", "0.1", "--k", "2",
                            "--contour", "wide"])
     assert code == 2
+
+
+def test_check_biortho_rejects_nan_tolerance(tmp_path, capsys):
+    path = write_problem(tmp_path, WORKED)
+    code, report = run(capsys, ["check-biortho", path, "--n-max", "1",
+                                "--tolerance", "nan"])
+    assert code == 2
+    assert report is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["hermite", "--h", "0.1", "--k", "2", "--contour-tolerance", "nan"],
+    ["hermite", "--h", "nan", "--k", "2"],
+    ["hermite", "--h", "inf", "--k", "2"],
+    ["exp-example", "--q", "2", "--with-contour", "--h", "nan"],
+])
+def test_non_finite_contour_parameters_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_hermite_overflowing_h_is_bad_parameter(capsys):
+    # e**(800 zeta) overflows on the circle: a typed error, exit 2, no numpy noise
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["hermite", "--h", "800", "--k", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: NonFiniteSample:")
 
 
 def test_reports_echo_command_and_digest(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,15 @@ def test_tolerance_rejects_negative():
         Tolerance(rel=-1e-9)
     with pytest.raises(InvalidParameter):
         Tolerance(abs=-1.0)
+
+
+@pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf])
+def test_tolerance_rejects_non_finite(width):
+    # nan < 0 is False, so a sign test alone would let nan through
+    with pytest.raises(InvalidParameter):
+        Tolerance(rel=width)
+    with pytest.raises(InvalidParameter):
+        Tolerance(abs=width)
 
 
 def test_approx_equal_exact_is_strict():
