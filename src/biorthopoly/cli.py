@@ -13,9 +13,11 @@ A problem file is {"nodes": [...], "values": [...], "mode": "exact"|"float"}
 with scalars as strings ("3", "-1/2", "0.25").  Reports echo the command,
 digest the inputs, list outputs and one verdict per declared check.  Exit
 codes: 0 all checks pass, 1 some check failed, 2 unparsable input or bad
-parameter (also a non-finite tolerance or --h, or an --h so large that the
-contour integrand overflows), 3 index/degree out of range, 4 degenerate data
-(zero alpha/nu/sample value; the index is in the message).
+parameter (also a float-mode scalar that overflows a double, a non-finite
+tolerance or --h, a negative --contour-tolerance, an --h so large that the
+contour integrand overflows, or a --contour circle through a node or pole),
+3 index/degree out of range, 4 degenerate data (zero alpha/nu/sample value;
+the index is in the message).
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .contour import Circle, contour_biortho_check, default_circle, hermite_divi
 from .divided_differences import Samples, newton_interpolant
 from .errors import (
     BiorthopolyError,
-    DegenerateInput,
     DegenerateInterpolant,
     IndexOutOfRange,
     InsufficientNodes,
@@ -41,6 +42,7 @@ from .errors import (
     NonFiniteSample,
     NuVanishes,
     ParseError,
+    PoleEvaluation,
     ZeroDenominator,
     ZeroSampleValue,
 )
@@ -73,9 +75,9 @@ NORMALIZATION_NOTES = [
     "polynomials of degree >= 2 on the same example.",
 ]
 
-_DEGENERATE = (DegenerateInterpolant, DegenerateInput, NuVanishes, ZeroSampleValue)
+_DEGENERATE = (DegenerateInterpolant, NuVanishes, ZeroSampleValue)
 _RANGE = (IndexOutOfRange, InsufficientNodes)
-_PARSE = (ParseError, InvalidParameter, ZeroDenominator, NonFiniteSample)
+_PARSE = (ParseError, InvalidParameter, ZeroDenominator, NonFiniteSample, PoleEvaluation)
 
 
 def _digest(payload) -> str:
@@ -131,12 +133,7 @@ def _scalars_json(xs) -> List[str]:
 def _coeff_residual(a: Polynomial, b: Polynomial):
     """Largest absolute coefficient difference between two polynomials."""
     width = max(len(a.coeffs), len(b.coeffs))
-    worst = 0
-    for i in range(width):
-        diff = abs(a.coefficient(i) - b.coefficient(i))
-        if diff > worst:
-            worst = diff
-    return worst
+    return max([0, *(abs(a.coefficient(i) - b.coefficient(i)) for i in range(width))])
 
 
 def _check(name: str, passed: bool, residual) -> dict:
@@ -211,12 +208,10 @@ def cmd_recurrence(samples: Samples, n_max: int, mode: str, tol: Tolerance,
         rel1_residual = max(rel1_residual, _coeff_residual(rel1, omega))
 
     rebuilt = family_from_recurrence(samples.grid, family.alphas, n_max)
-    value_residual = 0
-    for n in range(n_max + 1):
-        value_residual = max(value_residual, abs(rebuilt.values[n] - samples.values[n]))
-    phat_residual = 0
-    for n in range(n_max + 1):
-        phat_residual = max(phat_residual, _coeff_residual(rebuilt.phats[n], family.phats[n]))
+    value_residual = max([0, *(abs(rebuilt.values[n] - samples.values[n])
+                               for n in range(n_max + 1))])
+    phat_residual = max([0, *(_coeff_residual(rebuilt.phats[n], family.phats[n])
+                              for n in range(n_max + 1))])
 
     checks = [
         _check("recurrence_consistency", _within(step_residual, mode, tol), step_residual),
@@ -239,15 +234,10 @@ def cmd_check_biortho(samples: Samples, n_max: int, mode: str, tol: Tolerance,
     system = build_system(family, n_max)
     matrix = biorthogonality_matrix(system, samples, n_max)
 
-    off_residual = 0
-    diag_residual = 0
-    for n in range(n_max + 1):
-        for m in range(n_max + 1):
-            if n == m:
-                expected = -1 / (system.nus[n] * family.alphas[n])
-                diag_residual = max(diag_residual, abs(matrix[n][n] - expected))
-            else:
-                off_residual = max(off_residual, abs(matrix[n][m]))
+    indices = range(n_max + 1)
+    off_residual = max([0, *(abs(matrix[n][m]) for n in indices for m in indices if n != m)])
+    diag_residual = max([0, *(abs(matrix[n][n] + 1 / (system.nus[n] * family.alphas[n]))
+                              for n in indices)])
 
     checks = [
         _check("off_diagonal_zero", _within(off_residual, mode, tol), off_residual),
@@ -318,14 +308,10 @@ def cmd_exp_example(q_text: str, n_max: int, with_contour: bool,
         newton_interpolant(problem.samples, n)(m) == q ** m
         for n in range(n_max + 1) for m in range(n + 1))
 
-    checks = [
-        _check("interpolant_closed_form", interp_ok, 0 if interp_ok else 1),
-        _check("alpha_closed_form", alpha_ok, 0 if alpha_ok else 1),
-        _check("nu_closed_form", nu_ok, 0 if nu_ok else 1),
-        _check("t_closed_form", t_ok, 0 if t_ok else 1),
-        _check("v_routes_agree", v_ok, 0 if v_ok else 1),
-        _check("grid_power_values", power_ok, 0 if power_ok else 1),
-    ]
+    checks = [_check(name, ok, 0 if ok else 1) for name, ok in (
+        ("interpolant_closed_form", interp_ok), ("alpha_closed_form", alpha_ok),
+        ("nu_closed_form", nu_ok), ("t_closed_form", t_ok),
+        ("v_routes_agree", v_ok), ("grid_power_values", power_ok))]
 
     outputs = {
         "alphas": _scalars_json(family.alphas),
@@ -418,6 +404,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    try:
+        return Tolerance(abs=float(text)).abs
+    except InvalidParameter as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biorthopoly",
@@ -457,13 +450,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exponent scale for the contour check (default ln q)")
     p.add_argument("--contour", default=None, metavar="RADIUS/SAMPLES",
                    help="override the default circle")
-    p.add_argument("--contour-tolerance", type=_finite_float, default=1e-8)
+    p.add_argument("--contour-tolerance", type=_tolerance, default=1e-8)
 
     p = sub.add_parser("hermite", help="contour-integral divided difference")
     p.add_argument("--h", type=_finite_float, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--contour", default=None, metavar="RADIUS/SAMPLES")
-    p.add_argument("--contour-tolerance", type=_finite_float, default=1e-8)
+    p.add_argument("--contour-tolerance", type=_tolerance, default=1e-8)
 
     return parser
 

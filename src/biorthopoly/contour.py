@@ -9,18 +9,18 @@ and radius r sampled at M equispaced points zeta_j,
 
 which for integrands analytic in an annulus around the circle converges
 geometrically in M (trapezoid rule on a periodic analytic function).
-Summation is numpy's pairwise reduction, so results are reproducible
-bit-for-bit for a fixed sample count.  This module never runs in exact
-mode; complex arithmetic stays private to it.
+The real and imaginary parts are each summed with math.fsum, which is
+correctly rounded in any order, so results are reproducible bit-for-bit for
+a fixed sample count.  This module never runs in exact mode; complex
+arithmetic stays private to it.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
-
-import numpy as np
+from typing import Callable, List, Optional
 
 from .biorthogonality import build_system
 from .divided_differences import Samples
@@ -44,9 +44,15 @@ class Circle:
         if m < 16 or m & (m - 1):
             raise InvalidParameter("sample_count must be a power of two >= 16")
 
-    def points(self) -> np.ndarray:
-        angles = 2.0 * np.pi * np.arange(self.sample_count) / self.sample_count
-        return self.center + self.radius * np.exp(1j * angles)
+    def points(self) -> List[complex]:
+        """Samples in angle order.  One octant is computed and mirrored, so the
+        circle's eightfold symmetry is exact and symmetric terms cancel."""
+        m = self.sample_count
+        ws = [cmath.rect(self.radius, 2.0 * math.pi * j / m) for j in range(m // 8 + 1)]
+        ws += [complex(w.imag, w.real) for w in reversed(ws[:-1])]
+        ws += [complex(-w.real, w.imag) for w in reversed(ws[:-1])]
+        ws += [w.conjugate() for w in reversed(ws[1:-1])]
+        return [self.center + w for w in ws]
 
 
 def default_circle(max_node: int, sample_count: int = 2048) -> Circle:
@@ -58,16 +64,22 @@ def default_circle(max_node: int, sample_count: int = 2048) -> Circle:
 
 
 def contour_integral(integrand: Callable[[complex], complex], circle: Circle) -> complex:
-    """(2 pi i)**-1 times the circle integral of the integrand."""
-    points = circle.points()
-    values = np.empty(circle.sample_count, dtype=complex)
-    with np.errstate(all="ignore"):  # overflow is reported as NonFiniteSample
-        for j, zeta in enumerate(points):
-            value = complex(integrand(zeta))
-            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-                raise NonFiniteSample(f"integrand non-finite at zeta = {zeta}")
-            values[j] = value
-    return complex(np.sum(values * (points - circle.center)) / circle.sample_count)
+    """(2 pi i)**-1 times the circle integral; an integrand that overflows,
+    divides by zero or is non-finite at a sample raises NonFiniteSample."""
+    terms = []
+    for zeta in circle.points():
+        try:
+            term = complex(integrand(zeta)) * (zeta - circle.center)
+        except (OverflowError, ZeroDivisionError):
+            term = complex(math.inf)
+        if not cmath.isfinite(term):
+            raise NonFiniteSample(f"integrand non-finite at zeta = {zeta}")
+        terms.append(term)
+    m = circle.sample_count
+    try:
+        return complex(math.fsum(t.real for t in terms) / m, math.fsum(t.imag for t in terms) / m)
+    except OverflowError:
+        raise NonFiniteSample("integrand samples overflow their sum")
 
 
 def hermite_divided_difference(h: float, k: int, circle: Optional[Circle] = None) -> complex:
@@ -86,7 +98,7 @@ def hermite_divided_difference(h: float, k: int, circle: Optional[Circle] = None
         omega = 1.0 + 0.0j
         for a in nodes:
             omega *= zeta - a
-        return np.exp(h * zeta) / omega
+        return cmath.exp(h * zeta) / omega
 
     return contour_integral(integrand, circle)
 
@@ -114,6 +126,6 @@ def contour_biortho_check(h: float, n: int, m: int, circle: Optional[Circle] = N
     v_m = system.vs[m]
 
     def integrand(zeta: complex) -> complex:
-        return phat(zeta) * v_m(zeta) * np.exp(-h * zeta)
+        return phat(zeta) * v_m(zeta) * cmath.exp(-h * zeta)
 
     return contour_integral(integrand, circle)

@@ -30,14 +30,6 @@ class DegenerateInterpolant(BiorthopolyError):
         super().__init__(message or f"alpha_{index} = 0: monic interpolant of degree {index} undefined")
 
 
-class DegenerateInput(BiorthopolyError):
-    """A recurrence was given a zero leading coefficient."""
-
-    def __init__(self, index, message=None):
-        self.index = index
-        super().__init__(message or f"alpha_{index} = 0: recurrence coefficients undefined")
-
-
 class NuVanishes(BiorthopolyError):
     """The auxiliary polynomial T_n lost its degree-n term (nu_n = 0)."""
 

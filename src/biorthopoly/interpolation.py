@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 from .divided_differences import Samples, divided_differences_recursive
-from .errors import DegenerateInput, DegenerateInterpolant, IndexOutOfRange
+from .errors import DegenerateInterpolant, IndexOutOfRange
 from .numerics import Scalar
 from .polynomials import Grid, Polynomial, nodal_derivative_at, nodal_polynomial
 
@@ -131,7 +131,7 @@ def family_from_recurrence(grid: Grid, alphas: Sequence[Scalar],
         raise IndexOutOfRange(f"need nodes a_0..a_{n_max}, grid has {len(grid)}")
     for n, alpha in enumerate(alphas[: n_max + 1]):
         if alpha == 0:
-            raise DegenerateInput(n)
+            raise DegenerateInterpolant(n)
 
     phats = [Polynomial.constant(1)]
     previous = Polynomial.zero()

@@ -77,7 +77,10 @@ def parse_scalar(text: str, mode: str = EXACT) -> Scalar:
     if mode == EXACT:
         return value
     if mode == FLOAT:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise InvalidParameter(f"scalar {text!r} overflows a float")
     raise InvalidParameter(f"unknown scalar mode {mode!r}")
 
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -234,6 +237,7 @@ def test_check_biortho_rejects_nan_tolerance(tmp_path, capsys):
     ["hermite", "--h", "nan", "--k", "2"],
     ["hermite", "--h", "inf", "--k", "2"],
     ["exp-example", "--q", "2", "--with-contour", "--h", "nan"],
+    ["hermite", "--h", "0.5", "--k", "2", "--contour-tolerance", "-1"],
 ])
 def test_non_finite_contour_parameters_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -243,7 +247,7 @@ def test_non_finite_contour_parameters_rejected(argv, capsys):
 
 
 def test_hermite_overflowing_h_is_bad_parameter(capsys):
-    # e**(800 zeta) overflows on the circle: a typed error, exit 2, no numpy noise
+    # e**(800 zeta) overflows on the circle: a typed error, exit 2, no warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["hermite", "--h", "800", "--k", "2"])
@@ -251,6 +255,41 @@ def test_hermite_overflowing_h_is_bad_parameter(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: NonFiniteSample:")
+
+
+@pytest.mark.parametrize("argv, error", [
+    # zeta = 2 + 0j lies on the circle and is a pole of V_1
+    (["exp-example", "--q", "2", "--n-max", "1", "--with-contour", "--contour", "1/16"],
+     "PoleEvaluation"),
+    # zeta = 1 + 0j lies on the circle and is node 1 of the integrand
+    (["hermite", "--h", "0.5", "--k", "1", "--contour", "0.5/16"], "NonFiniteSample"),
+])
+def test_contour_through_a_node_or_pole_is_bad_parameter(argv, error, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {error}:")
+
+
+def test_float_overflowing_scalar_is_parse_error(tmp_path, capsys):
+    payload = {"nodes": ["0", "1", "2"], "values": ["1e400", "2", "3"], "mode": "float"}
+    code = main(["interpolate", write_problem(tmp_path, payload), "--degree", "1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ParseError:")
+    payload = {"nodes": ["0", "1", "2", "3"], "values": ["1", "2", "5", "11"], "mode": "float"}
+    code = main(["expand", write_problem(tmp_path, payload), "--poly", '["1", "-1e400"]'])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ParseError:")
+
+
+def test_cli_import_needs_no_numpy():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    code = "import sys, biorthopoly.cli; assert 'numpy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_reports_echo_command_and_digest(tmp_path, capsys):

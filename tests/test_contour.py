@@ -76,10 +76,12 @@ def test_hermite_single_node():
 
 def test_hermite_trapezoid_converges():
     """Once the pole cluster is resolved, doubling the sample count must
-    shrink the error (geometric trapezoid convergence on circles)."""
+    shrink the error (geometric trapezoid convergence on circles).  The
+    circle hugs the poles 0, 1, 2 so that 64 samples are still above
+    round-off (errors about 4e-3, 6e-6, 1e-11)."""
     errors = []
     for count in (16, 32, 64):
-        circle = Circle(center=1.0 + 0j, radius=7.0, sample_count=count)
+        circle = Circle(center=1.0 + 0j, radius=1.5, sample_count=count)
         value = hermite_divided_difference(LN2, 2, circle)
         errors.append(abs(value - 0.5))
     assert errors[1] < errors[0]

@@ -8,7 +8,7 @@ from biorthopoly.divided_differences import (
     divided_differences_recursive,
     newton_interpolant,
 )
-from biorthopoly.errors import DegenerateInput, DegenerateInterpolant, IndexOutOfRange
+from biorthopoly.errors import DegenerateInterpolant, IndexOutOfRange
 from biorthopoly.interpolation import (
     family_from_recurrence,
     lagrange_interpolant,
@@ -136,7 +136,7 @@ def test_family_from_recurrence_doubling_data():
 
 
 def test_family_from_recurrence_rejects_zero_alpha():
-    with pytest.raises(DegenerateInput) as err:
+    with pytest.raises(DegenerateInterpolant) as err:
         family_from_recurrence(Grid([F(0), F(1)]), [F(1), F(0)])
     assert err.value.index == 1
 

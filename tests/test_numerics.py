@@ -64,6 +64,14 @@ def test_parse_scalar_rejects_garbage():
         parse_scalar("x")
 
 
+def test_parse_scalar_float_overflow():
+    with pytest.raises(InvalidParameter):
+        parse_scalar("1e400", FLOAT)
+    with pytest.raises(InvalidParameter):
+        parse_scalar(f"-{10 ** 400}/3", FLOAT)
+    assert parse_scalar("1e400", EXACT) == 10 ** 400
+
+
 def test_parse_scalar_zero_denominator():
     with pytest.raises(ZeroDenominator):
         parse_scalar("1/0")
