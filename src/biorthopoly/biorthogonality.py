@@ -114,6 +114,8 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
     so expansion coefficients can divide by it without re-deriving the
     closed form; in exact arithmetic it equals -1/(nu_n alpha_n).
     """
+    if n_max < 0:
+        raise IndexOutOfRange(f"system size n_max = {n_max} is negative")
     if n_max + 1 > family.n_max:
         raise IndexOutOfRange(f"system to {n_max} needs family to {n_max + 1}")
     samples = family.samples

@@ -15,9 +15,10 @@ digest the inputs, list outputs and one verdict per declared check.  Exit
 codes: 0 all checks pass, 1 some check failed, 2 unparsable input or bad
 parameter (also a float-mode scalar that overflows a double, a non-finite
 tolerance or --h, a negative --contour-tolerance, an --h so large that the
-contour integrand overflows, or a --contour circle through a node or pole),
-3 index/degree out of range, 4 degenerate data (zero alpha/nu/sample value;
-the index is in the message).
+contour integrand overflows, a --contour circle through a node or pole, or
+an exp-example --with-contour whose q or closed-form values leave double
+range), 3 index/degree out of range (also a negative --n-max), 4 degenerate
+data (zero alpha/nu/sample value; the index is in the message).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .biorthogonality import biorthogonality_matrix, build_system, expand_in_int
 from .contour import Circle, contour_biortho_check, default_circle, hermite_divided_difference
 from .divided_differences import Samples, newton_interpolant
 from .errors import (
-    BiorthopolyError,
     DegenerateInterpolant,
     IndexOutOfRange,
     InsufficientNodes,
@@ -122,10 +122,6 @@ def load_problem(path: str, mode_override: Optional[str]):
     return samples, mode, digest
 
 
-def _poly_json(poly: Polynomial) -> List[str]:
-    return [format_scalar(c) for c in poly.coeffs]
-
-
 def _scalars_json(xs) -> List[str]:
     return [format_scalar(x) for x in xs]
 
@@ -136,11 +132,7 @@ def _coeff_residual(a: Polynomial, b: Polynomial):
     return max([0, *(abs(a.coefficient(i) - b.coefficient(i)) for i in range(width))])
 
 
-def _check(name: str, passed: bool, residual) -> dict:
-    return {"name": name, "pass": bool(passed), "residual": format_scalar(residual)}
-
-
-def _within(residual, mode: str, tol: Tolerance) -> bool:
+def _within(residual, mode: str, tol: Optional[Tolerance]) -> bool:
     """Exact residuals must vanish; float ones must lie within tol of zero."""
     return residual == 0 if mode == EXACT else approx_equal(float(residual), 0.0, tol)
 
@@ -152,46 +144,34 @@ def _polys_equal(a: Polynomial, b: Polynomial, mode: str, tol: Tolerance) -> boo
     return all(approx_equal(a.coefficient(i), b.coefficient(i), tol) for i in range(width))
 
 
-def _report(command: str, arguments: dict, digest: str, mode: str,
-            outputs: dict, checks: List[dict], notes: Optional[List[str]] = None) -> dict:
-    report = {
-        "command": command,
-        "arguments": arguments,
-        "inputs_digest": digest,
-        "mode": mode,
-        "outputs": outputs,
-        "checks": checks,
-        "passed": all(c["pass"] for c in checks),
-    }
-    if notes:
-        report["notes"] = notes
-    return report
+def _double(x, name: str) -> float:
+    """float(x) for a contour reference value; InvalidParameter if it overflows."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise InvalidParameter(f"{name} overflows a double") from None
 
 
-def cmd_interpolate(samples: Samples, degree: int, mode: str, tol: Tolerance,
-                    digest: str) -> dict:
+def cmd_interpolate(args, samples: Samples, mode: str, tol: Tolerance) -> tuple:
+    degree = args.degree
     newton = newton_interpolant(samples, degree)
     lagrange = lagrange_interpolant(samples, degree)
-    routes_equal = _polys_equal(newton, lagrange, mode, tol)
 
-    condition_residual = 0
-    for k in range(degree + 1):
-        diff = abs(newton(samples.grid[k]) - samples.values[k])
-        diff = max(diff, abs(lagrange(samples.grid[k]) - samples.values[k]))
-        condition_residual = max(condition_residual, diff)
-    conditions_hold = _within(condition_residual, mode, tol)
+    nodes_values = zip(samples.grid.nodes, samples.values[: degree + 1])
+    condition_residual = max([0, *(max(abs(newton(a) - v), abs(lagrange(a) - v))
+                                   for a, v in nodes_values)])
 
     checks = [
-        _check("newton_lagrange_equal", routes_equal, _coeff_residual(newton, lagrange)),
-        _check("interpolation_conditions", conditions_hold, condition_residual),
+        ("newton_lagrange_equal", _coeff_residual(newton, lagrange),
+         _polys_equal(newton, lagrange, mode, tol)),
+        ("interpolation_conditions", condition_residual),
     ]
-    outputs = {"newton": _poly_json(newton), "lagrange": _poly_json(lagrange)}
-    return _report("interpolate", {"degree": degree, "mode": mode}, digest, mode,
-                   outputs, checks)
+    outputs = {"newton": _scalars_json(newton.coeffs), "lagrange": _scalars_json(lagrange.coeffs)}
+    return {"degree": degree}, outputs, checks, None
 
 
-def cmd_recurrence(samples: Samples, n_max: int, mode: str, tol: Tolerance,
-                   digest: str) -> dict:
+def cmd_recurrence(args, samples: Samples, mode: str, tol: Tolerance) -> tuple:
+    n_max = args.n_max if args.n_max is not None else samples.last_index
     family = monic_family(samples, n_max)
 
     step_residual = 0
@@ -214,22 +194,21 @@ def cmd_recurrence(samples: Samples, n_max: int, mode: str, tol: Tolerance,
                               for n in range(n_max + 1))])
 
     checks = [
-        _check("recurrence_consistency", _within(step_residual, mode, tol), step_residual),
-        _check("nodal_difference_identity", _within(rel1_residual, mode, tol), rel1_residual),
-        _check("values_roundtrip", _within(value_residual, mode, tol), value_residual),
-        _check("phats_roundtrip", _within(phat_residual, mode, tol), phat_residual),
+        ("recurrence_consistency", step_residual),
+        ("nodal_difference_identity", rel1_residual),
+        ("values_roundtrip", value_residual),
+        ("phats_roundtrip", phat_residual),
     ]
     outputs = {
         "alphas": _scalars_json(family.alphas),
-        "phats": [_poly_json(p) for p in family.phats],
+        "phats": [_scalars_json(p.coeffs) for p in family.phats],
         "implied_values": _scalars_json(rebuilt.values),
     }
-    return _report("recurrence", {"n_max": n_max, "mode": mode}, digest, mode,
-                   outputs, checks)
+    return {"n_max": n_max}, outputs, checks, None
 
 
-def cmd_check_biortho(samples: Samples, n_max: int, mode: str, tol: Tolerance,
-                      digest: str) -> dict:
+def cmd_check_biortho(args, samples: Samples, mode: str, tol: Tolerance) -> tuple:
+    n_max = args.n_max
     family = monic_family(samples, n_max + 1)
     system = build_system(family, n_max)
     matrix = biorthogonality_matrix(system, samples, n_max)
@@ -239,22 +218,18 @@ def cmd_check_biortho(samples: Samples, n_max: int, mode: str, tol: Tolerance,
     diag_residual = max([0, *(abs(matrix[n][n] + 1 / (system.nus[n] * family.alphas[n]))
                               for n in indices)])
 
-    checks = [
-        _check("off_diagonal_zero", _within(off_residual, mode, tol), off_residual),
-        _check("diagonal_matches_formula", _within(diag_residual, mode, tol), diag_residual),
-    ]
+    checks = [("off_diagonal_zero", off_residual), ("diagonal_matches_formula", diag_residual)]
     outputs = {
         "matrix": [_scalars_json(row) for row in matrix],
         "alphas": _scalars_json(family.alphas[: n_max + 1]),
         "nus": _scalars_json(system.nus),
         "diagonal": _scalars_json(system.diagonal),
     }
-    return _report("check-biortho", {"n_max": n_max, "mode": mode}, digest, mode,
-                   outputs, checks, notes=NORMALIZATION_NOTES)
+    return {"n_max": n_max}, outputs, checks, NORMALIZATION_NOTES
 
 
-def cmd_expand(samples: Samples, poly: Polynomial, mode: str, tol: Tolerance,
-               digest: str) -> dict:
+def cmd_expand(args, samples: Samples, mode: str, tol: Tolerance) -> tuple:
+    poly = _parse_poly_argument(args.poly, mode)
     degree = max(poly.degree, 0)
     if degree + 1 > samples.last_index:
         raise IndexOutOfRange(
@@ -263,101 +238,88 @@ def cmd_expand(samples: Samples, poly: Polynomial, mode: str, tol: Tolerance,
     system = build_system(family, degree)
     xi = expand_in_interpolants(poly, system, samples)
 
-    reconstructed = Polynomial.zero()
-    for k, coeff in enumerate(xi):
-        reconstructed = reconstructed + family.phats[k].scale(coeff)
-    residual = _coeff_residual(reconstructed, poly)
-    reconstruction_ok = _within(residual, mode, tol)
+    reconstructed = sum((family.phats[k].scale(c) for k, c in enumerate(xi)), Polynomial.zero())
 
-    checks = [_check("reconstruction", reconstruction_ok, residual)]
+    checks = [("reconstruction", _coeff_residual(reconstructed, poly))]
     outputs = {
         "coefficients": _scalars_json(xi),
-        "basis": [_poly_json(p) for p in family.phats[: len(xi)]],
+        "basis": [_scalars_json(p.coeffs) for p in family.phats[: len(xi)]],
     }
-    return _report("expand", {"poly": _poly_json(poly), "mode": mode}, digest, mode,
-                   outputs, checks, notes=NORMALIZATION_NOTES[1:])
+    return {"poly": _scalars_json(poly.coeffs)}, outputs, checks, NORMALIZATION_NOTES[1:]
 
 
 V_SAMPLE_POINTS = (Fraction(1, 2), Fraction(7, 3), Fraction(-3, 2), Fraction(10))
 
 
-def cmd_exp_example(q_text: str, n_max: int, with_contour: bool,
-                    h: Optional[float], contour_spec: Optional[str],
-                    contour_tol: float) -> dict:
-    q = parse_scalar(q_text, EXACT)
-    if q == 0 or q == 1:
-        raise InvalidParameter("q must differ from 0 and 1")
-    if n_max < 0:
-        raise InvalidParameter("n_max must be nonnegative")
+def cmd_exp_example(args) -> tuple:
+    q, n_max = parse_scalar(args.q, EXACT), args.n_max
     problem = ExpGridProblem(q, n_max)
     family = monic_family(problem.samples, n_max + 1)
     system = build_system(family, n_max)
+    newtons = [newton_interpolant(problem.samples, n) for n in range(n_max + 1)]
+    indices = range(n_max + 1)
 
-    interp_ok = all(
-        exp_interpolant_closed(problem, n) == newton_interpolant(problem.samples, n)
-        for n in range(n_max + 1))
-    alpha_ok = all(
-        exp_alpha_closed(problem, n) == family.alphas[n] for n in range(n_max + 2))
-    nu_expected = q / (q - 1)
-    nu_ok = all(nu == nu_expected for nu in system.nus)
-    t_ok = all(exp_t_closed(problem, n) == system.ts[n] for n in range(n_max + 1))
-    v_ok = all(
-        exp_v_alt_eval(problem, n, z) == system.vs[n](z)
-        for n in range(n_max + 1) for z in V_SAMPLE_POINTS)
-    power_ok = all(
-        newton_interpolant(problem.samples, n)(m) == q ** m
-        for n in range(n_max + 1) for m in range(n + 1))
-
-    checks = [_check(name, ok, 0 if ok else 1) for name, ok in (
-        ("interpolant_closed_form", interp_ok), ("alpha_closed_form", alpha_ok),
-        ("nu_closed_form", nu_ok), ("t_closed_form", t_ok),
-        ("v_routes_agree", v_ok), ("grid_power_values", power_ok))]
-
+    checks = [
+        ("interpolant_closed_form",
+         max(_coeff_residual(exp_interpolant_closed(problem, n), newtons[n]) for n in indices)),
+        ("alpha_closed_form",
+         max(abs(exp_alpha_closed(problem, n) - family.alphas[n]) for n in range(n_max + 2))),
+        ("nu_closed_form", max(abs(nu - q / (q - 1)) for nu in system.nus)),
+        ("t_closed_form",
+         max(_coeff_residual(exp_t_closed(problem, n), system.ts[n]) for n in indices)),
+        ("v_routes_agree", max(abs(exp_v_alt_eval(problem, n, z) - system.vs[n](z))
+                               for n in indices for z in V_SAMPLE_POINTS)),
+        ("grid_power_values",
+         max(abs(newtons[n](m) - q ** m) for n in indices for m in range(n + 1))),
+    ]
     outputs = {
         "alphas": _scalars_json(family.alphas),
         "nus": _scalars_json(system.nus),
-        "t_hats": [_poly_json(t) for t in system.ts],
+        "t_hats": [_scalars_json(t.coeffs) for t in system.ts],
         "diagonal": _scalars_json(system.diagonal),
     }
 
-    if with_contour:
+    h = args.h
+    if args.with_contour:
         if h is None:
             if q <= 0:
                 raise InvalidParameter("negative q has no real h; pass --h explicitly")
-            h = math.log(float(q))
+            try:
+                h = math.log(float(q))
+            except (OverflowError, ValueError):
+                raise InvalidParameter("q is out of double range; pass --h explicitly") from None
         hermite_worst = 0.0
-        for k in range(n_max + 1):
-            circle = _resolve_circle(contour_spec, k)
+        for k in indices:
+            circle = _resolve_circle(args.contour, k)
             estimate = hermite_divided_difference(h, k, circle)
-            expected = float(exp_alpha_closed(problem, k))
+            expected = _double(exp_alpha_closed(problem, k), f"alpha_{k}")
             hermite_worst = max(hermite_worst, abs(estimate - expected))
         biortho_worst = 0.0
         for n in range(min(n_max, 3) + 1):
             for m in range(min(n_max, 3) + 1):
-                circle = _resolve_circle(contour_spec, max(n, m + 1))
+                circle = _resolve_circle(args.contour, max(n, m + 1))
                 estimate = contour_biortho_check(h, n, m, circle)
-                expected = float(system.diagonal[n]) if n == m else 0.0
+                expected = _double(system.diagonal[n], f"d_{n}") if n == m else 0.0
                 biortho_worst = max(biortho_worst, abs(estimate - expected))
-        checks.append(_check("contour_hermite", hermite_worst < contour_tol, hermite_worst))
-        checks.append(_check("contour_biortho", biortho_worst < contour_tol, biortho_worst))
+        checks += [("contour_hermite", hermite_worst, hermite_worst < args.contour_tolerance),
+                   ("contour_biortho", biortho_worst, biortho_worst < args.contour_tolerance)]
         outputs["contour_h"] = repr(h)
 
-    arguments = {"q": q_text, "n_max": n_max, "with_contour": with_contour}
+    arguments = {"q": args.q, "n_max": n_max, "with_contour": args.with_contour}
     if h is not None:
         arguments["h"] = repr(h)
-    return _report("exp-example", arguments, _digest(arguments), EXACT, outputs,
-                   checks, notes=NORMALIZATION_NOTES)
+    return arguments, outputs, checks, NORMALIZATION_NOTES
 
 
-def cmd_hermite(h: float, k: int, contour_spec: Optional[str], contour_tol: float) -> dict:
-    circle = _resolve_circle(contour_spec, k)
+def cmd_hermite(args) -> tuple:
+    h, k, tol = args.h, args.k, args.contour_tolerance
+    circle = _resolve_circle(args.contour, k)
     estimate = hermite_divided_difference(h, k, circle)
-    q = math.exp(h)
-    expected = (q - 1.0) ** k / math.factorial(k)
+    expected = (math.exp(h) - 1.0) ** k / math.factorial(k)
     error = abs(estimate - expected)
     checks = [
-        _check("hermite_matches_difference", error < contour_tol, error),
-        _check("imaginary_part_small", abs(estimate.imag) < contour_tol, abs(estimate.imag)),
+        ("hermite_matches_difference", error, error < tol),
+        ("imaginary_part_small", abs(estimate.imag), abs(estimate.imag) < tol),
     ]
     outputs = {
         "estimate_real": repr(estimate.real),
@@ -366,8 +328,37 @@ def cmd_hermite(h: float, k: int, contour_spec: Optional[str], contour_tol: floa
         "circle": {"center": [circle.center.real, circle.center.imag],
                    "radius": circle.radius, "sample_count": circle.sample_count},
     }
-    arguments = {"h": repr(h), "k": k}
-    return _report("hermite", arguments, _digest(arguments), FLOAT, outputs, checks)
+    return {"h": repr(h), "k": k}, outputs, checks, None
+
+
+def build_report(args) -> dict:
+    """Run the subcommand's handler and assemble its report.  A handler
+    returns (arguments, outputs, checks, notes); a check is (name, residual),
+    judged by _within, or (name, residual, verdict) where its rule differs.
+    A problem subcommand loads its file and tolerance first."""
+    if "problem" in args:
+        samples, mode, digest = load_problem(args.problem, args.mode)
+        tol = Tolerance(rel=args.tolerance, abs=args.tolerance)
+        arguments, outputs, checks, notes = args.handler(args, samples, mode, tol)
+        arguments["mode"] = mode
+    else:
+        mode, tol = args.mode, None
+        arguments, outputs, checks, notes = args.handler(args)
+        digest = _digest(arguments)
+    verdicts = [{"name": name, "pass": bool(rule[0] if rule else _within(residual, mode, tol)),
+                 "residual": format_scalar(residual)} for name, residual, *rule in checks]
+    report = {
+        "command": args.subcommand,
+        "arguments": arguments,
+        "inputs_digest": digest,
+        "mode": mode,
+        "outputs": outputs,
+        "checks": verdicts,
+        "passed": all(c["pass"] for c in verdicts),
+    }
+    if notes:
+        report["notes"] = notes
+    return report
 
 
 def _resolve_circle(spec: Optional[str], max_node: int) -> Circle:
@@ -418,31 +409,32 @@ def build_parser() -> argparse.ArgumentParser:
                     "rational functions, verified in exact rational arithmetic.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_problem_options(p):
-        p.add_argument("problem", help="problem JSON file, or '-' for stdin")
-        p.add_argument("--mode", choices=(EXACT, FLOAT), default=None,
-                       help="override the problem file's scalar mode")
-        p.add_argument("--tolerance", type=float, default=1e-9,
-                       help="float-mode comparison width (rel and abs)")
+    def add(name: str, handler, summary: str, mode: Optional[str] = None):
+        """A subcommand run by handler; mode None reads a problem file."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler, mode=mode)
+        if mode is None:
+            p.add_argument("problem", help="problem JSON file, or '-' for stdin")
+            p.add_argument("--mode", choices=(EXACT, FLOAT), default=None,
+                           help="override the problem file's scalar mode")
+            p.add_argument("--tolerance", type=float, default=1e-9,
+                           help="float-mode comparison width (rel and abs)")
+        return p
 
-    p = sub.add_parser("interpolate", help="Newton and Lagrange interpolants")
-    add_problem_options(p)
+    p = add("interpolate", cmd_interpolate, "Newton and Lagrange interpolants")
     p.add_argument("--degree", type=int, required=True)
 
-    p = sub.add_parser("recurrence", help="three-term recurrence round trip")
-    add_problem_options(p)
+    p = add("recurrence", cmd_recurrence, "three-term recurrence round trip")
     p.add_argument("--n-max", type=int, default=None)
 
-    p = sub.add_parser("check-biortho", help="residue pairing matrix checks")
-    add_problem_options(p)
+    p = add("check-biortho", cmd_check_biortho, "residue pairing matrix checks")
     p.add_argument("--n-max", type=int, required=True)
 
-    p = sub.add_parser("expand", help="expand a polynomial in the monic basis")
-    add_problem_options(p)
+    p = add("expand", cmd_expand, "expand a polynomial in the monic basis")
     p.add_argument("--poly", required=True,
                    help='JSON array of scalar strings, constant term first')
 
-    p = sub.add_parser("exp-example", help="closed forms for q**z on 0,1,2,...")
+    p = add("exp-example", cmd_exp_example, "closed forms for q**z on 0,1,2,...", EXACT)
     p.add_argument("--q", required=True, help='rational q as "p/q" or "p"; not 0 or 1')
     p.add_argument("--n-max", type=int, default=4)
     p.add_argument("--with-contour", action="store_true")
@@ -452,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the default circle")
     p.add_argument("--contour-tolerance", type=_tolerance, default=1e-8)
 
-    p = sub.add_parser("hermite", help="contour-integral divided difference")
+    p = add("hermite", cmd_hermite, "contour-integral divided difference", FLOAT)
     p.add_argument("--h", type=_finite_float, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--contour", default=None, metavar="RADIUS/SAMPLES")
@@ -461,32 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args) -> dict:
-    if args.subcommand == "exp-example":
-        return cmd_exp_example(args.q, args.n_max, args.with_contour, args.h,
-                               args.contour, args.contour_tolerance)
-    if args.subcommand == "hermite":
-        return cmd_hermite(args.h, args.k, args.contour, args.contour_tolerance)
-
-    samples, mode, digest = load_problem(args.problem, args.mode)
-    tol = Tolerance(rel=args.tolerance, abs=args.tolerance)
-    if args.subcommand == "interpolate":
-        return cmd_interpolate(samples, args.degree, mode, tol, digest)
-    if args.subcommand == "recurrence":
-        n_max = args.n_max if args.n_max is not None else samples.last_index
-        return cmd_recurrence(samples, n_max, mode, tol, digest)
-    if args.subcommand == "check-biortho":
-        return cmd_check_biortho(samples, args.n_max, mode, tol, digest)
-    if args.subcommand == "expand":
-        poly = _parse_poly_argument(args.poly, mode)
-        return cmd_expand(samples, poly, mode, tol, digest)
-    raise InvalidParameter(f"unknown subcommand {args.subcommand!r}")
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        report = _dispatch(args)
+        report = build_report(args)
     except _PARSE + _RANGE + _DEGENERATE as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, _PARSE) else 3 if isinstance(exc, _RANGE) else 4

@@ -39,11 +39,6 @@ class Polynomial:
     def constant(cls, c: Scalar) -> "Polynomial":
         return cls((c,))
 
-    @classmethod
-    def linear(cls, constant: Scalar, slope: Scalar) -> "Polynomial":
-        """constant + slope * z"""
-        return cls((constant, slope))
-
     @property
     def degree(self) -> int:
         """Highest power with nonzero coefficient; -1 for the zero polynomial."""

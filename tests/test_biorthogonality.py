@@ -90,6 +90,13 @@ def test_build_system_worked_example(worked):
     assert system.diagonal == (F(-1, 2), F(-1))
 
 
+def test_build_system_rejects_negative_size(worked):
+    # an empty system would let check-biortho report an empty matrix as passed
+    _, family = worked
+    with pytest.raises(IndexOutOfRange):
+        build_system(family, -1)
+
+
 def test_build_system_nu_vanishes_before_zero_sample_value():
     # A_1 = 0 makes nu_0 = 0; the diagonal at n = 0 would also divide by A_1
     samples = make_samples([0, 1, 2], [1, 0, 5])

@@ -224,6 +224,41 @@ def test_hermite_bad_contour_spec(capsys):
     assert code == 2
 
 
+def test_check_biortho_negative_n_max_is_out_of_range(tmp_path, capsys):
+    path = write_problem(tmp_path, WORKED)
+    code, report = run(capsys, ["check-biortho", path, "--n-max", "-1"])
+    assert code == 3
+    assert report is None
+
+
+def test_exp_example_failed_closed_form_reports_its_residual(capsys, monkeypatch):
+    import biorthopoly.cli as cli
+    closed = cli.exp_alpha_closed
+    monkeypatch.setattr(cli, "exp_alpha_closed", lambda problem, n: closed(problem, n) + F(1, 2))
+    code, report = run(capsys, ["exp-example", "--q", "2", "--n-max", "2"])
+    assert code == 1
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["alpha_closed_form"] == {"name": "alpha_closed_form", "pass": False,
+                                            "residual": "1/2"}
+    assert all(c["pass"] for c in report["checks"] if c["name"] != "alpha_closed_form")
+
+
+@pytest.mark.parametrize("argv", [
+    # float(q) overflows, and underflows to 0 under ln
+    ["exp-example", "--q", "1e400", "--n-max", "1", "--with-contour"],
+    ["exp-example", "--q", "1e-400", "--n-max", "1", "--with-contour"],
+    # alpha_2 = (q-1)**2/2 and the diagonal -1/(nu_0 alpha_0) overflow a double
+    ["exp-example", "--q", "1e300", "--n-max", "2", "--with-contour", "--h", "0.1"],
+    ["exp-example", "--q", "1e-310", "--n-max", "0", "--with-contour", "--h", "0.1"],
+])
+def test_exp_example_contour_out_of_double_range_is_bad_parameter(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: InvalidParameter:")
+
+
 def test_check_biortho_rejects_nan_tolerance(tmp_path, capsys):
     path = write_problem(tmp_path, WORKED)
     code, report = run(capsys, ["check-biortho", path, "--n-max", "1",
@@ -290,6 +325,25 @@ def test_cli_import_needs_no_numpy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+GOLDEN_PROBLEM = {"nodes": ["0", "1", "3", "-2", "1/2"], "values": ["1", "2", "5", "-3", "7/4"]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["interpolate", "PROBLEM", "--degree", "3"],
+    ["recurrence", "PROBLEM"],
+    ["check-biortho", "PROBLEM", "--n-max", "2"],
+    ["expand", "PROBLEM", "--poly", '["1", "-1/2", "2"]'],
+    ["exp-example", "--q", "2", "--n-max", "2"],
+], ids=lambda argv: argv[0])
+def test_exact_report_matches_golden(argv, tmp_path, capsys):
+    # the whole text pins key order, every output and the inputs_digest value
+    path = write_problem(tmp_path, GOLDEN_PROBLEM)
+    assert main([path if a == "PROBLEM" else a for a in argv]) == 0
+    with open(os.path.join(GOLDEN, argv[0] + ".json")) as handle:
+        assert capsys.readouterr().out == handle.read()
 
 
 def test_reports_echo_command_and_digest(tmp_path, capsys):
