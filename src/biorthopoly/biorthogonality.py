@@ -22,13 +22,14 @@ sometimes quoted for this construction; exact rational arithmetic on nodes
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .divided_differences import Samples
-from .errors import IndexOutOfRange, NuVanishes, PoleEvaluation, ZeroSampleValue
+from .errors import IndexOutOfRange, InvalidParameter, NuVanishes, PoleEvaluation, ZeroSampleValue
 from .interpolation import MonicInterpolantFamily
 from .numerics import Scalar
-from .polynomials import Polynomial, nodal_derivative_at
+from .polynomials import Polynomial, nodal_derivative_at, nodal_weights
 
 
 class RationalInterpolant:
@@ -62,20 +63,18 @@ class RationalInterpolant:
         return f"RationalInterpolant(index={self.index}, numerator={self.numerator!r})"
 
 
+@dataclass(frozen=True)
 class BiorthogonalSystem:
     """The family together with its T-hats, leading coefficients nu_n, the
-    rational functions V_n, and the verified diagonal pairing values d_n."""
+    rational functions V_n, the verified diagonal pairing values d_n, and
+    each V_m's residue data (T-hat_m(a_s), omega'_{m+2}(a_s)), s = 0..m+1."""
 
-    __slots__ = ("family", "ts", "nus", "vs", "diagonal")
-
-    def __init__(self, family: MonicInterpolantFamily, ts: Tuple[Polynomial, ...],
-                 nus: Tuple[Scalar, ...], vs: Tuple[RationalInterpolant, ...],
-                 diagonal: Tuple[Scalar, ...]):
-        self.family = family
-        self.ts = tuple(ts)
-        self.nus = tuple(nus)
-        self.vs = tuple(vs)
-        self.diagonal = tuple(diagonal)
+    family: MonicInterpolantFamily
+    ts: Tuple[Polynomial, ...]
+    nus: Tuple[Scalar, ...]
+    vs: Tuple[RationalInterpolant, ...]
+    diagonal: Tuple[Scalar, ...]
+    residues: Tuple[Tuple[Tuple[Scalar, Scalar], ...], ...]
 
     @property
     def n_max(self) -> int:
@@ -107,47 +106,49 @@ def leading_nu(family: MonicInterpolantFamily, n: int) -> Scalar:
 
 
 def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSystem:
-    """Assemble T-hat_n, V_n and the verified diagonal for n = 0..n_max.
+    """Assemble T-hat_n, V_n, their residue data and the verified diagonal.
 
-    Raises NuVanishes(n) when T_n loses its degree-n term.  The stored
-    diagonal d_n is the actually computed residue pairing <P-hat_n, V_n>,
-    so expansion coefficients can divide by it without re-deriving the
-    closed form; in exact arithmetic it equals -1/(nu_n alpha_n).
+    Raises NuVanishes(n) when T_n loses its degree-n term.  V_n's residue
+    data is T-hat_n at its poles (Horner) with weights omega'_{n+2}(a_s),
+    extended from V_{n-1}'s in O(n); every pairing reuses it.  The stored
+    diagonal d_n is the actually computed residue pairing <P-hat_n, V_n>, so
+    expansion coefficients can divide by it without re-deriving the closed
+    form; in exact arithmetic it equals -1/(nu_n alpha_n).
     """
     if n_max < 0:
         raise IndexOutOfRange(f"system size n_max = {n_max} is negative")
     if n_max + 1 > family.n_max:
         raise IndexOutOfRange(f"system to {n_max} needs family to {n_max + 1}")
-    samples = family.samples
-    ts: List[Polynomial] = []
-    nus: List[Scalar] = []
-    vs: List[RationalInterpolant] = []
-    diagonal: List[Scalar] = []
+    rows = []  # (T-hat_n, nu_n, V_n, d_n, residue data of V_n)
+    weights: Tuple[Scalar, ...] = ()
     for n in range(n_max + 1):
         t_n = t_polynomial(family, n)
         nu_n = t_n.coefficient(n)
         if nu_n == 0:
             raise NuVanishes(n)
         t_hat = t_n.divide(nu_n)
-        v_n = RationalInterpolant(n, t_hat, family.grid.nodes[: n + 2])
-        ts.append(t_hat)
-        nus.append(nu_n)
-        vs.append(v_n)
-        diagonal.append(pairing(family.phats[n], v_n, samples))
-    return BiorthogonalSystem(family, tuple(ts), tuple(nus), tuple(vs), tuple(diagonal))
+        poles = family.grid.nodes[: n + 2]
+        v_n = RationalInterpolant(n, t_hat, poles)
+        weights = nodal_weights(poles, weights)
+        data = tuple(zip(map(t_hat, poles), weights))
+        terms = _residue_terms(v_n, data, family.samples)
+        d_n = _residue_sum([family.phats[n](a) for a in poles], terms)
+        rows.append((t_hat, nu_n, v_n, d_n, data))
+    return BiorthogonalSystem(family, *zip(*rows))
 
 
-def _residue_terms(v: RationalInterpolant, samples: Samples) -> List[Tuple[Scalar, Scalar]]:
-    """(T-hat_m(a_s), A_s omega'_{m+2}(a_s)) for the poles s = 0..m+1 of V_m;
-    ZeroSampleValue(s) names the smallest s with A_s = 0."""
+def _residue_terms(v: RationalInterpolant, data: Sequence[Tuple[Scalar, Scalar]],
+                   samples: Samples) -> List[Tuple[Scalar, Scalar]]:
+    """(T-hat_m(a_s), A_s omega'_{m+2}(a_s)) for the poles s = 0..m+1 of V_m, from its
+    residue data and samples on its poles; ZeroSampleValue(s) names the smallest zero A_s."""
     count = v.index + 2
     if count > len(samples):
         raise IndexOutOfRange(f"pairing with V_{v.index} needs samples up to index {v.index + 1}")
+    if samples.grid.nodes[:count] != v.pole_nodes:
+        raise InvalidParameter(f"sample nodes differ from the poles of V_{v.index}")
     if 0 in samples.values[:count]:
         raise ZeroSampleValue(samples.values.index(0))
-    return [(v.numerator(samples.grid[s]),
-             samples.values[s] * nodal_derivative_at(v.pole_nodes, count, s))
-            for s in range(count)]
+    return [(t_value, a_s * weight) for (t_value, weight), a_s in zip(data, samples.values)]
 
 
 def _residue_sum(p_values: Sequence[Scalar], terms: List[Tuple[Scalar, Scalar]]) -> Scalar:
@@ -164,10 +165,12 @@ def pairing(p: Polynomial, v: RationalInterpolant, samples: Samples) -> Scalar:
     sum_{s=0}^{m+1} p(a_s) T-hat_m(a_s) / (A_s omega'_{m+2}(a_s)): the sum
     of residues of p(zeta) V_m(zeta) / F(zeta).  Only the m+2 poles of V_m
     contribute, so extending the samples beyond index m+1 never changes the
-    value.
+    value.  It builds V_m's residue data with nodal_derivative_at, apart from build_system.
     """
-    terms = _residue_terms(v, samples)
-    return _residue_sum([p(a) for a in samples.grid.nodes[: len(terms)]], terms)
+    data = [(v.numerator(a), nodal_derivative_at(v.pole_nodes, len(v.pole_nodes), s))
+            for s, a in enumerate(v.pole_nodes)]
+    terms = _residue_terms(v, data, samples)
+    return _residue_sum([p(a) for a in v.pole_nodes], terms)
 
 
 def orthogonality_moment(family: MonicInterpolantFamily, n: int, j: int) -> Scalar:
@@ -180,15 +183,12 @@ def orthogonality_moment(family: MonicInterpolantFamily, n: int, j: int) -> Scal
         raise IndexOutOfRange(f"moment needs P-hat_{n}; family stops at {family.n_max}")
     if j < 0 or j > n:
         raise IndexOutOfRange(f"power {j} outside 0..{n}")
+    if 0 in family.values[: n + 1]:
+        raise ZeroSampleValue(family.values.index(0))
+    nodes = family.grid.nodes[: n + 1]
     total: Scalar = 0
-    phat = family.phats[n]
-    for s in range(n + 1):
-        a_value = family.values[s]
-        if a_value == 0:
-            raise ZeroSampleValue(s)
-        a_s = family.grid[s]
-        weight = 1 / (a_value * nodal_derivative_at(family.grid, n + 1, s))
-        total = total + a_s ** j * phat(a_s) * weight
+    for a_s, a_value, weight in zip(nodes, family.values, nodal_weights(nodes)):
+        total = total + a_s ** j * family.phats[n](a_s) * (1 / (a_value * weight))
     return total
 
 
@@ -199,11 +199,13 @@ def biorthogonality_matrix(system: BiorthogonalSystem, samples: Samples,
     Diagonal with entries -1/(nu_n alpha_n); every off-diagonal entry is
     exactly zero in exact arithmetic.  Every entry is still a computed residue
     sum, bit-identical to pairing(P-hat_n, V_m, samples); evaluating each
-    P-hat_n at the nodes once and building each V_m's terms once makes it O(N^3).
+    P-hat_n at the nodes once and reading V_m's residue data from build_system
+    makes it O(N^3).
     """
     if n_max > system.n_max or n_max > system.family.n_max:
         raise IndexOutOfRange(f"matrix to {n_max} exceeds system size {system.n_max}")
-    terms = [_residue_terms(v, samples) for v in system.vs[: n_max + 1]]
+    terms = [_residue_terms(v, data, samples)
+             for v, data in zip(system.vs[: n_max + 1], system.residues)]
     nodes = samples.grid.nodes[: n_max + 2]
     rows = ([phat(a) for a in nodes] for phat in system.family.phats[: n_max + 1])
     return [[_residue_sum(node_values, t) for t in terms] for node_values in rows]
@@ -215,11 +217,12 @@ def expand_in_interpolants(q_poly: Polynomial, system: BiorthogonalSystem,
 
     xi_k = <q_poly, V_k> / d_k for k = 0..deg(q_poly), using the system's
     verified diagonal.  Exact reconstruction is guaranteed because the
-    pairing annihilates every P-hat_j with j != k.
+    pairing annihilates every P-hat_j with j != k.  Each pairing reads V_k's
+    residue data from build_system; q_poly is evaluated at the nodes once.
     """
     n = q_poly.degree
     if n > system.n_max:
         raise IndexOutOfRange(f"degree {n} exceeds system size {system.n_max}")
-    return tuple(
-        pairing(q_poly, system.vs[k], samples) / system.diagonal[k] for k in range(n + 1)
-    )
+    q_values = [q_poly(a) for a in samples.grid.nodes[: n + 2]]
+    return tuple(_residue_sum(q_values, _residue_terms(v, data, samples)) / d
+                 for v, data, d in zip(system.vs[: n + 1], system.residues, system.diagonal))

@@ -13,12 +13,12 @@ A problem file is {"nodes": [...], "values": [...], "mode": "exact"|"float"}
 with scalars as strings ("3", "-1/2", "0.25").  Reports echo the command,
 digest the inputs, list outputs and one verdict per declared check.  Exit
 codes: 0 all checks pass, 1 some check failed, 2 unparsable input or bad
-parameter (also a float-mode scalar that overflows a double, a non-finite
-tolerance or --h, a negative --contour-tolerance, an --h so large that the
-contour integrand overflows, a --contour circle through a node or pole, or
-an exp-example --with-contour whose q or closed-form values leave double
-range), 3 index/degree out of range (also a negative --n-max), 4 degenerate
-data (zero alpha/nu/sample value; the index is in the message).
+parameter (also a float scalar that overflows, nodes whose omega'(a_s)
+underflows, a non-finite tolerance or --h, a negative --contour-tolerance, an
+--h whose contour integrand overflows, a --contour circle through a node or
+pole, or an exp-example --with-contour whose q or closed-form values leave
+double range), 3 index/degree out of range (also a negative --n-max), 4
+degenerate data (zero alpha/nu/sample value; the index is in the message).
 """
 
 from __future__ import annotations
@@ -126,10 +126,15 @@ def _scalars_json(xs) -> List[str]:
     return [format_scalar(x) for x in xs]
 
 
+def _worst(diffs):
+    """The largest difference, 0 if none; a nan one (which max skips) wins."""
+    return max([0, *diffs], key=lambda d: (d != d, d))
+
+
 def _coeff_residual(a: Polynomial, b: Polynomial):
     """Largest absolute coefficient difference between two polynomials."""
     width = max(len(a.coeffs), len(b.coeffs))
-    return max([0, *(abs(a.coefficient(i) - b.coefficient(i)) for i in range(width))])
+    return _worst(abs(a.coefficient(i) - b.coefficient(i)) for i in range(width))
 
 
 def _within(residual, mode: str, tol: Optional[Tolerance]) -> bool:
@@ -158,8 +163,7 @@ def cmd_interpolate(args, samples: Samples, mode: str, tol: Tolerance) -> tuple:
     lagrange = lagrange_interpolant(samples, degree)
 
     nodes_values = zip(samples.grid.nodes, samples.values[: degree + 1])
-    condition_residual = max([0, *(max(abs(newton(a) - v), abs(lagrange(a) - v))
-                                   for a, v in nodes_values)])
+    condition_residual = _worst(abs(p(a) - v) for a, v in nodes_values for p in (newton, lagrange))
 
     checks = [
         ("newton_lagrange_equal", _coeff_residual(newton, lagrange),
@@ -174,30 +178,26 @@ def cmd_recurrence(args, samples: Samples, mode: str, tol: Tolerance) -> tuple:
     n_max = args.n_max if args.n_max is not None else samples.last_index
     family = monic_family(samples, n_max)
 
-    step_residual = 0
-    rel1_residual = 0
+    step_residuals, rel1_residuals = [], []
     for n in range(n_max):
         ratio_n = family.alphas[n] / family.alphas[n + 1]
         stepped = recurrence_step(
             family.phats[n],
             family.phats[n - 1] if n else Polynomial.zero(),
             family.grid[n], ratio_n, family.alpha_ratio(n))
-        step_residual = max(step_residual, _coeff_residual(stepped, family.phats[n + 1]))
+        step_residuals.append(_coeff_residual(stepped, family.phats[n + 1]))
         omega = nodal_polynomial(family.grid, n + 1)
         rel1 = family.phats[n + 1] - family.phats[n].scale(ratio_n)
-        rel1_residual = max(rel1_residual, _coeff_residual(rel1, omega))
+        rel1_residuals.append(_coeff_residual(rel1, omega))
 
     rebuilt = family_from_recurrence(samples.grid, family.alphas, n_max)
-    value_residual = max([0, *(abs(rebuilt.values[n] - samples.values[n])
-                               for n in range(n_max + 1))])
-    phat_residual = max([0, *(_coeff_residual(rebuilt.phats[n], family.phats[n])
-                              for n in range(n_max + 1))])
-
     checks = [
-        ("recurrence_consistency", step_residual),
-        ("nodal_difference_identity", rel1_residual),
-        ("values_roundtrip", value_residual),
-        ("phats_roundtrip", phat_residual),
+        ("recurrence_consistency", _worst(step_residuals)),
+        ("nodal_difference_identity", _worst(rel1_residuals)),
+        ("values_roundtrip", _worst(abs(rebuilt.values[n] - samples.values[n])
+                                    for n in range(n_max + 1))),
+        ("phats_roundtrip", _worst(_coeff_residual(rebuilt.phats[n], family.phats[n])
+                                   for n in range(n_max + 1))),
     ]
     outputs = {
         "alphas": _scalars_json(family.alphas),
@@ -214,9 +214,9 @@ def cmd_check_biortho(args, samples: Samples, mode: str, tol: Tolerance) -> tupl
     matrix = biorthogonality_matrix(system, samples, n_max)
 
     indices = range(n_max + 1)
-    off_residual = max([0, *(abs(matrix[n][m]) for n in indices for m in indices if n != m)])
-    diag_residual = max([0, *(abs(matrix[n][n] + 1 / (system.nus[n] * family.alphas[n]))
-                              for n in indices)])
+    off_residual = _worst(abs(matrix[n][m]) for n in indices for m in indices if n != m)
+    diag_residual = _worst(abs(matrix[n][n] + 1 / (system.nus[n] * family.alphas[n]))
+                           for n in indices)
 
     checks = [("off_diagonal_zero", off_residual), ("diagonal_matches_formula", diag_residual)]
     outputs = {
@@ -248,7 +248,7 @@ def cmd_expand(args, samples: Samples, mode: str, tol: Tolerance) -> tuple:
     return {"poly": _scalars_json(poly.coeffs)}, outputs, checks, NORMALIZATION_NOTES[1:]
 
 
-V_SAMPLE_POINTS = (Fraction(1, 2), Fraction(7, 3), Fraction(-3, 2), Fraction(10))
+V_SAMPLE_POINTS = (Fraction(1, 2), Fraction(7, 3), Fraction(-3, 2), Fraction(21, 2))
 
 
 def cmd_exp_example(args) -> tuple:

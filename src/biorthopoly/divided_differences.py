@@ -13,7 +13,7 @@ from typing import Sequence, Tuple
 
 from .errors import IndexOutOfRange
 from .numerics import Scalar
-from .polynomials import Grid, Polynomial, nodal_derivative_at
+from .polynomials import Grid, Polynomial, nodal_weights
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,8 @@ def divided_difference_sum(samples: Samples, k: int) -> Scalar:
     if k < 0 or k > samples.last_index:
         raise IndexOutOfRange(f"k = {k} outside 0..{samples.last_index}")
     total: Scalar = 0
-    for s in range(k + 1):
-        total = total + samples.values[s] / nodal_derivative_at(samples.grid, k + 1, s)
+    for value, weight in zip(samples.values, nodal_weights(samples.grid.nodes[: k + 1])):
+        total = total + value / weight
     return total
 
 

@@ -20,7 +20,7 @@ from typing import Sequence, Tuple
 from .divided_differences import Samples, divided_differences_recursive
 from .errors import DegenerateInterpolant, IndexOutOfRange
 from .numerics import Scalar
-from .polynomials import Grid, Polynomial, nodal_derivative_at, nodal_polynomial
+from .polynomials import Grid, Polynomial, nodal_polynomial, nodal_weights
 
 
 def lagrange_interpolant(samples: Samples, n: int) -> Polynomial:
@@ -33,12 +33,12 @@ def lagrange_interpolant(samples: Samples, n: int) -> Polynomial:
     """
     if n < 0 or n > samples.last_index:
         raise IndexOutOfRange(f"degree {n} outside 0..{samples.last_index}")
+    nodes = samples.grid.nodes[: n + 1]
     omega = nodal_polynomial(samples.grid, n + 1)
     acc = Polynomial.zero()
-    for k in range(n + 1):
-        cofactor, _ = omega.deflate(samples.grid[k])
-        weight = samples.values[k] / nodal_derivative_at(samples.grid, n + 1, k)
-        acc = acc + cofactor.scale(weight)
+    for a_k, value, weight in zip(nodes, samples.values, nodal_weights(nodes)):
+        cofactor, _ = omega.deflate(a_k)
+        acc = acc + cofactor.scale(value / weight)
     return acc
 
 

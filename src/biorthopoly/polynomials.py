@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence, Tuple
 
-from .errors import IndexOutOfRange, InsufficientNodes
+from .errors import IndexOutOfRange, InsufficientNodes, InvalidParameter
 from .numerics import Scalar
 
 
@@ -184,3 +184,20 @@ def nodal_derivative_at(grid: Grid | Sequence[Scalar], k_plus_1: int, s: int) ->
         if i != s:
             prod = prod * (a_s - grid[i])
     return prod
+
+
+def nodal_weights(nodes: Sequence[Scalar], prefix: Sequence[Scalar] = ()) -> Tuple[Scalar, ...]:
+    """omega'_K(a_s), s < K = len(nodes), extending the weights `prefix` of nodes[:len(prefix)]:
+    node a_k multiplies each w_s by (a_s - a_k) and appends prod_{i<k} (a_k - a_i), in O(k).
+    nodal_derivative_at's fold in its order, so floats match it bit for bit.
+    InvalidParameter on a zero weight, which only float underflow gives."""
+    weights = list(prefix)
+    for k in range(len(weights), len(nodes)):
+        a_k, last = nodes[k], 1
+        for s in range(k):
+            weights[s] = weights[s] * (nodes[s] - a_k)
+            last = last * (a_k - nodes[s])
+        weights.append(last)
+    if 0 in weights:
+        raise InvalidParameter(f"omega'(a_{weights.index(0)}) underflows to 0")
+    return tuple(weights)

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,12 +18,13 @@ from biorthopoly.biorthogonality import (
 from biorthopoly.divided_differences import Samples, divided_differences_recursive
 from biorthopoly.errors import (
     IndexOutOfRange,
+    InvalidParameter,
     NuVanishes,
     PoleEvaluation,
     ZeroSampleValue,
 )
 from biorthopoly.interpolation import monic_family
-from biorthopoly.polynomials import Polynomial
+from biorthopoly.polynomials import Polynomial, nodal_derivative_at
 
 F = Fraction
 
@@ -330,3 +332,89 @@ def test_expand_matches_triangular_solve():
         q_poly = Polynomial(coeffs)
         xi = expand_in_interpolants(q_poly, system, s)
         assert xi == triangular_solve(q_poly, family.phats)
+
+
+def random_systems(seed, count, to_float=False):
+    """(rng, samples, system) on N + 1 = 3..14 random nodes, with n_max = N - 1."""
+    rng = random.Random(seed)
+    while count:
+        s = usable_random_samples(rng, rng.randint(3, 14))
+        if to_float:
+            # nodes a/7 are not dyadic, so products of their differences
+            # round and the order of every fold shows in the last bits
+            s = Samples.from_pairs([float(a) / 7 for a in s.grid.nodes],
+                                   [float(v) / 3 for v in s.values])
+        try:
+            system = build_system(monic_family(s, s.last_index), s.last_index - 1)
+        except NuVanishes:
+            continue
+        count -= 1
+        yield rng, s, system
+
+
+@pytest.mark.parametrize("to_float", [False, True], ids=["exact", "float"])
+def test_stored_residue_data_matches_oracles(to_float):
+    """Each V_m's stored pairs are T-hat_m(a_s) and nodal_derivative_at, bit for bit."""
+    for _, s, system in random_systems(53, 8, to_float):
+        for m, data in enumerate(system.residues):
+            poles = s.grid.nodes[: m + 2]
+            expected = tuple((system.ts[m](a), nodal_derivative_at(s.grid, m + 2, i))
+                             for i, a in enumerate(poles))
+            assert repr(data) == repr(expected)
+
+
+def test_expand_matches_pairing_float():
+    """Float mode: each xi_k is pairing(q, V_k) / d_k bit for bit."""
+    for rng, s, system in random_systems(59, 12, to_float=True):
+        degree = rng.randint(0, system.n_max)
+        q_poly = Polynomial([rng.randint(-9, 9) / 7 for _ in range(degree)] + [1.5])
+        xi = expand_in_interpolants(q_poly, system, s)
+        expected = tuple(pairing(q_poly, system.vs[k], s) / system.diagonal[k]
+                         for k in range(degree + 1))
+        assert repr(xi) == repr(expected)
+
+
+def test_pairings_reject_samples_on_another_grid(worked):
+    """The stored residue data belong to the system's nodes: samples whose
+    nodes differ there must not be paired with them."""
+    samples, family = worked
+    system = build_system(family, 1)
+    moved = make_samples([0, 1, 3], [1, 2, 5])
+    with pytest.raises(InvalidParameter):
+        biorthogonality_matrix(system, moved, 1)
+    with pytest.raises(InvalidParameter):
+        expand_in_interpolants(Polynomial([F(1), F(1)]), system, moved)
+    with pytest.raises(InvalidParameter):
+        pairing(family.phats[1], system.vs[1], moved)
+    # nodes beyond the poles of V_m may differ
+    extended = samples.extended(F(9), F(4))
+    assert biorthogonality_matrix(system, extended, 1) == [[F(-1, 2), 0], [0, F(-1)]]
+
+
+def test_pipeline_builds_weights_incrementally(monkeypatch):
+    """build_system, the matrix and expand take every omega'(a_s) from the
+    O(k)-per-node nodal_weights, never from the O(k)-per-weight oracle."""
+    calls = []
+    original = nodal_derivative_at
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("biorthopoly") and hasattr(module, "nodal_derivative_at"):
+            monkeypatch.setattr(module, "nodal_derivative_at", counted)
+    rng = random.Random(61)
+    while True:
+        s = usable_random_samples(rng, 11)
+        family = monic_family(s, 10)
+        try:
+            system = build_system(family, 9)
+        except NuVanishes:
+            continue
+        break
+    biorthogonality_matrix(system, s, 9)
+    expand_in_interpolants(Polynomial([F(k - 4) for k in range(10)]), system, s)
+    assert calls == []
+    pairing(family.phats[0], system.vs[0], s)  # the oracle route is what is counted
+    assert len(calls) == 2

@@ -353,3 +353,32 @@ def test_reports_echo_command_and_digest(tmp_path, capsys):
     assert first["command"] == "interpolate"
     assert first["inputs_digest"].startswith("sha256:")
     assert first["inputs_digest"] == second["inputs_digest"]
+
+
+def test_float_nan_residual_fails_its_check(tmp_path, capsys):
+    # the Newton coefficients overflow to nan/inf; a nan difference must not
+    # be skipped by the residual's max
+    payload = {"nodes": ["0", "1e-200", "1"], "values": ["1e300", "-1e300", "1e300"],
+               "mode": "float"}
+    code, report = run(capsys, ["interpolate", write_problem(tmp_path, payload),
+                                "--degree", "2"])
+    assert code == 1
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["interpolation_conditions"] == {
+        "name": "interpolation_conditions", "pass": False, "residual": "nan"}
+
+
+def test_underflowing_nodal_weight_is_bad_parameter(tmp_path, capsys):
+    payload = {"nodes": ["0", "1e-300", "2e-300"], "values": ["1", "2", "3"], "mode": "float"}
+    code = main(["interpolate", write_problem(tmp_path, payload), "--degree", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: InvalidParameter:")
+
+
+def test_exp_example_past_the_old_sample_point(capsys):
+    # z = 10 is a pole of V_9; no V-route sample point lies on the integer grid
+    code, report = run(capsys, ["exp-example", "--q", "2", "--n-max", "9"])
+    assert code == 0
+    assert report["passed"] is True

@@ -3,12 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from biorthopoly.errors import IndexOutOfRange, InsufficientNodes
+from biorthopoly.errors import IndexOutOfRange, InsufficientNodes, InvalidParameter
 from biorthopoly.polynomials import (
     Grid,
     Polynomial,
     nodal_derivative_at,
     nodal_polynomial,
+    nodal_weights,
 )
 
 F = Fraction
@@ -165,3 +166,18 @@ def test_nodal_derivative_matches_formal_derivative(nodes):
         formal = nodal_polynomial(g, k_plus_1).derivative()
         for s in range(k_plus_1):
             assert nodal_derivative_at(g, k_plus_1, s) == formal(g[s])
+
+
+def test_nodal_weights_extend_a_prefix():
+    nodes = (0.25, -1.5, 3.0, 0.1, 7.25, -2.0)
+    for k in range(len(nodes) + 1):
+        extended = nodal_weights(nodes, nodal_weights(nodes[:k]))
+        assert extended == nodal_weights(nodes)
+    assert nodal_weights(nodes) == tuple(nodal_derivative_at(nodes, len(nodes), s)
+                                         for s in range(len(nodes)))
+
+
+def test_nodal_weights_reject_underflow():
+    # (0 - 1e-300) * (0 - 2e-300) is below the smallest double
+    with pytest.raises(InvalidParameter):
+        nodal_weights((0.0, 1e-300, 2e-300))
