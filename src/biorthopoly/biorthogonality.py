@@ -22,13 +22,14 @@ sometimes quoted for this construction; exact rational arithmetic on nodes
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .divided_differences import Samples
 from .errors import IndexOutOfRange, InvalidParameter, NuVanishes, PoleEvaluation, ZeroSampleValue
 from .interpolation import MonicInterpolantFamily
-from .numerics import Scalar
+from .numerics import Scalar, is_exact
 from .polynomials import Polynomial, nodal_derivative_at, nodal_weights
 
 
@@ -108,12 +109,12 @@ def leading_nu(family: MonicInterpolantFamily, n: int) -> Scalar:
 def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSystem:
     """Assemble T-hat_n, V_n, their residue data and the verified diagonal.
 
-    Raises NuVanishes(n) when T_n loses its degree-n term.  V_n's residue
-    data is T-hat_n at its poles (Horner) with weights omega'_{n+2}(a_s),
-    extended from V_{n-1}'s in O(n); every pairing reuses it.  The stored
-    diagonal d_n is the actually computed residue pairing <P-hat_n, V_n>, so
-    expansion coefficients can divide by it without re-deriving the closed
-    form; in exact arithmetic it equals -1/(nu_n alpha_n).
+    Raises NuVanishes(n) when T_n loses its degree-n term and InvalidParameter
+    when a float nu_n is inf or nan.  V_n's residue data, T-hat_n at its poles
+    (Horner) with weights omega'_{n+2}(a_s) extended from V_{n-1}'s in O(n),
+    serves every pairing.  The stored diagonal d_n is the computed residue
+    pairing <P-hat_n, V_n>, which expansion divides by without re-deriving
+    the closed form; in exact arithmetic it equals -1/(nu_n alpha_n).
     """
     if n_max < 0:
         raise IndexOutOfRange(f"system size n_max = {n_max} is negative")
@@ -126,6 +127,8 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
         nu_n = t_n.coefficient(n)
         if nu_n == 0:
             raise NuVanishes(n)
+        if not (is_exact(nu_n) or math.isfinite(nu_n)):
+            raise InvalidParameter(f"nu_{n} = {nu_n} is not finite")
         t_hat = t_n.divide(nu_n)
         poles = family.grid.nodes[: n + 2]
         v_n = RationalInterpolant(n, t_hat, poles)
@@ -148,7 +151,10 @@ def _residue_terms(v: RationalInterpolant, data: Sequence[Tuple[Scalar, Scalar]]
         raise InvalidParameter(f"sample nodes differ from the poles of V_{v.index}")
     if 0 in samples.values[:count]:
         raise ZeroSampleValue(samples.values.index(0))
-    return [(t_value, a_s * weight) for (t_value, weight), a_s in zip(data, samples.values)]
+    scaled = [a_s * weight for (_, weight), a_s in zip(data, samples.values)]
+    if 0 in scaled:
+        raise InvalidParameter(f"A_s omega'(a_s) underflows to 0 at s = {scaled.index(0)}")
+    return [(t_value, d) for (t_value, _), d in zip(data, scaled)]
 
 
 def _residue_sum(p_values: Sequence[Scalar], terms: List[Tuple[Scalar, Scalar]]) -> Scalar:
@@ -223,6 +229,8 @@ def expand_in_interpolants(q_poly: Polynomial, system: BiorthogonalSystem,
     n = q_poly.degree
     if n > system.n_max:
         raise IndexOutOfRange(f"degree {n} exceeds system size {system.n_max}")
+    if 0 in system.diagonal[: n + 1]:
+        raise InvalidParameter(f"d_{system.diagonal.index(0)} rounds to 0 in floating point")
     q_values = [q_poly(a) for a in samples.grid.nodes[: n + 2]]
     return tuple(_residue_sum(q_values, _residue_terms(v, data, samples)) / d
                  for v, data, d in zip(system.vs[: n + 1], system.residues, system.diagonal))

@@ -12,13 +12,15 @@ Subcommands map one-to-one onto library pipelines:
 A problem file is {"nodes": [...], "values": [...], "mode": "exact"|"float"}
 with scalars as strings ("3", "-1/2", "0.25").  Reports echo the command,
 digest the inputs, list outputs and one verdict per declared check.  Exit
-codes: 0 all checks pass, 1 some check failed, 2 unparsable input or bad
-parameter (also a float scalar that overflows, nodes whose omega'(a_s)
-underflows, a non-finite tolerance or --h, a negative --contour-tolerance, an
---h whose contour integrand overflows, a --contour circle through a node or
-pole, or an exp-example --with-contour whose q or closed-form values leave
-double range), 3 index/degree out of range (also a negative --n-max), 4
-degenerate data (zero alpha/nu/sample value; the index is in the message).
+codes: 0 all checks pass, 1 some check failed; a library error exits with the
+code its class sets.  2: unparsable input or bad parameter, also a float
+scalar, alpha_n, nu_n or contour sample that overflows, a float omega'(a_s),
+A_s omega'(a_s), nu_n alpha_n or d_n that underflows to 0, an exact value too
+long to print, a non-finite tolerance or --h, a negative --contour-tolerance,
+a --contour circle through a node or pole, or an exp-example --with-contour
+whose q or closed-form values leave double range.  3: index/degree out of
+range (also a negative --n-max).  4: degenerate data (zero alpha/nu/sample
+value; the index is in the message).
 """
 
 from __future__ import annotations
@@ -29,22 +31,18 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 from typing import List, Optional, Sequence
 
 from .biorthogonality import biorthogonality_matrix, build_system, expand_in_interpolants
 from .contour import Circle, contour_biortho_check, default_circle, hermite_divided_difference
 from .divided_differences import Samples, newton_interpolant
 from .errors import (
-    DegenerateInterpolant,
+    BiorthopolyError,
     IndexOutOfRange,
-    InsufficientNodes,
     InvalidParameter,
-    NonFiniteSample,
-    NuVanishes,
     ParseError,
-    PoleEvaluation,
     ZeroDenominator,
-    ZeroSampleValue,
 )
 from .exponential import (
     ExpGridProblem,
@@ -75,10 +73,6 @@ NORMALIZATION_NOTES = [
     "polynomials of degree >= 2 on the same example.",
 ]
 
-_DEGENERATE = (DegenerateInterpolant, NuVanishes, ZeroSampleValue)
-_RANGE = (IndexOutOfRange, InsufficientNodes)
-_PARSE = (ParseError, InvalidParameter, ZeroDenominator, NonFiniteSample, PoleEvaluation)
-
 
 def _digest(payload) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -91,7 +85,7 @@ def _read_json(path: str):
             return json.load(sys.stdin)
         with open(path) as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
         raise ParseError(f"cannot read problem {path!r}: {exc}")
 
 
@@ -133,26 +127,18 @@ def _worst(diffs):
 
 def _coeff_residual(a: Polynomial, b: Polynomial):
     """Largest absolute coefficient difference between two polynomials."""
-    width = max(len(a.coeffs), len(b.coeffs))
-    return _worst(abs(a.coefficient(i) - b.coefficient(i)) for i in range(width))
+    return _worst(abs(x - y) for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0))
 
 
-def _within(residual, mode: str, tol: Optional[Tolerance]) -> bool:
-    """Exact residuals must vanish; float ones must lie within tol of zero."""
-    return residual == 0 if mode == EXACT else approx_equal(float(residual), 0.0, tol)
+def _polys_equal(a: Polynomial, b: Polynomial, tol: Tolerance) -> bool:
+    """Coefficientwise approx_equal: exact coefficients must match exactly."""
+    return all(approx_equal(x, y, tol) for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0))
 
 
-def _polys_equal(a: Polynomial, b: Polynomial, mode: str, tol: Tolerance) -> bool:
-    if mode == EXACT:
-        return a == b
-    width = max(len(a.coeffs), len(b.coeffs))
-    return all(approx_equal(a.coefficient(i), b.coefficient(i), tol) for i in range(width))
-
-
-def _double(x, name: str) -> float:
-    """float(x) for a contour reference value; InvalidParameter if it overflows."""
+def _double(value, name: str) -> float:
+    """float(value()) for a contour reference value; InvalidParameter if it overflows."""
     try:
-        return float(x)
+        return float(value())
     except OverflowError:
         raise InvalidParameter(f"{name} overflows a double") from None
 
@@ -167,7 +153,7 @@ def cmd_interpolate(args, samples: Samples, mode: str, tol: Tolerance) -> tuple:
 
     checks = [
         ("newton_lagrange_equal", _coeff_residual(newton, lagrange),
-         _polys_equal(newton, lagrange, mode, tol)),
+         _polys_equal(newton, lagrange, tol)),
         ("interpolation_conditions", condition_residual),
     ]
     outputs = {"newton": _scalars_json(newton.coeffs), "lagrange": _scalars_json(lagrange.coeffs)}
@@ -215,8 +201,10 @@ def cmd_check_biortho(args, samples: Samples, mode: str, tol: Tolerance) -> tupl
 
     indices = range(n_max + 1)
     off_residual = _worst(abs(matrix[n][m]) for n in indices for m in indices if n != m)
-    diag_residual = _worst(abs(matrix[n][n] + 1 / (system.nus[n] * family.alphas[n]))
-                           for n in indices)
+    products = [system.nus[n] * family.alphas[n] for n in indices]
+    if 0 in products:
+        raise InvalidParameter(f"nu_n alpha_n underflows to 0 at n = {products.index(0)}")
+    diag_residual = _worst(abs(matrix[n][n] + 1 / p) for n, p in zip(indices, products))
 
     checks = [("off_diagonal_zero", off_residual), ("diagonal_matches_formula", diag_residual)]
     outputs = {
@@ -292,14 +280,14 @@ def cmd_exp_example(args) -> tuple:
         for k in indices:
             circle = _resolve_circle(args.contour, k)
             estimate = hermite_divided_difference(h, k, circle)
-            expected = _double(exp_alpha_closed(problem, k), f"alpha_{k}")
+            expected = _double(lambda: exp_alpha_closed(problem, k), f"alpha_{k}")
             hermite_worst = max(hermite_worst, abs(estimate - expected))
         biortho_worst = 0.0
         for n in range(min(n_max, 3) + 1):
             for m in range(min(n_max, 3) + 1):
                 circle = _resolve_circle(args.contour, max(n, m + 1))
                 estimate = contour_biortho_check(h, n, m, circle)
-                expected = _double(system.diagonal[n], f"d_{n}") if n == m else 0.0
+                expected = _double(lambda: system.diagonal[n], f"d_{n}") if n == m else 0.0
                 biortho_worst = max(biortho_worst, abs(estimate - expected))
         checks += [("contour_hermite", hermite_worst, hermite_worst < args.contour_tolerance),
                    ("contour_biortho", biortho_worst, biortho_worst < args.contour_tolerance)]
@@ -315,7 +303,7 @@ def cmd_hermite(args) -> tuple:
     h, k, tol = args.h, args.k, args.contour_tolerance
     circle = _resolve_circle(args.contour, k)
     estimate = hermite_divided_difference(h, k, circle)
-    expected = (math.exp(h) - 1.0) ** k / math.factorial(k)
+    expected = _double(lambda: (math.exp(h) - 1.0) ** k / math.factorial(k), "(e**h - 1)**k / k!")
     error = abs(estimate - expected)
     checks = [
         ("hermite_matches_difference", error, error < tol),
@@ -334,7 +322,8 @@ def cmd_hermite(args) -> tuple:
 def build_report(args) -> dict:
     """Run the subcommand's handler and assemble its report.  A handler
     returns (arguments, outputs, checks, notes); a check is (name, residual),
-    judged by _within, or (name, residual, verdict) where its rule differs.
+    which passes when approx_equal(residual, 0, tol), or (name, residual,
+    verdict) where its rule differs.
     A problem subcommand loads its file and tolerance first."""
     if "problem" in args:
         samples, mode, digest = load_problem(args.problem, args.mode)
@@ -345,7 +334,7 @@ def build_report(args) -> dict:
         mode, tol = args.mode, None
         arguments, outputs, checks, notes = args.handler(args)
         digest = _digest(arguments)
-    verdicts = [{"name": name, "pass": bool(rule[0] if rule else _within(residual, mode, tol)),
+    verdicts = [{"name": name, "pass": bool(rule[0] if rule else approx_equal(residual, 0, tol)),
                  "residual": format_scalar(residual)} for name, residual, *rule in checks]
     report = {
         "command": args.subcommand,
@@ -378,7 +367,7 @@ def _resolve_circle(spec: Optional[str], max_node: int) -> Circle:
 def _parse_poly_argument(text: str, mode: str) -> Polynomial:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"--poly must be a JSON array of scalar strings: {exc}")
     if not isinstance(raw, list):
         raise ParseError("--poly must be a JSON array of scalar strings")
@@ -457,9 +446,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = build_report(args)
-    except _PARSE + _RANGE + _DEGENERATE as exc:
+    except BiorthopolyError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, _PARSE) else 3 if isinstance(exc, _RANGE) else 4
+        return exc.exit_code
     print(json.dumps(report, indent=2))
     return 0 if report["passed"] else 1
 

@@ -55,12 +55,11 @@ class Circle:
         return [self.center + w for w in ws]
 
 
-def default_circle(max_node: int, sample_count: int = 2048) -> Circle:
+def default_circle(max_node: int) -> Circle:
     """Circle centered on the midpoint of the real node span 0..max_node,
     radius span + 5: all poles comfortably inside."""
     span = float(max_node)
-    return Circle(center=complex(span / 2.0, 0.0), radius=span + 5.0,
-                  sample_count=sample_count)
+    return Circle(center=complex(span / 2.0, 0.0), radius=span + 5.0)
 
 
 def contour_integral(integrand: Callable[[complex], complex], circle: Circle) -> complex:
@@ -118,7 +117,10 @@ def contour_biortho_check(h: float, n: int, m: int, circle: Optional[Circle] = N
         circle = default_circle(top)
     count = top + 2  # one spare node so the family reaches index top
     nodes = [float(i) for i in range(count)]
-    values = [math.exp(h * i) for i in range(count)]
+    try:
+        values = [math.exp(h * i) for i in range(count)]
+    except OverflowError:
+        raise NonFiniteSample(f"e**(h a) overflows on the nodes 0..{count - 1}") from None
     samples = Samples.from_pairs(nodes, values)
     family = monic_family(samples, top)
     system = build_system(family, m)

@@ -7,7 +7,9 @@ Degeneracy errors carry the offending index as an attribute.
 
 
 class BiorthopolyError(Exception):
-    """Base class for all library-specific errors."""
+    """Base class for all library-specific errors.  exit_code is the CLI's exit
+    status: 2 (bad input or parameter) unless a subclass sets 3 or 4."""
+    exit_code = 2
 
 
 class ZeroDenominator(BiorthopolyError):
@@ -16,14 +18,17 @@ class ZeroDenominator(BiorthopolyError):
 
 class InsufficientNodes(BiorthopolyError):
     """A nodal polynomial needs more grid nodes than are available."""
+    exit_code = 3
 
 
 class IndexOutOfRange(BiorthopolyError):
     """An index or degree exceeds what the data supports."""
+    exit_code = 3
 
 
 class DegenerateInterpolant(BiorthopolyError):
     """A divided difference alpha_n vanished where a monic interpolant needs it."""
+    exit_code = 4
 
     def __init__(self, index, message=None):
         self.index = index
@@ -32,6 +37,7 @@ class DegenerateInterpolant(BiorthopolyError):
 
 class NuVanishes(BiorthopolyError):
     """The auxiliary polynomial T_n lost its degree-n term (nu_n = 0)."""
+    exit_code = 4
 
     def __init__(self, index, message=None):
         self.index = index
@@ -40,6 +46,7 @@ class NuVanishes(BiorthopolyError):
 
 class ZeroSampleValue(BiorthopolyError):
     """A sample value A_s = 0 appeared where the pairing divides by it."""
+    exit_code = 4
 
     def __init__(self, index, message=None):
         self.index = index

@@ -15,11 +15,12 @@ the two are exact inverses (which the tests pin down).
 
 from __future__ import annotations
 
+import math
 from typing import Sequence, Tuple
 
 from .divided_differences import Samples, divided_differences_recursive
-from .errors import DegenerateInterpolant, IndexOutOfRange
-from .numerics import Scalar
+from .errors import DegenerateInterpolant, IndexOutOfRange, InvalidParameter
+from .numerics import Scalar, is_exact
 from .polynomials import Grid, Polynomial, nodal_polynomial, nodal_weights
 
 
@@ -82,9 +83,9 @@ def monic_family(samples: Samples, n_max: int) -> MonicInterpolantFamily:
 
     One table and one Newton pass (P_n = P_{n-1} + alpha_n omega_n) cost
     O(N^2); each P-hat_n repeats newton_interpolant(samples, n).divide(alpha_n)
-    operation for operation.  Fails with DegenerateInterpolant(n) on the
-    first vanishing alpha_n; alpha_0 = A_0 is required nonzero as well,
-    since the residue pairing downstream divides by the sample values.
+    operation for operation.  DegenerateInterpolant(n) names the first zero
+    alpha_n (alpha_0 = A_0 too: the residue pairing divides by the values),
+    and InvalidParameter the first float alpha_n that is inf or nan.
     """
     if n_max < 0 or n_max > samples.last_index:
         raise IndexOutOfRange(f"n_max = {n_max} outside 0..{samples.last_index}")
@@ -94,6 +95,8 @@ def monic_family(samples: Samples, n_max: int) -> MonicInterpolantFamily:
     for n, alpha in enumerate(alphas):
         if alpha == 0:
             raise DegenerateInterpolant(n)
+        if not (is_exact(alpha) or math.isfinite(alpha)):
+            raise InvalidParameter(f"alpha_{n} = {alpha} is not finite")
         interpolant = interpolant + omega.scale(alpha)  # P_n
         phats.append(interpolant.divide(alpha))
         omega = omega * Polynomial((-samples.grid[n], 1))

@@ -12,6 +12,7 @@ contour module uses them, privately.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -46,25 +47,6 @@ def is_exact(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
-def scalar_from_ratio(numerator: int, denominator: int, mode: str = EXACT) -> Scalar:
-    """Build the field element numerator/denominator.
-
-    Exact mode returns the reduced Fraction; float mode the nearest double.
-    """
-    if denominator == 0:
-        raise ZeroDenominator(f"ratio {numerator}/0 is undefined")
-    value = Fraction(numerator, denominator)
-    if mode == EXACT:
-        return value
-    if mode == FLOAT:
-        return float(value)
-    raise InvalidParameter(f"unknown scalar mode {mode!r}")
-
-
-def scalar_from_int(n: int, mode: str = EXACT) -> Scalar:
-    return scalar_from_ratio(n, 1, mode)
-
-
 def parse_scalar(text: str, mode: str = EXACT) -> Scalar:
     """Parse "p", "p/q" or a decimal literal into a scalar of the given mode."""
     text = text.strip()
@@ -87,7 +69,11 @@ def parse_scalar(text: str, mode: str = EXACT) -> Scalar:
 def format_scalar(x: Scalar) -> str:
     """Canonical text form: "p/q" (or "p") when exact, shortest repr for floats."""
     if is_exact(x):
-        return str(Fraction(x))
+        try:
+            return str(Fraction(x))
+        except ValueError:  # the interpreter's cap on int-to-string conversion
+            raise InvalidParameter(f"an exact value exceeds {sys.get_int_max_str_digits()} "
+                                   "digits, the limit for printing an integer") from None
     return repr(float(x))
 
 

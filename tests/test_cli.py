@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -5,10 +7,15 @@ import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biorthopoly.cli import main
+from biorthopoly.errors import (BiorthopolyError, DegenerateInterpolant, IndexOutOfRange,
+                                InsufficientNodes, LowerParameterPole, NuVanishes,
+                                ZeroSampleValue)
 
 F = Fraction
 
@@ -164,6 +171,15 @@ def test_expand_bad_poly_json(tmp_path, capsys):
     path = write_problem(tmp_path, WORKED)
     code, _ = run(capsys, ["expand", path, "--poly", "not json"])
     assert code == 2
+
+
+def test_expand_deeply_nested_poly_is_parse_error(tmp_path, capsys):
+    path = write_problem(tmp_path, WORKED)
+    code = main(["expand", path, "--poly", "[" * 100_000 + "]" * 100_000])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ParseError:")
 
 
 def test_exp_example_all_checks_pass(capsys):
@@ -382,3 +398,119 @@ def test_exp_example_past_the_old_sample_point(capsys):
     code, report = run(capsys, ["exp-example", "--q", "2", "--n-max", "9"])
     assert code == 0
     assert report["passed"] is True
+
+
+@pytest.mark.parametrize("problem, argv, message", [
+    # alpha_1 overflows to inf, so every P-hat_n with n >= 1 comes out nan
+    (("0 1e-150 2e-150 1", "1 1e300 -1e300 1", "float"), ["check-biortho", "--n-max", "1"],
+     "InvalidParameter: alpha_1 = inf is not finite"),
+    (("0 1e-150 2e-150 1", "1 1e300 -1e300 1", "float"), ["recurrence"],
+     "InvalidParameter: alpha_1 = inf is not finite"),
+    # nu_0 = a_1 - a_0 + alpha_0/alpha_1 overflows to inf
+    (("-1e300 1.7e308", "-1 -7/2", "float"), ["check-biortho", "--n-max", "0"],
+     "InvalidParameter: nu_0 = inf is not finite"),
+    # A_s * omega'(a_s) underflows to 0 in the residue terms
+    (("0 1e-20 2e-20 3e-20", "1e-300 2e-300 5e-300 1e-299", "float"),
+     ["check-biortho", "--n-max", "1"], "InvalidParameter: A_s omega'(a_s) underflows"),
+    # nu_0 * alpha_0 underflows to 0 under the diagonal formula
+    (("0.5 5e-324", "3e-20 1e-150", "float"), ["check-biortho", "--n-max", "0"],
+     "InvalidParameter: nu_n alpha_n underflows"),
+    # both residue terms of d_0 round to -0.0, and expand divides by d_0
+    (("-1e300 3e-20", "1.7e308 -1e300", "float"), ["expand", "--poly", '["3e-20"]'],
+     "InvalidParameter: d_0 rounds to 0"),
+    # the implied values run past the interpreter's int-to-string digit limit
+    (("-1 2e-20 1e200 -7/2 1.7e308 5e-324", "2e-20 2 1e-20 -1 1e-300 1", "exact"),
+     ["recurrence"], "InvalidParameter: an exact value exceeds"),
+    # e**(300 * 3) at the last node of the biorthogonality check overflows
+    (None, ["exp-example", "--q", "1e20", "--n-max", "1", "--with-contour", "--h", "300",
+            "--contour", "1/16"], "NonFiniteSample: e**(h a) overflows"),
+    # a radius-0.5 circle keeps e**(h zeta) finite, but the reference e**h overflows
+    (None, ["hermite", "--h", "800", "--k", "0", "--contour", "0.5/16"],
+     "InvalidParameter: (e**h - 1)**k / k! overflows"),
+    # here the reference's k-th power overflows instead
+    (None, ["hermite", "--h", "100", "--k", "8", "--contour", "0.5/16"],
+     "InvalidParameter: (e**h - 1)**k / k! overflows"),
+], ids=["alpha-inf-check", "alpha-inf-recurrence", "nu-inf", "residue-underflow",
+        "diagonal-formula-underflow", "expand-zero-diagonal", "exact-too-long",
+        "contour-node-samples", "hermite-reference-exp", "hermite-reference-power"])
+def test_overflow_and_underflow_exit_2_with_a_typed_error(problem, argv, message, tmp_path,
+                                                           capsys):
+    if problem:
+        nodes, values, mode = problem
+        payload = {"nodes": nodes.split(), "values": values.split(), "mode": mode}
+        argv = [argv[0], write_problem(tmp_path, payload), *argv[1:]]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["bad-utf8", "deep-nesting"])
+def test_unreadable_problem_file_is_parse_error(content, tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_bytes(content)
+    code = main(["interpolate", str(path), "--degree", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ParseError:")
+
+
+def _error_classes(cls=BiorthopolyError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+def test_every_error_class_sets_its_exit_code(capsys, monkeypatch):
+    import biorthopoly.cli as cli
+    classes = list(_error_classes())
+    assert LowerParameterPole in classes and len(classes) >= 11
+    not_two = {IndexOutOfRange: 3, InsufficientNodes: 3, DegenerateInterpolant: 4,
+               NuVanishes: 4, ZeroSampleValue: 4}
+    for cls in classes:
+        assert cls.exit_code == not_two.get(cls, 2), cls
+
+        def handler(args, cls=cls):
+            raise cls(0)
+
+        monkeypatch.setattr(cli, "cmd_exp_example", handler)
+        assert main(["exp-example", "--q", "2"]) == cls.exit_code, cls
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {cls.__name__}:")
+
+
+FUZZ_SCALARS = ["0", "1", "-1", "2", "1/3", "-7/2", "1e-300", "-1e-300", "1e300", "-1e300",
+                "1e-20", "2e-20", "3e-20", "1e200", "0.5", "1e-150", "1e150", "5e-324",
+                "1.7e308"]
+
+
+@st.composite
+def problem_calls(draw):
+    count = draw(st.integers(1, 6))
+    scalars = st.lists(st.sampled_from(FUZZ_SCALARS), min_size=count, max_size=count)
+    problem = {"nodes": draw(scalars), "values": draw(scalars),
+               "mode": draw(st.sampled_from(["exact", "float"]))}
+    command = draw(st.sampled_from(["interpolate", "recurrence", "check-biortho", "expand"]))
+    n = str(draw(st.integers(0, count)))
+    poly = json.dumps(draw(st.lists(st.sampled_from(FUZZ_SCALARS), min_size=1, max_size=count)))
+    options = {"interpolate": ["--degree", n],
+               "recurrence": draw(st.sampled_from([[], ["--n-max", n]])),
+               "check-biortho": ["--n-max", n],
+               "expand": ["--poly", poly]}[command]
+    return problem, [command, "-", *options]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(problem_calls())
+def test_problem_calls_exit_zero_to_four(call):
+    problem, argv = call
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(problem))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in {0, 1, 2, 3, 4}
+    assert (out.getvalue() == "") == (code >= 2)

@@ -13,35 +13,11 @@ from biorthopoly.numerics import (
     format_scalar,
     is_exact,
     parse_scalar,
-    scalar_from_int,
-    scalar_from_ratio,
 )
 
 nonzero_fractions = st.fractions(
     min_value=-100, max_value=100, max_denominator=50).filter(lambda x: x != 0)
 small_fractions = st.fractions(min_value=-100, max_value=100, max_denominator=50)
-
-
-def test_scalar_from_ratio_exact():
-    x = scalar_from_ratio(2, 6)
-    assert x == Fraction(1, 3)
-    assert is_exact(x)
-
-
-def test_scalar_from_ratio_float():
-    x = scalar_from_ratio(1, 3, FLOAT)
-    assert isinstance(x, float)
-    assert x == 1.0 / 3.0
-
-
-def test_scalar_from_ratio_zero_denominator():
-    with pytest.raises(ZeroDenominator):
-        scalar_from_ratio(1, 0)
-
-
-def test_scalar_from_int():
-    assert scalar_from_int(7) == Fraction(7)
-    assert scalar_from_int(7, FLOAT) == 7.0
 
 
 @pytest.mark.parametrize("text, value", [
