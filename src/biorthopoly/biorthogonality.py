@@ -12,7 +12,9 @@ a_0..a_{n+1}) pair with the interpolants through the residue sum
     <p, V_m> = sum_{s=0}^{m+1} p(a_s) T-hat_m(a_s) / (A_s omega'_{m+2}(a_s)),
 
 the sum of residues of p(zeta) V_m(zeta) / F(zeta) over the finite poles.
-The matrix <P-hat_n, V_m> is diagonal with entries -1/(nu_n alpha_n).
+The matrix <P-hat_n, V_m> is diagonal with entries -1/(nu_n alpha_n).  The
+pipeline takes P-hat_n(a_s) from the three-term recurrence and `pairing` uses
+Horner, so the two routes agree bit for bit in exact mode only.
 
 Normalization note: the diagonal is -1/(nu_n alpha_n), not the +1/alpha_n
 sometimes quoted for this construction; exact rational arithmetic on nodes
@@ -67,8 +69,9 @@ class RationalInterpolant:
 @dataclass(frozen=True)
 class BiorthogonalSystem:
     """The family together with its T-hats, leading coefficients nu_n, the
-    rational functions V_n, the verified diagonal pairing values d_n, and
-    each V_m's residue data (T-hat_m(a_s), omega'_{m+2}(a_s)), s = 0..m+1."""
+    rational functions V_n, the verified diagonal pairing values d_n, each
+    V_m's residue data (T-hat_m(a_s), omega'_{m+2}(a_s)), s = 0..m+1, and
+    the node values node_values[n][s] = P-hat_n(a_s), n, s = 0..n_max+1."""
 
     family: MonicInterpolantFamily
     ts: Tuple[Polynomial, ...]
@@ -76,6 +79,7 @@ class BiorthogonalSystem:
     vs: Tuple[RationalInterpolant, ...]
     diagonal: Tuple[Scalar, ...]
     residues: Tuple[Tuple[Tuple[Scalar, Scalar], ...], ...]
+    node_values: Tuple[Tuple[Scalar, ...], ...]
 
     @property
     def n_max(self) -> int:
@@ -84,10 +88,8 @@ class BiorthogonalSystem:
 
 def t_polynomial(family: MonicInterpolantFamily, n: int) -> Polynomial:
     """T_n = P-hat_{n+1} - (z - a_{n+1}) P-hat_n; degree <= n by cancellation."""
-    if n + 1 > family.n_max:
+    if n + 1 > family.n_max:  # then the grid has a_{n+1} too
         raise IndexOutOfRange(f"T_{n} needs P-hat_{n + 1}; family stops at {family.n_max}")
-    if n + 1 >= len(family.grid):
-        raise IndexOutOfRange(f"T_{n} needs node a_{n + 1}; grid has {len(family.grid)}")
     shifted = Polynomial((-family.grid[n + 1], 1))
     return family.phats[n + 1] - shifted * family.phats[n]
 
@@ -110,16 +112,20 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
     """Assemble T-hat_n, V_n, their residue data and the verified diagonal.
 
     Raises NuVanishes(n) when T_n loses its degree-n term and InvalidParameter
-    when a float nu_n is inf or nan.  V_n's residue data, T-hat_n at its poles
-    (Horner) with weights omega'_{n+2}(a_s) extended from V_{n-1}'s in O(n),
-    serves every pairing.  The stored diagonal d_n is the computed residue
-    pairing <P-hat_n, V_n>, which expansion divides by without re-deriving
-    the closed form; in exact arithmetic it equals -1/(nu_n alpha_n).
+    when a float nu_n or node value P-hat_n(a_s) is inf or nan.  Each node
+    value is one step of the three-term recurrence, O(N^2) in all, and V_n's
+    residue data are T-hat_n(a_s) = (P-hat_{n+1}(a_s) - (a_s - a_{n+1})
+    P-hat_n(a_s)) / nu_n and omega'_{n+2}(a_s), extended from V_{n-1}'s in
+    O(n); they equal pairing's own bit for bit in exact mode only.  The stored
+    diagonal d_n is the computed residue pairing <P-hat_n, V_n>, which expansion
+    divides by as is; in exact arithmetic it equals -1/(nu_n alpha_n).
     """
     if n_max < 0:
         raise IndexOutOfRange(f"system size n_max = {n_max} is negative")
     if n_max + 1 > family.n_max:
         raise IndexOutOfRange(f"system to {n_max} needs family to {n_max + 1}")
+    nodes, alphas = family.grid.nodes[: n_max + 2], family.alphas
+    table = [(family.phats[0].coefficient(0),) * len(nodes)]  # table[n][s] = P-hat_n(a_s)
     rows = []  # (T-hat_n, nu_n, V_n, d_n, residue data of V_n)
     weights: Tuple[Scalar, ...] = ()
     for n in range(n_max + 1):
@@ -129,15 +135,20 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
             raise NuVanishes(n)
         if not (is_exact(nu_n) or math.isfinite(nu_n)):
             raise InvalidParameter(f"nu_{n} = {nu_n} is not finite")
-        t_hat = t_n.divide(nu_n)
-        poles = family.grid.nodes[: n + 2]
-        v_n = RationalInterpolant(n, t_hat, poles)
-        weights = nodal_weights(poles, weights)
-        data = tuple(zip(map(t_hat, poles), weights))
-        terms = _residue_terms(v_n, data, family.samples)
-        d_n = _residue_sum([family.phats[n](a) for a in poles], terms)
-        rows.append((t_hat, nu_n, v_n, d_n, data))
-    return BiorthogonalSystem(family, *zip(*rows))
+        # at n = 0, table[n - 1] is P-hat_0 in place of P-hat_{-1}, but alpha_ratio(0) = 0
+        a_n, ratio_n, ratio_nm1 = nodes[n], alphas[n] / alphas[n + 1], family.alpha_ratio(n)
+        table.append(tuple(((shift := x - a_n) + ratio_n) * p - ratio_nm1 * shift * q
+                           for x, p, q in zip(nodes, table[n], table[n - 1])))
+        for s, value in enumerate(table[n + 1]):
+            if not (is_exact(value) or math.isfinite(value)):
+                raise InvalidParameter(f"P-hat_{n + 1}(a_{s}) = {value} is not finite")
+        v_n = RationalInterpolant(n, t_n.divide(nu_n), nodes[: n + 2])
+        weights = nodal_weights(v_n.pole_nodes, weights)
+        data = tuple(((p_next - (a - nodes[n + 1]) * p) / nu_n, weight) for a, p, p_next, weight
+                     in zip(v_n.pole_nodes, table[n], table[n + 1], weights))
+        d_n = _residue_sum(table[n], _residue_terms(v_n, data, family.samples))
+        rows.append((v_n.numerator, nu_n, v_n, d_n, data))
+    return BiorthogonalSystem(family, *zip(*rows), tuple(table))
 
 
 def _residue_terms(v: RationalInterpolant, data: Sequence[Tuple[Scalar, Scalar]],
@@ -154,6 +165,9 @@ def _residue_terms(v: RationalInterpolant, data: Sequence[Tuple[Scalar, Scalar]]
     scaled = [a_s * weight for (_, weight), a_s in zip(data, samples.values)]
     if 0 in scaled:
         raise InvalidParameter(f"A_s omega'(a_s) underflows to 0 at s = {scaled.index(0)}")
+    for s, value in enumerate(scaled):
+        if not (is_exact(value) or math.isfinite(value)):
+            raise InvalidParameter(f"A_s omega'(a_s) = {value} is not finite at s = {s}")
     return [(t_value, d) for (t_value, _), d in zip(data, scaled)]
 
 
@@ -204,17 +218,15 @@ def biorthogonality_matrix(system: BiorthogonalSystem, samples: Samples,
 
     Diagonal with entries -1/(nu_n alpha_n); every off-diagonal entry is
     exactly zero in exact arithmetic.  Every entry is still a computed residue
-    sum, bit-identical to pairing(P-hat_n, V_m, samples); evaluating each
-    P-hat_n at the nodes once and reading V_m's residue data from build_system
-    makes it O(N^3).
+    sum in ascending s, over P-hat_n's node values and V_m's residue data from
+    build_system, which makes it O(N^3); it is bit-identical to
+    pairing(P-hat_n, V_m, samples) in exact mode only.
     """
-    if n_max > system.n_max or n_max > system.family.n_max:
+    if n_max > system.n_max:
         raise IndexOutOfRange(f"matrix to {n_max} exceeds system size {system.n_max}")
     terms = [_residue_terms(v, data, samples)
              for v, data in zip(system.vs[: n_max + 1], system.residues)]
-    nodes = samples.grid.nodes[: n_max + 2]
-    rows = ([phat(a) for a in nodes] for phat in system.family.phats[: n_max + 1])
-    return [[_residue_sum(node_values, t) for t in terms] for node_values in rows]
+    return [[_residue_sum(row, t) for t in terms] for row in system.node_values[: n_max + 1]]
 
 
 def expand_in_interpolants(q_poly: Polynomial, system: BiorthogonalSystem,

@@ -13,14 +13,14 @@ A problem file is {"nodes": [...], "values": [...], "mode": "exact"|"float"}
 with scalars as strings ("3", "-1/2", "0.25").  Reports echo the command,
 digest the inputs, list outputs and one verdict per declared check.  Exit
 codes: 0 all checks pass, 1 some check failed; a library error exits with the
-code its class sets.  2: unparsable input or bad parameter, also a float
-scalar, alpha_n, nu_n or contour sample that overflows, a float omega'(a_s),
-A_s omega'(a_s), nu_n alpha_n or d_n that underflows to 0, an exact value too
-long to print, a non-finite tolerance or --h, a negative --contour-tolerance,
-a --contour circle through a node or pole, or an exp-example --with-contour
-whose q or closed-form values leave double range.  3: index/degree out of
-range (also a negative --n-max).  4: degenerate data (zero alpha/nu/sample
-value; the index is in the message).
+code its class sets.  2: unparsable input or bad parameter, also a float scalar,
+alpha_n, nu_n, P-hat_n(a_s), A_s omega'(a_s) or contour sample that overflows,
+a float omega'(a_s), A_s omega'(a_s), nu_n alpha_n or d_n that underflows to 0,
+an exact value too long to print, a non-finite tolerance or --h, a negative
+--contour-tolerance, a --contour circle through a node or pole, or an
+exp-example --with-contour whose q or closed-form values leave double range.
+3: index/degree out of range (also a negative --n-max).  4: degenerate data
+(zero alpha/nu/sample value; the index is in the message).
 """
 
 from __future__ import annotations

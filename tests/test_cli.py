@@ -137,6 +137,20 @@ def test_check_biortho_worked_example(tmp_path, capsys):
     assert "weight" in notes
 
 
+def test_float_check_biortho_passes_at_n_12(tmp_path, capsys):
+    """Nodes k/4 and random rational values at N = 12: the node values from the
+    three-term recurrence keep both float checks within the default 1e-9
+    (Horner at the nodes gave 1.8e-8 on the diagonal and 5.3e-7 off it)."""
+    values = ["6/9", "6/8", "8/4", "-4/9", "7/3", "-6/8", "1/3", "-7/9", "-8/7", "6/3",
+              "-9/9", "-7/1", "-8/4", "-2/1"]
+    payload = {"nodes": [f"{k}/4" for k in range(14)], "values": values, "mode": "float"}
+    code, report = run(capsys, ["check-biortho", write_problem(tmp_path, payload),
+                                "--n-max", "12"])
+    assert code == 0
+    assert [(c["name"], c["pass"]) for c in report["checks"]] == [
+        ("off_diagonal_zero", True), ("diagonal_matches_formula", True)]
+
+
 def test_check_biortho_constant_data(tmp_path, capsys):
     path = write_problem(tmp_path, {"nodes": ["0", "1", "2"],
                                     "values": ["3", "3", "3"]})
@@ -415,9 +429,19 @@ def test_exp_example_past_the_old_sample_point(capsys):
     # nu_0 * alpha_0 underflows to 0 under the diagonal formula
     (("0.5 5e-324", "3e-20 1e-150", "float"), ["check-biortho", "--n-max", "0"],
      "InvalidParameter: nu_n alpha_n underflows"),
-    # both residue terms of d_0 round to -0.0, and expand divides by d_0
-    (("-1e300 3e-20", "1.7e308 -1e300", "float"), ["expand", "--poly", '["3e-20"]'],
+    # the two residue terms of d_0, 1/A_1 - 1/A_0 in the subnormal range, cancel to 0,
+    # and expand divides by d_0
+    (("0 1", "1.7e308 1.7000000000000001e308", "float"), ["expand", "--poly", '["3e-20"]'],
      "InvalidParameter: d_0 rounds to 0"),
+    # A_0 omega'(a_0) = 1.7e308 * -1e300 overflows, which would make d_0 = -0.0
+    (("-1e300 3e-20", "1.7e308 -1e300", "float"), ["expand", "--poly", '["3e-20"]'],
+     "InvalidParameter: A_s omega'(a_s) = -inf is not finite at s = 0"),
+    # the same overflow would turn the term into 0 and pass off_diagonal_zero
+    (("-1e300 3e-20 1 2", "1.7e308 -1e300 1 1", "float"), ["check-biortho", "--n-max", "1"],
+     "InvalidParameter: A_s omega'(a_s) = -inf is not finite at s = 0"),
+    # alphas and nus are finite, but the recurrence step to P-hat_2(a_1) overflows
+    (("0 1e150 -1e300", "-1 1e150 1.7e308", "float"), ["check-biortho", "--n-max", "1"],
+     "InvalidParameter: P-hat_2(a_1) = inf is not finite"),
     # the implied values run past the interpreter's int-to-string digit limit
     (("-1 2e-20 1e200 -7/2 1.7e308 5e-324", "2e-20 2 1e-20 -1 1e-300 1", "exact"),
      ["recurrence"], "InvalidParameter: an exact value exceeds"),
@@ -431,7 +455,8 @@ def test_exp_example_past_the_old_sample_point(capsys):
     (None, ["hermite", "--h", "100", "--k", "8", "--contour", "0.5/16"],
      "InvalidParameter: (e**h - 1)**k / k! overflows"),
 ], ids=["alpha-inf-check", "alpha-inf-recurrence", "nu-inf", "residue-underflow",
-        "diagonal-formula-underflow", "expand-zero-diagonal", "exact-too-long",
+        "diagonal-formula-underflow", "expand-zero-diagonal", "residue-overflow-expand",
+        "residue-overflow-check", "node-value-overflow", "exact-too-long",
         "contour-node-samples", "hermite-reference-exp", "hermite-reference-power"])
 def test_overflow_and_underflow_exit_2_with_a_typed_error(problem, argv, message, tmp_path,
                                                            capsys):
