@@ -13,8 +13,8 @@ a_0..a_{n+1}) pair with the interpolants through the residue sum
 
 the sum of residues of p(zeta) V_m(zeta) / F(zeta) over the finite poles.
 The matrix <P-hat_n, V_m> is diagonal with entries -1/(nu_n alpha_n).  The
-pipeline takes P-hat_n(a_s) from the three-term recurrence and `pairing` uses
-Horner, so the two routes agree bit for bit in exact mode only.
+pipeline reads P-hat_n(a_s) off the three-term recurrence and sums exact residues
+as integer dot products; `pairing` (Horner, Fraction loop) matches exact ones bit for bit.
 
 Normalization note: the diagonal is -1/(nu_n alpha_n), not the +1/alpha_n
 sometimes quoted for this construction; exact rational arithmetic on nodes
@@ -26,6 +26,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import chain
+from operator import mul
 from typing import List, Sequence, Tuple
 
 from .divided_differences import Samples
@@ -117,14 +120,14 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
     residue data are T-hat_n(a_s) = (P-hat_{n+1}(a_s) - (a_s - a_{n+1})
     P-hat_n(a_s)) / nu_n and omega'_{n+2}(a_s), extended from V_{n-1}'s in
     O(n); they equal pairing's own bit for bit in exact mode only.  The stored
-    diagonal d_n is the computed residue pairing <P-hat_n, V_n>, which expansion
-    divides by as is; in exact arithmetic it equals -1/(nu_n alpha_n).
+    d_n is the residue sum <P-hat_n, V_n>, taken as the matrix takes it, which
+    expansion divides by as is; in exact arithmetic it is -1/(nu_n alpha_n).
     """
     if n_max < 0:
         raise IndexOutOfRange(f"system size n_max = {n_max} is negative")
     if n_max + 1 > family.n_max:
         raise IndexOutOfRange(f"system to {n_max} needs family to {n_max + 1}")
-    nodes, alphas = family.grid.nodes[: n_max + 2], family.alphas
+    nodes, alphas, samples = family.grid.nodes[: n_max + 2], family.alphas, family.samples
     table = [(family.phats[0].coefficient(0),) * len(nodes)]  # table[n][s] = P-hat_n(a_s)
     rows = []  # (T-hat_n, nu_n, V_n, d_n, residue data of V_n)
     weights: Tuple[Scalar, ...] = ()
@@ -146,7 +149,7 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
         weights = nodal_weights(v_n.pole_nodes, weights)
         data = tuple(((p_next - (a - nodes[n + 1]) * p) / nu_n, weight) for a, p, p_next, weight
                      in zip(v_n.pole_nodes, table[n], table[n + 1], weights))
-        d_n = _residue_sum(table[n], _residue_terms(v_n, data, family.samples))
+        d_n = _residue_sums([table[n]], [_residue_terms(v_n, data, samples)])[0][0]
         rows.append((v_n.numerator, nu_n, v_n, d_n, data))
     return BiorthogonalSystem(family, *zip(*rows), tuple(table))
 
@@ -177,6 +180,22 @@ def _residue_sum(p_values: Sequence[Scalar], terms: List[Tuple[Scalar, Scalar]])
     for p_value, (t_value, d_value) in zip(p_values, terms):
         total = total + p_value * t_value / d_value
     return total
+
+
+def _residue_sums(rows: Sequence[Sequence[Scalar]],
+                  columns: Sequence[List[Tuple[Scalar, Scalar]]]) -> List[List[Scalar]]:
+    """[[_residue_sum(row, terms) for terms in columns] for row in rows]; on exact input an
+    entry is Fraction(integer dot product in ascending s, M_n L_m), with M_n and L_m the
+    common denominators of row n and of V_m's t_s / d_s.  Any float: every entry is the loop."""
+    if not (all(map(is_exact, chain(*rows))) and all(map(is_exact, chain(*chain(*columns))))):
+        return [[_residue_sum(row, terms) for terms in columns] for row in rows]
+
+    def over_lcm(values):  # (u, L): integers u[s] = values[s] * L, L the lcm of the denominators
+        common = math.lcm(*(x.denominator for x in values))
+        return [x.numerator * (common // x.denominator) for x in values], common
+    weights = [over_lcm([Fraction(t, d) for t, d in terms]) for terms in columns]
+    return [[Fraction(sum(map(mul, r, u)), m * l) for u, l in weights]
+            for r, m in map(over_lcm, rows)]
 
 
 def pairing(p: Polynomial, v: RationalInterpolant, samples: Samples) -> Scalar:
@@ -218,15 +237,15 @@ def biorthogonality_matrix(system: BiorthogonalSystem, samples: Samples,
 
     Diagonal with entries -1/(nu_n alpha_n); every off-diagonal entry is
     exactly zero in exact arithmetic.  Every entry is still a computed residue
-    sum in ascending s, over P-hat_n's node values and V_m's residue data from
-    build_system, which makes it O(N^3); it is bit-identical to
-    pairing(P-hat_n, V_m, samples) in exact mode only.
+    sum in ascending s over P-hat_n's node values and V_m's residue data from
+    build_system, O(N^3) in all: exact ones are integer dot products over one
+    denominator per row and per V_m, bit-identical to pairing's Fraction loop.
     """
     if n_max > system.n_max:
         raise IndexOutOfRange(f"matrix to {n_max} exceeds system size {system.n_max}")
     terms = [_residue_terms(v, data, samples)
              for v, data in zip(system.vs[: n_max + 1], system.residues)]
-    return [[_residue_sum(row, t) for t in terms] for row in system.node_values[: n_max + 1]]
+    return _residue_sums(system.node_values[: n_max + 1], terms)
 
 
 def expand_in_interpolants(q_poly: Polynomial, system: BiorthogonalSystem,
@@ -235,8 +254,8 @@ def expand_in_interpolants(q_poly: Polynomial, system: BiorthogonalSystem,
 
     xi_k = <q_poly, V_k> / d_k for k = 0..deg(q_poly), using the system's
     verified diagonal.  Exact reconstruction is guaranteed because the
-    pairing annihilates every P-hat_j with j != k.  Each pairing reads V_k's
-    residue data from build_system; q_poly is evaluated at the nodes once.
+    pairing annihilates every P-hat_j with j != k.  Each pairing is summed as
+    in the matrix, from V_k's residue data; q_poly is evaluated at the nodes once.
     """
     n = q_poly.degree
     if n > system.n_max:
@@ -244,5 +263,5 @@ def expand_in_interpolants(q_poly: Polynomial, system: BiorthogonalSystem,
     if 0 in system.diagonal[: n + 1]:
         raise InvalidParameter(f"d_{system.diagonal.index(0)} rounds to 0 in floating point")
     q_values = [q_poly(a) for a in samples.grid.nodes[: n + 2]]
-    return tuple(_residue_sum(q_values, _residue_terms(v, data, samples)) / d
-                 for v, data, d in zip(system.vs[: n + 1], system.residues, system.diagonal))
+    terms = [_residue_terms(v, r, samples) for v, r in zip(system.vs[: n + 1], system.residues)]
+    return tuple(p / d for p, d in zip(_residue_sums([q_values], terms)[0], system.diagonal))

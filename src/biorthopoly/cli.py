@@ -19,8 +19,8 @@ a float omega'(a_s), A_s omega'(a_s), nu_n alpha_n or d_n that underflows to 0,
 an exact value too long to print, a non-finite tolerance or --h, a negative
 --contour-tolerance, a --contour circle through a node or pole, or an
 exp-example --with-contour whose q or closed-form values leave double range.
-3: index/degree out of range (also a negative --n-max).  4: degenerate data
-(zero alpha/nu/sample value; the index is in the message).
+3: index/degree out of range (a negative --n-max, or exp-example --n-max > 40).
+4: degenerate data (zero alpha/nu/sample value; the index is in the message).
 """
 
 from __future__ import annotations
@@ -237,10 +237,13 @@ def cmd_expand(args, samples: Samples, mode: str, tol: Tolerance) -> tuple:
 
 
 V_SAMPLE_POINTS = (Fraction(1, 2), Fraction(7, 3), Fraction(-3, 2), Fraction(21, 2))
+EXP_EXAMPLE_MAX_N = 40  # --n-max 40 takes about 2 s, 80 about 15 s: the cost grows as n_max**3
 
 
 def cmd_exp_example(args) -> tuple:
     q, n_max = parse_scalar(args.q, EXACT), args.n_max
+    if not 0 <= n_max <= EXP_EXAMPLE_MAX_N:
+        raise IndexOutOfRange(f"--n-max {n_max} is outside 0..{EXP_EXAMPLE_MAX_N}")
     problem = ExpGridProblem(q, n_max)
     family = monic_family(problem.samples, n_max + 1)
     system = build_system(family, n_max)

@@ -12,19 +12,19 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .errors import IndexOutOfRange
-from .numerics import Scalar
+from .numerics import Scalar, exact_if_int
 from .polynomials import Grid, Polynomial, nodal_weights
 
 
 @dataclass(frozen=True)
 class Samples:
-    """Interpolation data: distinct nodes a_k and values A_k of equal length."""
+    """Interpolation data: distinct nodes a_k and values A_k (int as Fraction)."""
 
     grid: Grid
     values: Tuple[Scalar, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "values", tuple(map(exact_if_int, self.values)))
         if len(self.grid) != len(self.values):
             raise ValueError(
                 f"{len(self.grid)} nodes but {len(self.values)} values")

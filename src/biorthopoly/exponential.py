@@ -25,7 +25,7 @@ from math import factorial
 
 from .divided_differences import Samples
 from .errors import InvalidParameter, LowerParameterPole, PoleEvaluation
-from .numerics import Scalar
+from .numerics import Scalar, exact_if_int
 from .polynomials import Polynomial
 
 
@@ -38,10 +38,8 @@ class ExpGridProblem:
     samples: Samples = field(init=False)
 
     def __post_init__(self):
-        q = self.q
-        if isinstance(q, int):
-            q = Fraction(q)
-            object.__setattr__(self, "q", q)
+        q = exact_if_int(self.q)
+        object.__setattr__(self, "q", q)
         if q == 0 or q == 1:
             raise InvalidParameter("q must differ from 0 and 1")
         if self.n_max < 0:

@@ -19,8 +19,8 @@ from typing import Union
 
 from .errors import InvalidParameter, ZeroDenominator
 
-#: Anything accepted as a coefficient.  `int` is allowed on input and
-#: behaves exactly; canonical exact values are Fraction.
+#: Anything accepted as a coefficient.  `int` is allowed on input; Grid and
+#: Samples store an int node or value as a Fraction, so it behaves exactly.
 Scalar = Union[int, Fraction, float]
 
 EXACT = "exact"
@@ -45,6 +45,11 @@ DEFAULT_TOLERANCE = Tolerance()
 def is_exact(x: Scalar) -> bool:
     """True when x carries no rounding (int or Fraction)."""
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
+def exact_if_int(x: Scalar) -> Scalar:
+    """x as a Fraction when it is an int, so that it divides exactly; else x."""
+    return Fraction(x) if isinstance(x, int) else x
 
 
 def parse_scalar(text: str, mode: str = EXACT) -> Scalar:

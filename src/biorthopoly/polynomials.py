@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence, Tuple
 
 from .errors import IndexOutOfRange, InsufficientNodes, InvalidParameter
-from .numerics import Scalar
+from .numerics import Scalar, exact_if_int
 
 
 def _strip(coeffs: Sequence[Scalar]) -> Tuple[Scalar, ...]:
@@ -128,12 +128,12 @@ class Polynomial:
 
 
 class Grid:
-    """Ordered interpolation nodes a_0..a_N, pairwise distinct."""
+    """Ordered interpolation nodes a_0..a_N, pairwise distinct (int as Fraction)."""
 
     __slots__ = ("nodes",)
 
     def __init__(self, nodes: Iterable[Scalar]):
-        nodes = tuple(nodes)
+        nodes = tuple(map(exact_if_int, nodes))
         for i in range(len(nodes)):
             for j in range(i + 1, len(nodes)):
                 if nodes[i] == nodes[j]:

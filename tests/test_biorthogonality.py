@@ -5,9 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+import biorthopoly.biorthogonality as biorthogonality
 from biorthopoly.biorthogonality import (
     BiorthogonalSystem,
     RationalInterpolant,
+    _residue_sum,
+    _residue_terms,
+    _residue_sums,
     biorthogonality_matrix,
     build_system,
     expand_in_interpolants,
@@ -25,6 +29,7 @@ from biorthopoly.errors import (
     PoleEvaluation,
     ZeroSampleValue,
 )
+from biorthopoly.exponential import ExpGridProblem
 from biorthopoly.interpolation import monic_family
 from biorthopoly.polynomials import Polynomial, nodal_derivative_at
 
@@ -235,9 +240,33 @@ def test_matrix_diagonal_random():
                     assert matrix[n][m] == 0
 
 
+def wide_systems():
+    """(rng, samples, system) beyond random_systems' N <= 13: q**k data on
+    0..22 with q = 5/3 at N = 20, and distinct random rational nodes, some
+    negative, at N = 24."""
+    problem = ExpGridProblem(F(5, 3), 20)
+    yield random.Random(5), problem.samples, build_system(monic_family(problem.samples, 21), 20)
+    rng = random.Random(24)
+    while True:
+        nodes = []
+        while len(nodes) < 26:
+            x = F(rng.randint(-40, 40), rng.randint(1, 9))
+            if x not in nodes:
+                nodes.append(x)
+        values = [F(rng.choice([v for v in range(-9, 10) if v]), rng.randint(1, 9)) for _ in nodes]
+        s = Samples.from_pairs(nodes, values)
+        try:
+            system = build_system(monic_family(s, 25), 24)
+        except (DegenerateInterpolant, NuVanishes):
+            continue
+        assert min(nodes) < 0
+        yield rng, s, system
+        return
+
+
 def test_matrix_entries_match_pairing_exact():
     """Exact mode: each matrix entry is pairing(P-hat_n, V_m) bit for bit."""
-    for _, s, system in random_systems(47, 12):
+    for _, s, system in [*random_systems(47, 12), *wide_systems()]:
         n_max = system.n_max
         matrix = biorthogonality_matrix(system, s, n_max)
         for n in range(n_max + 1):
@@ -359,7 +388,7 @@ def test_stored_residue_data_matches_oracles(to_float):
 
 def test_expand_matches_pairing_exact():
     """Exact mode: each xi_k is pairing(q, V_k) / d_k bit for bit."""
-    for rng, s, system in random_systems(59, 12):
+    for rng, s, system in [*random_systems(59, 12), *wide_systems()]:
         degree = rng.randint(0, system.n_max)
         q_poly = Polynomial([F(rng.randint(-9, 9), 7) for _ in range(degree)] + [F(3, 2)])
         xi = expand_in_interpolants(q_poly, system, s)
@@ -524,3 +553,94 @@ def test_pipeline_evaluates_no_polynomial_at_the_nodes(monkeypatch):
     assert [x for x in calls if x in s.grid.nodes] == []
     pairing(family.phats[1], system.vs[1], s)  # the oracle route is what is counted
     assert len([x for x in calls if x in s.grid.nodes]) == 6
+
+
+def scalars(item):
+    """Every scalar in nested tuples and lists."""
+    if isinstance(item, (tuple, list)):
+        return [x for part in item for x in scalars(part)]
+    return [item]
+
+
+def test_int_samples_stay_exact():
+    """Grid and Samples store int nodes and values as Fractions, so int data
+    give the alphas, diagonal, matrix and xi of their Fraction twins, and no
+    float appears anywhere (int / int in the divided differences gave floats)."""
+    by_type = []
+    for s in (Samples.from_pairs([0, 1, 2, 3], [1, 2, 5, 7]), make_samples([0, 1, 2, 3], [1, 2, 5, 7]),
+              Samples.from_pairs([0, 1, 2], [1, 2, 5]).extended(3, 7)):
+        family = monic_family(s, 3)
+        system = build_system(family, 2)
+        outputs = (s.grid.nodes, s.values, family.alphas, system.nus, system.diagonal,
+                   system.node_values, system.residues, biorthogonality_matrix(system, s, 2),
+                   expand_in_interpolants(Polynomial([1, -2, 3]), system, s))
+        assert [x for x in scalars(outputs) if type(x) is not Fraction] == []
+        by_type.append(repr(outputs))
+    assert by_type[0] == by_type[1] == by_type[2]
+
+
+def test_exact_pipeline_sums_residues_on_integers(monkeypatch):
+    """Exact build_system, matrix and expand at N = 10 take every residue sum
+    from the integer kernel; the Fraction loop serves the oracle pairing and
+    float data only."""
+    rng = random.Random(79)
+    while True:
+        s = usable_random_samples(rng, 12)
+        try:
+            build_system(monic_family(s, 11), 10)
+            float_s = Samples.from_pairs(list(map(float, s.grid.nodes)), list(map(float, s.values)))
+            build_system(monic_family(float_s, 11), 10)
+        except (DegenerateInterpolant, NuVanishes):
+            continue
+        break
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _residue_sum(*args)
+
+    monkeypatch.setattr(biorthogonality, "_residue_sum", counted)
+    q_poly = Polynomial([F(k - 4, 3) for k in range(11)])
+    family = monic_family(s, 11)
+    system = build_system(family, 10)
+    biorthogonality_matrix(system, s, 10)
+    expand_in_interpolants(q_poly, system, s)
+    assert calls == []
+    pairing(family.phats[3], system.vs[2], s)  # the oracle route is what is counted
+    assert len(calls) == 1
+    system = build_system(monic_family(float_s, 11), 10)
+    biorthogonality_matrix(system, float_s, 10)
+    expand_in_interpolants(q_poly, system, float_s)
+    assert len(calls) == 1 + 11 + 11 * 11 + 11
+
+
+@pytest.mark.parametrize("kind", ["float", "mixed"])
+def test_float_and_mixed_systems_sum_by_the_loop(kind):
+    """A system that holds a float takes every residue sum by the ascending
+    loop: its matrix, diagonal and xi equal _residue_sum run directly over
+    node_values and _residue_terms, by repr.  Mixed data are Fraction nodes
+    with float values; its xi pair an exact q_poly with float terms."""
+    for rng, exact, _ in random_systems(83, 8):
+        nodes = [a / 7 for a in exact.grid.nodes]
+        if kind == "float":
+            nodes = list(map(float, nodes))
+        s = Samples.from_pairs(nodes, [float(v) / 3 for v in exact.values])
+        n_max = s.last_index - 1
+        system = build_system(monic_family(s, n_max + 1), n_max)
+        q_poly = Polynomial([F(rng.randint(-9, 9), 7) for _ in range(n_max)] + [F(3, 2)])
+        if kind == "float":
+            q_poly = Polynomial(list(map(float, q_poly.coeffs)))
+        terms = [_residue_terms(v, data, s) for v, data in zip(system.vs, system.residues)]
+        rows = system.node_values[: n_max + 1]
+        q_values = [q_poly(a) for a in s.grid.nodes[: n_max + 2]]
+        matrix = biorthogonality_matrix(system, s, n_max)
+        assert repr(matrix) == repr([[_residue_sum(row, t) for t in terms] for row in rows])
+        assert repr(system.diagonal) == repr(tuple(map(_residue_sum, rows, terms)))
+        assert repr(expand_in_interpolants(q_poly, system, s)) == repr(tuple(
+            _residue_sum(q_values, t) / d for t, d in zip(terms, system.diagonal)))
+        assert all(type(x) is float for row in matrix for x in row)
+    # one float t_s among exact rows and exact d_s keeps the whole grid on the loop
+    rows, terms = [[F(1), F(2)], [F(1, 3), F(-1)]], [[(0.5, F(3)), (F(1), F(2))]]
+    sums = _residue_sums(rows, terms)
+    assert repr(sums) == repr([[_residue_sum(row, terms[0])] for row in rows])
+    assert all(type(row[0]) is float for row in sums)

@@ -261,6 +261,16 @@ def test_check_biortho_negative_n_max_is_out_of_range(tmp_path, capsys):
     assert report is None
 
 
+@pytest.mark.parametrize("n_max", ["41", "100000", "-1"])
+def test_exp_example_n_max_outside_zero_to_forty_is_out_of_range(capsys, n_max):
+    # exact work grows about as n_max**3: 40 takes about 2 s, 80 about 15 s
+    code = main(["exp-example", "--q", "2", "--n-max", n_max])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: IndexOutOfRange:")
+
+
 def test_exp_example_failed_closed_form_reports_its_residual(capsys, monkeypatch):
     import biorthopoly.cli as cli
     closed = cli.exp_alpha_closed
