@@ -13,8 +13,9 @@ a_0..a_{n+1}) pair with the interpolants through the residue sum
 
 the sum of residues of p(zeta) V_m(zeta) / F(zeta) over the finite poles.
 The matrix <P-hat_n, V_m> is diagonal with entries -1/(nu_n alpha_n).  The
-pipeline reads P-hat_n(a_s) off the three-term recurrence and sums exact residues
-as integer dot products; `pairing` (Horner, Fraction loop) matches exact ones bit for bit.
+pipeline reads P-hat_n(a_s) off the three-term recurrence; on exact data it builds node
+values, weights, T-hat_m(a_s) and residue sums on integers over one denominator per row.
+`pairing` (Horner, nodal_derivative_at, Fraction loop) is the oracle that they match bit for bit.
 
 Normalization note: the diagonal is -1/(nu_n alpha_n), not the +1/alpha_n
 sometimes quoted for this construction; exact rational arithmetic on nodes
@@ -93,8 +94,10 @@ def t_polynomial(family: MonicInterpolantFamily, n: int) -> Polynomial:
     """T_n = P-hat_{n+1} - (z - a_{n+1}) P-hat_n; degree <= n by cancellation."""
     if n + 1 > family.n_max:  # then the grid has a_{n+1} too
         raise IndexOutOfRange(f"T_{n} needs P-hat_{n + 1}; family stops at {family.n_max}")
-    shifted = Polynomial((-family.grid[n + 1], 1))
-    return family.phats[n + 1] - shifted * family.phats[n]
+    minus_a, p0, p1 = -family.grid[n + 1], family.phats[n].coeffs, family.phats[n + 1].coeffs
+    # coefficient k: p1[k] - (-a_{n+1} p0[k] + p0[k-1]); the z^{n+1} terms cancel (both monic)
+    return Polynomial([p1[0] - minus_a * p0[0], *(c1 - (minus_a * c0 + below) for c1, c0, below
+                                                  in zip(p1[1:], p0[1:], p0))])
 
 
 def leading_nu(family: MonicInterpolantFamily, n: int) -> Scalar:
@@ -114,14 +117,16 @@ def leading_nu(family: MonicInterpolantFamily, n: int) -> Scalar:
 def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSystem:
     """Assemble T-hat_n, V_n, their residue data and the verified diagonal.
 
-    Raises NuVanishes(n) when T_n loses its degree-n term and InvalidParameter
-    when a float nu_n or node value P-hat_n(a_s) is inf or nan.  Each node
-    value is one step of the three-term recurrence, O(N^2) in all, and V_n's
-    residue data are T-hat_n(a_s) = (P-hat_{n+1}(a_s) - (a_s - a_{n+1})
-    P-hat_n(a_s)) / nu_n and omega'_{n+2}(a_s), extended from V_{n-1}'s in
-    O(n); they equal pairing's own bit for bit in exact mode only.  The stored
-    d_n is the residue sum <P-hat_n, V_n>, taken as the matrix takes it, which
-    expansion divides by as is; in exact arithmetic it is -1/(nu_n alpha_n).
+    Raises NuVanishes(n) when T_n loses its degree-n term, then ZeroSampleValue(s) for the
+    smallest zero A_s on V_n's poles, and InvalidParameter when a float nu_n or node value
+    P-hat_n(a_s) is inf or nan.  Each node value is one step of the three-term recurrence,
+    O(N^2) in all, and V_n's residue data are T-hat_n(a_s) = (P-hat_{n+1}(a_s) - (a_s - a_{n+1})
+    P-hat_n(a_s)) / nu_n and omega'_{n+2}(a_s), extended from V_{n-1}'s in O(n).  The stored
+    d_n is the residue sum <P-hat_n, V_n>, taken as the matrix takes it, which expansion
+    divides by as is; in exact arithmetic it is -1/(nu_n alpha_n).  On exact data each of these
+    is an integer over one denominator per row (a_s = b_s / D, A_s = e_s / E, P-hat_n(a_s) =
+    u_s / M_n, omega'_{n+2}(a_s) = w_s / D^(n+1); d_n a dot product over lcm_s(e_s w_s)) and a
+    Fraction only where stored.  Any float keeps the whole system on scalars.
     """
     if n_max < 0:
         raise IndexOutOfRange(f"system size n_max = {n_max} is negative")
@@ -131,6 +136,12 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
     table = [(family.phats[0].coefficient(0),) * len(nodes)]  # table[n][s] = P-hat_n(a_s)
     rows = []  # (T-hat_n, nu_n, V_n, d_n, residue data of V_n)
     weights: Tuple[Scalar, ...] = ()
+    exact = all(map(is_exact, chain(nodes, samples.values[: n_max + 2], alphas[: n_max + 2],
+                                    *(p.coeffs for p in family.phats[: n_max + 2]))))
+    if exact:  # P-hat_n(a_s) = u[s] / m and P-hat_{n-1}(a_s) = u_prev[s] / m_prev on integers
+        (b, big_d), (e, big_e) = _over_lcm(nodes), _over_lcm(samples.values[: n_max + 2])
+        u, m, w, power, ratio_prev = [1] * len(nodes), 1, [1], 1, 0
+        u_prev, m_prev = u, m
     for n in range(n_max + 1):
         t_n = t_polynomial(family, n)
         nu_n = t_n.coefficient(n)
@@ -138,18 +149,39 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
             raise NuVanishes(n)
         if not (is_exact(nu_n) or math.isfinite(nu_n)):
             raise InvalidParameter(f"nu_{n} = {nu_n} is not finite")
-        # at n = 0, table[n - 1] is P-hat_0 in place of P-hat_{-1}, but alpha_ratio(0) = 0
-        a_n, ratio_n, ratio_nm1 = nodes[n], alphas[n] / alphas[n + 1], family.alpha_ratio(n)
-        table.append(tuple(((shift := x - a_n) + ratio_n) * p - ratio_nm1 * shift * q
-                           for x, p, q in zip(nodes, table[n], table[n - 1])))
-        for s, value in enumerate(table[n + 1]):
-            if not (is_exact(value) or math.isfinite(value)):
-                raise InvalidParameter(f"P-hat_{n + 1}(a_{s}) = {value} is not finite")
         v_n = RationalInterpolant(n, t_n.divide(nu_n), nodes[: n + 2])
-        weights = nodal_weights(v_n.pole_nodes, weights)
-        data = tuple(((p_next - (a - nodes[n + 1]) * p) / nu_n, weight) for a, p, p_next, weight
-                     in zip(v_n.pole_nodes, table[n], table[n + 1], weights))
-        d_n = _residue_sums([table[n]], [_residue_terms(v_n, data, samples)])[0][0]
+        if exact:  # P-hat_{n+1}(a_s) = ((b_s - b_n)(x u_s - z u_prev_s) + y u_s) / (D common)
+            ratio = Fraction(alphas[n], alphas[n + 1])
+            common = math.lcm(ratio.denominator * m, ratio_prev.denominator * m_prev)
+            x, z = common // m, ratio_prev.numerator * (common // (ratio_prev.denominator * m_prev))
+            y = ratio.numerator * big_d * (x // ratio.denominator)
+            row = [(b_s - b[n]) * (x * p - z * q) + y * p for b_s, p, q in zip(b, u, u_prev)]
+            g = math.gcd(big_d * common, *row)
+            u_prev, m_prev, u, m, ratio_prev = u, m, [r // g for r in row], big_d * common // g, ratio
+            table.append(tuple(Fraction(r, m) for r in u))
+            w = nodal_weights(b[: n + 2], w)
+            power, t_den = power * big_d, big_d * m_prev * m * nu_n.numerator
+            t = [(p1 * big_d * m_prev - (b_s - b[n + 1]) * p0 * m) * nu_n.denominator
+                 for b_s, p0, p1 in zip(b[: n + 2], u_prev, u)]  # T-hat_n(a_s) = t_s / t_den
+            data = tuple((Fraction(t_s, t_den), Fraction(w_s, power)) for t_s, w_s in zip(t, w))
+            if 0 in e[: n + 2]:
+                raise ZeroSampleValue(e.index(0))
+            scaled = [e_s * w_s for e_s, w_s in zip(e, w)]
+            common = math.lcm(*scaled)
+            d_n = Fraction(big_e * power * sum(p * t_s * (common // c) for p, t_s, c
+                                                in zip(u_prev, t, scaled)), m_prev * t_den * common)
+        else:
+            # at n = 0, table[n - 1] is P-hat_0 in place of P-hat_{-1}, but alpha_ratio(0) = 0
+            a_n, ratio_n, ratio_nm1 = nodes[n], alphas[n] / alphas[n + 1], family.alpha_ratio(n)
+            table.append(tuple(((shift := x - a_n) + ratio_n) * p - ratio_nm1 * shift * q
+                               for x, p, q in zip(nodes, table[n], table[n - 1])))
+            for s, value in enumerate(table[n + 1]):
+                if not (is_exact(value) or math.isfinite(value)):
+                    raise InvalidParameter(f"P-hat_{n + 1}(a_{s}) = {value} is not finite")
+            weights = nodal_weights(v_n.pole_nodes, weights)
+            data = tuple(((p_next - (a - nodes[n + 1]) * p) / nu_n, weight) for a, p, p_next, weight
+                         in zip(v_n.pole_nodes, table[n], table[n + 1], weights))
+            d_n = _residue_sums([table[n]], [_residue_terms(v_n, data, samples)])[0][0]
         rows.append((v_n.numerator, nu_n, v_n, d_n, data))
     return BiorthogonalSystem(family, *zip(*rows), tuple(table))
 
@@ -189,13 +221,15 @@ def _residue_sums(rows: Sequence[Sequence[Scalar]],
     common denominators of row n and of V_m's t_s / d_s.  Any float: every entry is the loop."""
     if not (all(map(is_exact, chain(*rows))) and all(map(is_exact, chain(*chain(*columns))))):
         return [[_residue_sum(row, terms) for terms in columns] for row in rows]
-
-    def over_lcm(values):  # (u, L): integers u[s] = values[s] * L, L the lcm of the denominators
-        common = math.lcm(*(x.denominator for x in values))
-        return [x.numerator * (common // x.denominator) for x in values], common
-    weights = [over_lcm([Fraction(t, d) for t, d in terms]) for terms in columns]
+    weights = [_over_lcm([Fraction(t, d) for t, d in terms]) for terms in columns]
     return [[Fraction(sum(map(mul, r, u)), m * l) for u, l in weights]
-            for r, m in map(over_lcm, rows)]
+            for r, m in map(_over_lcm, rows)]
+
+
+def _over_lcm(values: Sequence[Scalar]) -> Tuple[List[int], int]:
+    """(u, L): integers u[s] = values[s] * L, L the lcm of the exact values' denominators."""
+    common = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (common // x.denominator) for x in values], common
 
 
 def pairing(p: Polynomial, v: RationalInterpolant, samples: Samples) -> Scalar:

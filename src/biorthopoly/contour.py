@@ -69,7 +69,7 @@ def contour_integral(integrand: Callable[[complex], complex], circle: Circle) ->
     for zeta in circle.points():
         try:
             term = complex(integrand(zeta)) * (zeta - circle.center)
-        except (OverflowError, ZeroDivisionError):
+        except (OverflowError, ZeroDivisionError, ValueError):  # ValueError: exp of a nan
             term = complex(math.inf)
         if not cmath.isfinite(term):
             raise NonFiniteSample(f"integrand non-finite at zeta = {zeta}")

@@ -30,8 +30,8 @@ from biorthopoly.errors import (
     ZeroSampleValue,
 )
 from biorthopoly.exponential import ExpGridProblem
-from biorthopoly.interpolation import monic_family
-from biorthopoly.polynomials import Polynomial, nodal_derivative_at
+from biorthopoly.interpolation import family_from_recurrence, monic_family
+from biorthopoly.polynomials import Grid, Polynomial, nodal_derivative_at
 
 F = Fraction
 
@@ -644,3 +644,157 @@ def test_float_and_mixed_systems_sum_by_the_loop(kind):
     sums = _residue_sums(rows, terms)
     assert repr(sums) == repr([[_residue_sum(row, terms[0])] for row in rows])
     assert all(type(row[0]) is float for row in sums)
+
+
+def test_t_polynomial_matches_the_polynomial_operator_route():
+    """t_polynomial's one pass, p1[k] - (-a_{n+1} p0[k] + p0[k-1]), equals
+    P-hat_{n+1} - (z - a_{n+1}) P-hat_n through Polynomial's operators by repr, in
+    float and exact mode: nodes k/4 and random rationals in random order, N = 3..22."""
+    rng = random.Random(89)
+    checked = 0
+    for size in range(5, 25):
+        nodes = rng.sample(sorted({F(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(60)}), size)
+        values = [F(rng.choice([v for v in range(-9, 10) if v]), rng.randint(1, 9)) for _ in nodes]
+        for grid in ([F(k, 4) for k in range(size)], nodes):
+            for convert in (F, float):
+                try:
+                    family = monic_family(Samples.from_pairs(list(map(convert, grid)),
+                                                             list(map(convert, values))), size - 1)
+                except DegenerateInterpolant:
+                    continue
+                for n in range(size - 1):
+                    shifted = Polynomial((-family.grid[n + 1], 1))
+                    expected = family.phats[n + 1] - shifted * family.phats[n]
+                    assert repr(t_polynomial(family, n)) == repr(expected), (grid, values, n)
+                    checked += 1
+    assert checked >= 1000
+
+
+def oracle_corpus():
+    """(name, samples) for the integer route's oracle test, at N = 1, 2, 8 and 24: random
+    rational nodes in random order with denominators up to 97, some negative; int data;
+    q**k data with q < 0 and with 0 < q < 1 (nu_n = q/(q-1) < 0); and nodes 0, 1, -1 with
+    values 1, 2, so that P-hat_1(a_2) = 0."""
+    rng = random.Random(97)
+    for big_n in (1, 2, 8, 24):
+        nodes = set()
+        while len(nodes) < big_n + 1:
+            nodes.add(F(rng.randint(-60, 60), rng.randint(1, 97)))
+        values = [F(rng.choice([v for v in range(-9, 10) if v]), rng.randint(1, 97)) for _ in nodes]
+        yield "rational", Samples.from_pairs(rng.sample(sorted(nodes), big_n + 1), values)
+        ints = rng.sample(range(-30, 31), big_n + 1)
+        yield "int", Samples.from_pairs(ints, [rng.choice([v for v in range(-9, 10) if v])
+                                               for _ in ints])
+        for q in (F(-3, 2), F(2, 5)):
+            yield f"q={q}", ExpGridProblem(q, big_n).samples
+        extra = [2 + F(k, 7) for k in range(big_n)]
+        yield "zero node value", Samples.from_pairs([0, 1, -1, *extra][: big_n + 1],
+                                                    [1, 2, *(F(k % 5 + 1, 2) for k in range(big_n))][: big_n + 1])
+
+
+def test_integer_route_matches_the_independent_oracles():
+    """Every exact field of build_system is a Fraction equal to its independent route:
+    node values to Horner on P-hat_n, T-hat_m(a_s) to Horner on ts[m], omega'(a_s) to
+    nodal_derivative_at, and d_n to pairing (Fraction loop) and to -1/(nu_n alpha_n)."""
+    built, negative_nu, zero_value = 0, False, False
+    for name, s in oracle_corpus():
+        size = len(s)
+        try:
+            family = monic_family(s, size - 1)
+            system = build_system(family, size - 2)
+        except (DegenerateInterpolant, NuVanishes):
+            continue
+        built += 1
+        nodes = s.grid.nodes
+        fields = (system.nus, system.diagonal, system.node_values, system.residues,
+                  [t.coeffs for t in system.ts])
+        assert [x for x in scalars(fields) if type(x) is not Fraction] == [], name
+        for n, row in enumerate(system.node_values):
+            assert row == tuple(family.phats[n](a) for a in nodes), (name, n)
+            zero_value = zero_value or 0 in row
+        for m, data in enumerate(system.residues):
+            assert [t for t, _ in data] == [system.ts[m](a) for a in nodes[: m + 2]], (name, m)
+            assert [w for _, w in data] == [nodal_derivative_at(nodes, m + 2, i)
+                                            for i in range(m + 2)], (name, m)
+            d_m = system.diagonal[m]
+            assert d_m == pairing(family.phats[m], system.vs[m], s), (name, m)
+            assert d_m == -1 / (system.nus[m] * family.alphas[m]), (name, m)
+            negative_nu = negative_nu or system.nus[m] < 0
+    assert built >= 18 and negative_nu and zero_value
+
+
+def test_nu_vanishes_before_zero_sample_value_on_a_long_grid():
+    """N = 11: alphas chosen so that nu_5 = 0 and A_6 = 0, so n = 5 meets both; NuVanishes(5)
+    wins, as on the N = 2 worked example."""
+    nodes = [F(3), F(-1, 2), F(5, 3), F(0), F(7, 2), F(-2), F(1), F(9, 4), F(-5, 3), F(4), F(1, 3), F(-3)]
+    alphas = [None, F(2), F(-1, 3), F(3, 2), F(1, 5), F(-2, 7), None, F(-1, 2), F(2, 3), F(3),
+              F(-3, 4), F(5)]
+    # nu_5 = a_6 - a_5 + alpha_5/alpha_6 - alpha_4/alpha_5 = 0 fixes alpha_6 ...
+    alphas[6] = alphas[5] ** 2 / (alphas[4] - (nodes[6] - nodes[5]) * alphas[5])
+    # ... and A_6 = sum_s alpha_s omega_s(a_6) = 0 fixes alpha_0, with omega_0 = 1
+    omegas = [math.prod((nodes[6] - a for a in nodes[:s]), start=F(1)) for s in range(7)]
+    alphas[0] = -sum(alpha * omega for alpha, omega in zip(alphas[1:7], omegas[1:]))
+    values = family_from_recurrence(Grid(nodes), alphas).values
+    family = monic_family(Samples.from_pairs(nodes, values), 11)
+    assert family.alphas == tuple(alphas) and values[6] == 0 and leading_nu(family, 5) == 0
+    build_system(family, 4)
+    with pytest.raises(NuVanishes) as err:
+        build_system(family, 10)
+    assert err.value.index == 5 and str(err.value) == "nu_5 = 0: T_5 degenerates below degree 5"
+
+
+def test_zero_sample_value_names_the_smallest_index_on_a_long_grid():
+    """N = 11, zeros at A_6 and A_9: exact and float systems both raise ZeroSampleValue(6) at
+    n = 5, the first V_n with a zero on its poles, and build to n = 4."""
+    rng = random.Random(101)
+    while True:
+        values = [F(rng.choice([v for v in range(-9, 10) if v]), rng.randint(1, 9)) for _ in range(12)]
+        values[6] = values[9] = F(0)
+        s = Samples.from_pairs([F(k, 3) for k in range(12)], values)
+        try:
+            family = monic_family(s, 11)
+        except DegenerateInterpolant:
+            continue
+        if all(leading_nu(family, n) != 0 for n in range(11)):
+            break
+    float_s = Samples.from_pairs(list(map(float, s.grid.nodes)), list(map(float, values)))
+    for family in (family, monic_family(float_s, 11)):
+        build_system(family, 4)
+        with pytest.raises(ZeroSampleValue) as err:
+            build_system(family, 10)
+        assert err.value.index == 6
+        assert str(err.value) == "A_6 = 0: residue pairing divides by the sample values"
+
+
+FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                      "__truediv__", "__rtruediv__", "__neg__", "__pow__", "__rpow__")
+
+
+def test_exact_system_builds_no_node_data_with_fraction_operators(monkeypatch):
+    """Counts calls of Fraction's arithmetic operators (+, -, *, /, **, unary minus and
+    their reflected forms; not the constructor or comparisons).  Exact build_system at
+    N = 10 makes exactly the calls that building T-hat_n = T_n / nu_n makes by itself, so
+    no node value, T-hat_n(a_s), omega'(a_s) or d_n term is a Fraction operation."""
+    rng = random.Random(103)
+    while True:
+        s = usable_random_samples(rng, 12)
+        family = monic_family(s, 11)
+        try:
+            build_system(family, 10)
+        except NuVanishes:
+            continue
+        break
+    calls = []
+    for name in FRACTION_OPERATORS:
+        def counted(*args, original=getattr(Fraction, name)):
+            calls.append(original)
+            return original(*args)
+        monkeypatch.setattr(Fraction, name, counted)
+    for n in range(11):
+        t_n = t_polynomial(family, n)
+        t_n.divide(t_n.coefficient(n))
+    t_hats = len(calls)
+    build_system(family, 10)
+    assert len(calls) == 2 * t_hats > 0
+    pairing(family.phats[2], build_system(family, 10).vs[2], s)  # the oracle route is counted
+    assert len(calls) > 3 * t_hats

@@ -367,6 +367,27 @@ def test_cli_import_needs_no_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["hermite", "--h", "1", "--k", "3"], 0),
+    # the known failing contour check, so the code to keep is 1
+    (["exp-example", "--q", "1/6", "--n-max", "4", "--with-contour"], 1),
+])
+def test_closed_stdout_keeps_the_report_code_without_a_traceback(argv, expected):
+    """A reader that has gone (`biorthopoly ... | head -c 10`) leaves the exit code at the
+    report's own 0 or 1, with no BrokenPipeError traceback that would read as exit 1."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes
+    try:
+        proc = subprocess.run([sys.executable, "-m", "biorthopoly", *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
+
+
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 GOLDEN_PROBLEM = {"nodes": ["0", "1", "3", "-2", "1/2"], "values": ["1", "2", "5", "-3", "7/4"]}
 
@@ -549,3 +570,41 @@ def test_problem_calls_exit_zero_to_four(call):
         code = main(argv)
     assert code in {0, 1, 2, 3, 4}
     assert (out.getvalue() == "") == (code >= 2)
+
+
+Q_TEXTS = ["2", "1/6", "5/3", "-2", "-1/3", "3/7", "0", "1", "-1", "abc", "1/0", "", "2/", "1e40",
+           "-1e40", "1e-40", "9" * 5000]
+H_TEXTS = ["0.5", "1", "-1", "0", "2.5", "-0.25", "nan", "inf", "-inf", "1e308", "-1e308", "800",
+           "1e-300", "x"]
+CONTOURS = ["5/16", "1/16", "0.5/16", "1.5/64", "2/4096", "30/1024", "0/64", "-2/64", "nan/64",
+            "inf/64", "1e308/64", "5/48", "5/0", "5/-16", "5/8", "5/", "/64", "3", "r/16", "5/16/2",
+            "5/1e3", ""]
+
+
+@st.composite
+def contour_calls(draw):
+    """exp-example and hermite argv: valid, junk and extreme --q, --n-max, --h, --k, --contour.
+    "--q=-1/3" form, since argparse reads a lone "-1/3" as an option."""
+    if draw(st.booleans()):
+        argv = ["exp-example", "--q=" + draw(st.sampled_from(Q_TEXTS)),
+                "--n-max", str(draw(st.sampled_from([*range(-3, 13), 41])))]
+        argv += draw(st.sampled_from([[], [], ["--with-contour"]]))  # a third: contours cost most
+        argv += draw(st.sampled_from([[], ["--h=" + draw(st.sampled_from(H_TEXTS))]]))
+    else:
+        argv = ["hermite", "--h=" + draw(st.sampled_from(H_TEXTS)), "--k", str(draw(st.integers(-2, 12)))]
+    return argv + draw(st.sampled_from([[], ["--contour=" + draw(st.sampled_from(CONTOURS))]]))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(contour_calls())
+def test_contour_calls_exit_zero_to_four(argv):
+    """Every exp-example and hermite call exits 0 to 4 with no traceback; argparse's
+    rejection counts as its exit 2."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in {0, 1, 2, 3, 4}, argv
+    assert (out.getvalue() == "") == (code >= 2), argv
