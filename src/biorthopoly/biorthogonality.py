@@ -35,7 +35,7 @@ from typing import List, Sequence, Tuple
 from .divided_differences import Samples
 from .errors import IndexOutOfRange, InvalidParameter, NuVanishes, PoleEvaluation, ZeroSampleValue
 from .interpolation import MonicInterpolantFamily
-from .numerics import Scalar, is_exact
+from .numerics import Scalar, is_exact, over_lcm
 from .polynomials import Polynomial, nodal_derivative_at, nodal_weights
 
 
@@ -139,7 +139,7 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
     exact = all(map(is_exact, chain(nodes, samples.values[: n_max + 2], alphas[: n_max + 2],
                                     *(p.coeffs for p in family.phats[: n_max + 2]))))
     if exact:  # P-hat_n(a_s) = u[s] / m and P-hat_{n-1}(a_s) = u_prev[s] / m_prev on integers
-        (b, big_d), (e, big_e) = _over_lcm(nodes), _over_lcm(samples.values[: n_max + 2])
+        (b, big_d), (e, big_e) = over_lcm(nodes), over_lcm(samples.values[: n_max + 2])
         u, m, w, power, ratio_prev = [1] * len(nodes), 1, [1], 1, 0
         u_prev, m_prev = u, m
     for n in range(n_max + 1):
@@ -221,15 +221,9 @@ def _residue_sums(rows: Sequence[Sequence[Scalar]],
     common denominators of row n and of V_m's t_s / d_s.  Any float: every entry is the loop."""
     if not (all(map(is_exact, chain(*rows))) and all(map(is_exact, chain(*chain(*columns))))):
         return [[_residue_sum(row, terms) for terms in columns] for row in rows]
-    weights = [_over_lcm([Fraction(t, d) for t, d in terms]) for terms in columns]
+    weights = [over_lcm([Fraction(t, d) for t, d in terms]) for terms in columns]
     return [[Fraction(sum(map(mul, r, u)), m * l) for u, l in weights]
-            for r, m in map(_over_lcm, rows)]
-
-
-def _over_lcm(values: Sequence[Scalar]) -> Tuple[List[int], int]:
-    """(u, L): integers u[s] = values[s] * L, L the lcm of the exact values' denominators."""
-    common = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (common // x.denominator) for x in values], common
+            for r, m in map(over_lcm, rows)]
 
 
 def pairing(p: Polynomial, v: RationalInterpolant, samples: Samples) -> Scalar:

@@ -17,8 +17,9 @@ code its class sets.  2: unparsable input or bad parameter, also a float scalar,
 alpha_n, nu_n, P-hat_n(a_s), A_s omega'(a_s) or contour sample that overflows,
 a float omega'(a_s), A_s omega'(a_s), nu_n alpha_n or d_n that underflows to 0,
 an exact value too long to print, a non-finite tolerance or --h, a negative
---contour-tolerance, a --contour circle through a node or pole, or an
-exp-example --with-contour whose q or closed-form values leave double range.
+--contour-tolerance, a --contour circle through a node or pole or leaving a
+node outside, or an exp-example --with-contour whose q or closed-form values
+leave double range.
 3: index/degree out of range (a negative --n-max, or exp-example --n-max > 40).
 4: degenerate data (zero alpha/nu/sample value; the index is in the message).
 """
@@ -29,6 +30,7 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from itertools import zip_longest
@@ -237,7 +239,7 @@ def cmd_expand(args, samples: Samples, mode: str, tol: Tolerance) -> tuple:
 
 
 V_SAMPLE_POINTS = (Fraction(1, 2), Fraction(7, 3), Fraction(-3, 2), Fraction(21, 2))
-EXP_EXAMPLE_MAX_N = 40  # --n-max 40 takes about 2 s, 80 about 15 s: the cost grows as n_max**3
+EXP_EXAMPLE_MAX_N = 40  # --n-max 40 takes about 1.5 s, and the cost grows about as n_max**3
 
 
 def cmd_exp_example(args) -> tuple:
@@ -247,8 +249,8 @@ def cmd_exp_example(args) -> tuple:
     problem = ExpGridProblem(q, n_max)
     family = monic_family(problem.samples, n_max + 1)
     system = build_system(family, n_max)
-    newtons = [newton_interpolant(problem.samples, n) for n in range(n_max + 1)]
     indices = range(n_max + 1)
+    newtons = [family.phats[n].scale(family.alphas[n]) for n in indices]  # P_n = alpha_n P-hat_n
 
     checks = [
         ("interpolant_closed_form",
@@ -281,14 +283,14 @@ def cmd_exp_example(args) -> tuple:
                 raise InvalidParameter("q is out of double range; pass --h explicitly") from None
         hermite_worst = 0.0
         for k in indices:
-            circle = _resolve_circle(args.contour, k)
+            circle = _enclosing(_resolve_circle(args.contour, k), k)
             estimate = hermite_divided_difference(h, k, circle)
             expected = _double(lambda: exp_alpha_closed(problem, k), f"alpha_{k}")
             hermite_worst = max(hermite_worst, abs(estimate - expected))
         biortho_worst = 0.0
         for n in range(min(n_max, 3) + 1):
             for m in range(min(n_max, 3) + 1):
-                circle = _resolve_circle(args.contour, max(n, m + 1))
+                circle = _enclosing(_resolve_circle(args.contour, top := max(n, m + 1)), top)
                 estimate = contour_biortho_check(h, n, m, circle)
                 expected = _double(lambda: system.diagonal[n], f"d_{n}") if n == m else 0.0
                 biortho_worst = max(biortho_worst, abs(estimate - expected))
@@ -307,6 +309,7 @@ def cmd_hermite(args) -> tuple:
     circle = _resolve_circle(args.contour, k)
     estimate = hermite_divided_difference(h, k, circle)
     expected = _double(lambda: (math.exp(h) - 1.0) ** k / math.factorial(k), "(e**h - 1)**k / k!")
+    _enclosing(circle, k)  # after the integrand's and the reference's own typed errors
     error = abs(estimate - expected)
     checks = [
         ("hermite_matches_difference", error, error < tol),
@@ -367,6 +370,13 @@ def _resolve_circle(spec: Optional[str], max_node: int) -> Circle:
     return Circle(center=base.center, radius=radius, sample_count=count)
 
 
+def _enclosing(circle: Circle, max_node: int) -> Circle:
+    """The circle; InvalidParameter if a node 0..max_node, a pole, lies strictly outside it."""
+    if max(abs(circle.center), abs(max_node - circle.center)) > circle.radius:
+        raise InvalidParameter(f"nodes 0..{max_node} are not all inside the circle")
+    return circle
+
+
 def _parse_poly_argument(text: str, mode: str) -> Polynomial:
     try:
         raw = json.loads(text)
@@ -404,6 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name: str, handler, summary: str, mode: Optional[str] = None):
         """A subcommand run by handler; mode None reads a problem file."""
         p = sub.add_parser(name, help=summary)
+        p._negative_number_matcher = re.compile(r"^-\.?\d")  # "-1/3", "-1e-3" are values too
         p.set_defaults(handler=handler, mode=mode)
         if mode is None:
             p.add_argument("problem", help="problem JSON file, or '-' for stdin")

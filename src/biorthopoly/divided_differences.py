@@ -8,11 +8,14 @@ input, which the tests enforce.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import chain
 from typing import Sequence, Tuple
 
 from .errors import IndexOutOfRange
-from .numerics import Scalar, exact_if_int
+from .numerics import Scalar, exact_if_int, is_exact, over_lcm
 from .polynomials import Grid, Polynomial, nodal_weights
 
 
@@ -65,12 +68,24 @@ def divided_differences_recursive(samples: Samples) -> DividedDifferenceTable:
 
     Column j of the triangle holds [a_i..a_{i+j}] = ([a_{i+1}..a_{i+j}] -
     [a_i..a_{i+j-1}]) / (a_{i+j} - a_i); only the i = 0 edge is retained.
+    On exact data, a_s = b_s / D, column j is integers c_i over C_j, and column j+1
+    is D (c_{i+1} - c_i) (L / (b_{i+j+1} - b_i)) over C_j L, L the gaps' lcm.
     """
     if len(samples) == 0:
         raise IndexOutOfRange("divided differences need at least one sample")
     nodes = samples.grid
     column = list(samples.values)
     top = [column[0]]
+    if all(map(is_exact, chain(nodes.nodes, column))):
+        (b, big_d), (c, common) = over_lcm(nodes.nodes), over_lcm(column)
+        for j in range(1, len(c)):
+            gaps = [hi - lo for lo, hi in zip(b, b[j:])]
+            lcm = math.lcm(*gaps)
+            c = [big_d * (y - x) * (lcm // gap) for x, y, gap in zip(c, c[1:], gaps)]
+            g = math.gcd(common * lcm, *c)
+            c, common = [x // g for x in c], common * lcm // g
+            top.append(Fraction(c[0], common))
+        return DividedDifferenceTable(samples, tuple(top))
     for j in range(1, len(column)):
         column = [
             (column[i + 1] - column[i]) / (nodes[i + j] - nodes[i])

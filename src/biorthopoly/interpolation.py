@@ -10,17 +10,21 @@ difference) satisfy
 with P-hat_{-1} = 0, P-hat_0 = 1 and the convention alpha_{-1} = 0.  The
 recurrence runs in both directions here: `monic_family` derives the family
 from data, `family_from_recurrence` rebuilds data from coefficients, and
-the two are exact inverses (which the tests pin down).
+the two are exact inverses (which the tests pin down).  On exact data both
+run on integer rows over one common denominator; `newton_interpolant` and
+`recurrence_step` keep the Fraction arithmetic that the tests compare with.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from itertools import chain
 from typing import Sequence, Tuple
 
 from .divided_differences import Samples, divided_differences_recursive
 from .errors import DegenerateInterpolant, IndexOutOfRange, InvalidParameter
-from .numerics import Scalar, is_exact
+from .numerics import Scalar, is_exact, over_lcm
 from .polynomials import Grid, Polynomial, nodal_polynomial, nodal_weights
 
 
@@ -81,16 +85,33 @@ class MonicInterpolantFamily:
 def monic_family(samples: Samples, n_max: int) -> MonicInterpolantFamily:
     """Divided differences plus monic interpolants up to degree n_max.
 
-    One table and one Newton pass (P_n = P_{n-1} + alpha_n omega_n) cost
-    O(N^2); each P-hat_n repeats newton_interpolant(samples, n).divide(alpha_n)
-    operation for operation.  DegenerateInterpolant(n) names the first zero
-    alpha_n (alpha_0 = A_0 too: the residue pairing divides by the values),
-    and InvalidParameter the first float alpha_n that is inf or nan.
+    One table and one Newton pass (P_n = P_{n-1} + alpha_n omega_n) cost O(N^2).
+    On float data each P-hat_n repeats newton_interpolant(samples, n).divide(alpha_n)
+    operation for operation; on exact data, a_s = b_s / D, the pass runs on the
+    integer rows D^n omega_n and P_n = U_n / M_n, and P-hat_n = U_n q_n / (M_n p_n).
+    DegenerateInterpolant(n) names the first zero alpha_n = p_n / q_n (alpha_0 = A_0
+    too: the residue pairing divides by the values), and InvalidParameter the first
+    float alpha_n that is inf or nan.
     """
     if n_max < 0 or n_max > samples.last_index:
         raise IndexOutOfRange(f"n_max = {n_max} outside 0..{samples.last_index}")
     table = divided_differences_recursive(samples)
-    alphas = table.diffs[: n_max + 1]
+    alphas, nodes = table.diffs[: n_max + 1], samples.grid.nodes[:n_max]
+    if all(map(is_exact, chain(nodes, alphas))):
+        if 0 in alphas:
+            raise DegenerateInterpolant(alphas.index(0))
+        (b, big_d), u, m, omega, phats = over_lcm(nodes), [], 1, [1], []
+        for n, alpha in enumerate(alphas):
+            if n:  # D^n omega_n = D^(n-1) omega_{n-1} (D z - b_{n-1})
+                omega = [big_d * lo - b[n - 1] * hi for lo, hi in zip([0, *omega], omega + [0])]
+            p, q = alpha.numerator, alpha.denominator
+            common = math.lcm(m, q * big_d ** n)  # P_n = P_{n-1} + p (D^n omega_n) / (q D^n)
+            x, y = common // m, p * (common // (q * big_d ** n))
+            u = [x * c + y * w for c, w in zip(u + [0], omega)]
+            g = math.gcd(common, *u)
+            u, m = [c // g for c in u], common // g
+            phats.append(Polynomial([Fraction(c * q, m * p) for c in u]))
+        return MonicInterpolantFamily(samples.grid, samples.values, alphas, tuple(phats))
     phats, interpolant, omega = [], Polynomial.zero(), Polynomial.constant(1)
     for n, alpha in enumerate(alphas):
         if alpha == 0:
@@ -132,27 +153,40 @@ def family_from_recurrence(grid: Grid, alphas: Sequence[Scalar],
         raise IndexOutOfRange(f"n_max = {n_max} outside 0..{len(alphas) - 1}")
     if n_max + 1 > len(grid):
         raise IndexOutOfRange(f"need nodes a_0..a_{n_max}, grid has {len(grid)}")
-    for n, alpha in enumerate(alphas[: n_max + 1]):
+    alphas, sub_grid = alphas[: n_max + 1], grid.prefix(n_max + 1)
+    for n, alpha in enumerate(alphas):
         if alpha == 0:
             raise DegenerateInterpolant(n)
 
-    phats = [Polynomial.constant(1)]
-    previous = Polynomial.zero()
-    for n in range(n_max):
-        ratio_n = alphas[n] / alphas[n + 1]
-        ratio_nm1 = 0 if n == 0 else alphas[n - 1] / alphas[n]
-        nxt = recurrence_step(phats[-1], previous, grid[n], ratio_n, ratio_nm1)
-        previous = phats[-1]
-        phats.append(nxt)
+    nodes, phats, previous = sub_grid.nodes, [Polynomial.constant(1)], Polynomial.zero()
+    exact = all(map(is_exact, chain(nodes, alphas)))
+    if exact:  # P-hat_n = u / m, a_s = b_s / D, stepped as build_system steps node values
+        (b, big_d), (c, big_q) = over_lcm(nodes), over_lcm(alphas)
+        u, m, u_prev, m_prev, r_prev = [1], 1, [], 1, 0
+        for n in range(n_max):  # D common P-hat_{n+1} = (D z - b_n)(x u - z u_prev) + y u
+            r = Fraction(alphas[n], alphas[n + 1])
+            common = math.lcm(r.denominator * m, r_prev.denominator * m_prev)
+            x, z = common // m, r_prev.numerator * (common // (r_prev.denominator * m_prev))
+            y = r.numerator * big_d * (x // r.denominator)
+            v = [x * p - z * q for p, q in zip(u, u_prev + [0])]
+            row = [big_d * lo - b[n] * hi + y * p for lo, hi, p in zip([0, *v], v + [0], u + [0])]
+            g = math.gcd(big_d * common, *row)
+            u_prev, m_prev, u, m, r_prev = u, m, [e // g for e in row], big_d * common // g, r
+            phats.append(Polynomial([*(Fraction(e, m) for e in u[:-1]), 1]))
+    else:
+        (b, big_d), (c, big_q) = (nodes, 1), (alphas, 1)  # then the sum below is the plain one
+        for n in range(n_max):
+            ratio_n = alphas[n] / alphas[n + 1]
+            ratio_nm1 = 0 if n == 0 else alphas[n - 1] / alphas[n]
+            nxt = recurrence_step(phats[-1], previous, grid[n], ratio_n, ratio_nm1)
+            previous = phats[-1]
+            phats.append(nxt)
 
-    sub_grid = grid.prefix(n_max + 1)
+    # alpha_s = c_s / Q: Q D^n A_n = sum_s c_s (D^s omega_s(a_n)) D^(n-s), by Horner in D
     values = []
     for n in range(n_max + 1):
-        a_n = grid[n]
-        value: Scalar = 0
-        omega_at_a_n: Scalar = 1  # omega_s(a_n), updated incrementally
-        for s in range(n + 1):
-            value = value + alphas[s] * omega_at_a_n
-            omega_at_a_n = omega_at_a_n * (a_n - grid[s])
-        values.append(value)
-    return MonicInterpolantFamily(sub_grid, tuple(values), alphas[: n_max + 1], tuple(phats))
+        total, omega = 0, 1
+        for c_s, b_s in zip(c[: n + 1], b):
+            total, omega = total * big_d + c_s * omega, omega * (b[n] - b_s)
+        values.append(Fraction(total, big_q * big_d ** n) if exact else total)
+    return MonicInterpolantFamily(sub_grid, tuple(values), alphas, tuple(phats))

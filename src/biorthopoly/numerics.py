@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import List, Sequence, Tuple, Union
 
 from .errors import InvalidParameter, ZeroDenominator
 
@@ -50,6 +50,12 @@ def is_exact(x: Scalar) -> bool:
 def exact_if_int(x: Scalar) -> Scalar:
     """x as a Fraction when it is an int, so that it divides exactly; else x."""
     return Fraction(x) if isinstance(x, int) else x
+
+
+def over_lcm(values: Sequence[Scalar]) -> Tuple[List[int], int]:
+    """(u, L): integers u[s] = values[s] * L, L the lcm of the exact values' denominators."""
+    common = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (common // x.denominator) for x in values], common
 
 
 def parse_scalar(text: str, mode: str = EXACT) -> Scalar:

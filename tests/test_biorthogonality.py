@@ -20,7 +20,8 @@ from biorthopoly.biorthogonality import (
     pairing,
     t_polynomial,
 )
-from biorthopoly.divided_differences import Samples, divided_differences_recursive
+from biorthopoly.divided_differences import (Samples, divided_differences_recursive,
+                                             newton_interpolant)
 from biorthopoly.errors import (
     DegenerateInterpolant,
     IndexOutOfRange,
@@ -798,3 +799,27 @@ def test_exact_system_builds_no_node_data_with_fraction_operators(monkeypatch):
     assert len(calls) == 2 * t_hats > 0
     pairing(family.phats[2], build_system(family, 10).vs[2], s)  # the oracle route is counted
     assert len(calls) > 3 * t_hats
+
+
+def test_exact_family_layers_make_no_fraction_operator_calls(monkeypatch):
+    """Exact divided_differences_recursive, monic_family and family_from_recurrence at N = 14
+    on rational nodes build every stored Fraction with the constructor and make no call of
+    a Fraction arithmetic operator; newton_interpolant's Newton pass, the oracle, makes many."""
+    rng = random.Random(107)
+    while True:
+        nodes = rng.sample(sorted({F(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(60)}), 15)
+        s = Samples.from_pairs(nodes, [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in nodes])
+        if 0 not in divided_differences_recursive(s).diffs:
+            break
+    calls = []
+    for name in FRACTION_OPERATORS:
+        def counted(*args, original=getattr(Fraction, name)):
+            calls.append(original)
+            return original(*args)
+        monkeypatch.setattr(Fraction, name, counted)
+    divided_differences_recursive(s)
+    family = monic_family(s, 14)
+    family_from_recurrence(s.grid, family.alphas)
+    assert calls == []
+    newton_interpolant(s, 14)
+    assert len(calls) > 14

@@ -583,8 +583,8 @@ CONTOURS = ["5/16", "1/16", "0.5/16", "1.5/64", "2/4096", "30/1024", "0/64", "-2
 
 @st.composite
 def contour_calls(draw):
-    """exp-example and hermite argv: valid, junk and extreme --q, --n-max, --h, --k, --contour.
-    "--q=-1/3" form, since argparse reads a lone "-1/3" as an option."""
+    """exp-example and hermite argv: valid, junk and extreme --q, --n-max, --h, --k, --contour,
+    in the "--q=-1/3" form."""
     if draw(st.booleans()):
         argv = ["exp-example", "--q=" + draw(st.sampled_from(Q_TEXTS)),
                 "--n-max", str(draw(st.sampled_from([*range(-3, 13), 41])))]
@@ -608,3 +608,40 @@ def test_contour_calls_exit_zero_to_four(argv):
             code = exc.code
     assert code in {0, 1, 2, 3, 4}, argv
     assert (out.getvalue() == "") == (code >= 2), argv
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    (["exp-example", "--q", "-1/3", "--n-max", "2"], ["exp-example", "--q=-1/3", "--n-max", "2"]),
+    (["hermite", "--h", "-1e-3", "--k", "2"], ["hermite", "--h=-1e-3", "--k", "2"]),
+    (["hermite", "--h", "-.5", "--k", "1"], ["hermite", "--h=-.5", "--k", "1"]),
+])
+def test_negative_option_values_read_in_both_spellings(spaced, joined, capsys):
+    """A value that starts with "-" and a digit is a value, not an option, in either spelling."""
+    code, report = run(capsys, spaced)
+    assert code == 0
+    assert (code, report) == run(capsys, joined)
+
+
+@pytest.mark.parametrize("argv", [
+    ["hermite", "--h", "1", "--k", "2", "--bogus"],
+    ["hermite", "--h", "1", "--k", "2", "-x"],
+    ["exp-example", "--q", "-x"],
+    ["exp-example", "--q", "--n-max", "2"],
+])
+def test_unknown_options_still_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["hermite", "--h", "0.5", "--k", "3", "--contour", "0.3/64"],
+    ["exp-example", "--q", "2", "--n-max", "3", "--with-contour", "--contour", "1.4/64"],
+])
+def test_contour_circle_leaving_a_node_outside_is_bad_parameter(argv, capsys):
+    """Such a circle used to give a finite, wrong integral and a failed check (exit 1)."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: InvalidParameter: nodes 0..3 are not all inside")

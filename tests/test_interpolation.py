@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biorthopoly.divided_differences import (
     Samples,
+    divided_difference_sum,
     divided_differences_recursive,
     newton_interpolant,
 )
@@ -135,6 +137,15 @@ def test_family_from_recurrence_doubling_data():
     assert fam.values == (1, 2, 4, 8)
 
 
+def test_family_from_recurrence_int_alphas_stay_exact():
+    """int alphas are exact data: the family equals that of their Fraction twins (int / int
+    in the alpha ratios gave float coefficients)."""
+    ints = family_from_recurrence(Grid([0, 1, 2]), [1, 2, 3])
+    twins = family_from_recurrence(Grid([0, 1, 2]), [F(1), F(2), F(3)])
+    assert repr((ints.values, ints.phats)) == repr((twins.values, twins.phats))
+    assert ints.phats[2] == Polynomial([F(1, 3), F(-1, 3), 1])
+
+
 def test_family_from_recurrence_rejects_zero_alpha():
     with pytest.raises(DegenerateInterpolant) as err:
         family_from_recurrence(Grid([F(0), F(1)]), [F(1), F(0)])
@@ -163,3 +174,99 @@ def test_family_range_checks():
     s = make_samples([0, 1], [1, 2])
     with pytest.raises(IndexOutOfRange):
         monic_family(s, 2)
+
+
+EXACT_SCALARS = st.one_of(st.integers(-40, 40),
+                          st.fractions(-50, 50, max_denominator=9),
+                          st.fractions(-3, 3, max_denominator=10**12))
+
+
+@st.composite
+def exact_samples(draw):
+    """N = 0..14: int nodes, negative and large-denominator rationals; zero values and zero
+    divided differences included."""
+    nodes = draw(st.lists(EXACT_SCALARS, min_size=1, max_size=15, unique=True))
+    values = draw(st.lists(EXACT_SCALARS, min_size=len(nodes), max_size=len(nodes)))
+    return Samples.from_pairs(nodes, values), draw(st.integers(0, len(nodes) - 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(exact_samples())
+def test_integer_family_routes_match_the_fraction_oracles(drawn):
+    """On exact data the integer routes equal the Fraction-loop oracles: the table is
+    divided_difference_sum at every k, P-hat_n is newton_interpolant(s, n) / alpha_n,
+    family_from_recurrence gives back the values and the P-hats, and DegenerateInterpolant
+    names the first zero divided difference."""
+    s, n_max = drawn
+    diffs = divided_differences_recursive(s).diffs
+    assert diffs == tuple(divided_difference_sum(s, k) for k in range(len(s)))
+    zeros = [n for n, alpha in enumerate(diffs[: n_max + 1]) if alpha == 0]
+    if zeros:
+        for build in (lambda: monic_family(s, n_max),
+                      lambda: family_from_recurrence(s.grid, diffs, n_max)):
+            with pytest.raises(DegenerateInterpolant) as err:
+                build()
+            assert err.value.index == zeros[0]
+        return
+    fam = monic_family(s, n_max)
+    assert fam.alphas == diffs[: n_max + 1]
+    assert fam.phats == tuple(newton_interpolant(s, n).divide(alpha)
+                              for n, alpha in enumerate(fam.alphas))
+    rebuilt = family_from_recurrence(s.grid, fam.alphas)
+    assert rebuilt.values == s.values[: n_max + 1] and rebuilt.phats == fam.phats
+    assert all(type(c) is Fraction for p in fam.phats + rebuilt.phats for c in p.coeffs[:-1])
+
+
+def scalar_table(nodes, values):
+    """The recursive triangle's top edge by plain scalar arithmetic."""
+    column, top = list(values), [values[0]]
+    for j in range(1, len(column)):
+        column = [(column[i + 1] - column[i]) / (nodes[i + j] - nodes[i])
+                  for i in range(len(column) - 1)]
+        top.append(column[0])
+    return tuple(top)
+
+
+def scalar_recurrence(nodes, alphas):
+    """recurrence_step from P-hat_0 = 1 and A_n = sum_s alpha_s omega_s(a_n), in scalars."""
+    phats, previous = [Polynomial.constant(1)], Polynomial.zero()
+    for n in range(len(alphas) - 1):
+        ratio_nm1 = 0 if n == 0 else alphas[n - 1] / alphas[n]
+        phats.append(recurrence_step(phats[-1], previous, nodes[n], alphas[n] / alphas[n + 1],
+                                     ratio_nm1))
+        previous = phats[-2]
+    values = []
+    for n, a_n in enumerate(nodes[: len(alphas)]):
+        value, omega = 0, 1
+        for a_s, alpha in zip(nodes[: n + 1], alphas):
+            value, omega = value + alpha * omega, omega * (a_n - a_s)
+        values.append(value)
+    return tuple(values), tuple(phats)
+
+
+@pytest.mark.parametrize("kind", ["float", "exact-nodes", "exact-values"])
+def test_float_and_mixed_family_routes_are_the_scalar_loops(kind):
+    """Data holding a float keep the scalar routes bit for bit: the table, every P-hat_n and
+    the recurrence round trip equal plain scalar loops by repr.  Mixed data are Fraction nodes
+    with float values, or float nodes with Fraction values."""
+    rng = random.Random(131)
+    for size in range(1, 19):
+        nodes = rng.sample(sorted({F(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(60)}),
+                           size)
+        values = [F(rng.choice([v for v in range(-9, 10) if v]), rng.randint(1, 9)) for _ in nodes]
+        if kind != "exact-nodes":
+            nodes = list(map(float, nodes))
+        if kind != "exact-values":
+            values = list(map(float, values))
+        s = Samples.from_pairs(nodes, values)
+        table = divided_differences_recursive(s).diffs
+        assert repr(table) == repr(scalar_table(s.grid.nodes, s.values))
+        if 0 in table:
+            continue
+        fam = monic_family(s, s.last_index)
+        assert repr(fam.phats) == repr(tuple(newton_interpolant(s, n).divide(alpha)
+                                             for n, alpha in enumerate(fam.alphas)))
+        rebuilt = family_from_recurrence(s.grid, fam.alphas)
+        assert repr((rebuilt.values, rebuilt.phats)) == repr(scalar_recurrence(s.grid.nodes,
+                                                                               fam.alphas))
+        assert all(type(c) is float for p in fam.phats[1:] for c in p.coeffs)
