@@ -12,9 +12,9 @@ a_0..a_{n+1}) pair with the interpolants through the residue sum
     <p, V_m> = sum_{s=0}^{m+1} p(a_s) T-hat_m(a_s) / (A_s omega'_{m+2}(a_s)),
 
 the sum of residues of p(zeta) V_m(zeta) / F(zeta) over the finite poles.
-The matrix <P-hat_n, V_m> is diagonal with entries -1/(nu_n alpha_n).  The
-pipeline reads P-hat_n(a_s) off the three-term recurrence; on exact data it builds node
-values, weights, T-hat_m(a_s) and residue sums on integers over one denominator per row.
+The matrix <P-hat_n, V_m> is diagonal with entries -1/(nu_n alpha_n).  The pipeline reads
+P-hat_n(a_s) off the three-term recurrence and stores each V_m's residue column once; one kernel
+sums d_n, the matrix and the expansion over them, on integers over one denominator on exact data.
 `pairing` (Horner, nodal_derivative_at, Fraction loop) is the oracle that they match bit for bit.
 
 Normalization note: the diagonal is -1/(nu_n alpha_n), not the +1/alpha_n
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import mul
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .divided_differences import Samples
 from .errors import IndexOutOfRange, InvalidParameter, NuVanishes, PoleEvaluation, ZeroSampleValue
@@ -73,16 +73,17 @@ class RationalInterpolant:
 @dataclass(frozen=True)
 class BiorthogonalSystem:
     """The family together with its T-hats, leading coefficients nu_n, the
-    rational functions V_n, the verified diagonal pairing values d_n, each
-    V_m's residue data (T-hat_m(a_s), omega'_{m+2}(a_s)), s = 0..m+1, and
-    the node values node_values[n][s] = P-hat_n(a_s), n, s = 0..n_max+1."""
+    rational functions V_n, the verified diagonal pairing values d_n, each V_m's residue column,
+    built and checked once: (c, L) with integers c_s / L = T-hat_m(a_s) / (A_s omega'_{m+2}(a_s))
+    on exact data, else (pairs (T-hat_m(a_s), A_s omega'_{m+2}(a_s)), None), s = 0..m+1; and the
+    node values node_values[n][s] = P-hat_n(a_s), n, s = 0..n_max+1."""
 
     family: MonicInterpolantFamily
     ts: Tuple[Polynomial, ...]
     nus: Tuple[Scalar, ...]
     vs: Tuple[RationalInterpolant, ...]
     diagonal: Tuple[Scalar, ...]
-    residues: Tuple[Tuple[Tuple[Scalar, Scalar], ...], ...]
+    columns: Tuple[Tuple[tuple, Optional[int]], ...]
     node_values: Tuple[Tuple[Scalar, ...], ...]
 
     @property
@@ -115,18 +116,17 @@ def leading_nu(family: MonicInterpolantFamily, n: int) -> Scalar:
 
 
 def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSystem:
-    """Assemble T-hat_n, V_n, their residue data and the verified diagonal.
+    """Assemble T-hat_n, V_n, their residue columns and the verified diagonal.
 
     Raises NuVanishes(n) when T_n loses its degree-n term, then ZeroSampleValue(s) for the
-    smallest zero A_s on V_n's poles, and InvalidParameter when a float nu_n or node value
-    P-hat_n(a_s) is inf or nan.  Each node value is one step of the three-term recurrence,
-    O(N^2) in all, and V_n's residue data are T-hat_n(a_s) = (P-hat_{n+1}(a_s) - (a_s - a_{n+1})
-    P-hat_n(a_s)) / nu_n and omega'_{n+2}(a_s), extended from V_{n-1}'s in O(n).  The stored
-    d_n is the residue sum <P-hat_n, V_n>, taken as the matrix takes it, which expansion
-    divides by as is; in exact arithmetic it is -1/(nu_n alpha_n).  On exact data each of these
-    is an integer over one denominator per row (a_s = b_s / D, A_s = e_s / E, P-hat_n(a_s) =
-    u_s / M_n, omega'_{n+2}(a_s) = w_s / D^(n+1); d_n a dot product over lcm_s(e_s w_s)) and a
-    Fraction only where stored.  Any float keeps the whole system on scalars.
+    smallest zero A_s on V_n's poles, and InvalidParameter when a float nu_n, P-hat_n(a_s) or
+    A_s omega'(a_s) is inf or nan, or the last is 0.  Node values are one recurrence step each,
+    O(N^2) in all; V_n's column is built once from T-hat_n(a_s) = (P-hat_{n+1}(a_s) - (a_s -
+    a_{n+1}) P-hat_n(a_s)) / nu_n and omega'_{n+2}(a_s), extended from V_{n-1}'s in O(n).  d_n is
+    <P-hat_n, V_n> by the matrix's kernel (in exact arithmetic -1/(nu_n alpha_n)).  On exact data
+    all are integers over one denominator per row (a_s = b_s / D, A_s = e_s / E, P-hat_n(a_s) =
+    u_s / M_n, omega'_{n+2}(a_s) = w_s / D^(n+1), T-hat_n(a_s) = t_s / t_den, column c_s / L by
+    one gcd); only node values become Fractions.  Any float keeps the whole system on scalars.
     """
     if n_max < 0:
         raise IndexOutOfRange(f"system size n_max = {n_max} is negative")
@@ -134,7 +134,7 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
         raise IndexOutOfRange(f"system to {n_max} needs family to {n_max + 1}")
     nodes, alphas, samples = family.grid.nodes[: n_max + 2], family.alphas, family.samples
     table = [(family.phats[0].coefficient(0),) * len(nodes)]  # table[n][s] = P-hat_n(a_s)
-    rows = []  # (T-hat_n, nu_n, V_n, d_n, residue data of V_n)
+    rows = []  # (T-hat_n, nu_n, V_n, d_n, column of V_n)
     weights: Tuple[Scalar, ...] = ()
     exact = all(map(is_exact, chain(nodes, samples.values[: n_max + 2], alphas[: n_max + 2],
                                     *(p.coeffs for p in family.phats[: n_max + 2]))))
@@ -163,13 +163,13 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
             power, t_den = power * big_d, big_d * m_prev * m * nu_n.numerator
             t = [(p1 * big_d * m_prev - (b_s - b[n + 1]) * p0 * m) * nu_n.denominator
                  for b_s, p0, p1 in zip(b[: n + 2], u_prev, u)]  # T-hat_n(a_s) = t_s / t_den
-            data = tuple((Fraction(t_s, t_den), Fraction(w_s, power)) for t_s, w_s in zip(t, w))
             if 0 in e[: n + 2]:
                 raise ZeroSampleValue(e.index(0))
-            scaled = [e_s * w_s for e_s, w_s in zip(e, w)]
+            scaled = [e_s * w_s for e_s, w_s in zip(e, w)]  # A_s omega'(a_s) E D^(n+1)
             common = math.lcm(*scaled)
-            d_n = Fraction(big_e * power * sum(p * t_s * (common // c) for p, t_s, c
-                                                in zip(u_prev, t, scaled)), m_prev * t_den * common)
+            c = [big_e * power * t_s * (common // d) for t_s, d in zip(t, scaled)]
+            g = math.gcd(t_den * common, *c)
+            column = (tuple(c_s // g for c_s in c), t_den * common // g)
         else:
             # at n = 0, table[n - 1] is P-hat_0 in place of P-hat_{-1}, but alpha_ratio(0) = 0
             a_n, ratio_n, ratio_nm1 = nodes[n], alphas[n] / alphas[n + 1], family.alpha_ratio(n)
@@ -179,10 +179,10 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
                 if not (is_exact(value) or math.isfinite(value)):
                     raise InvalidParameter(f"P-hat_{n + 1}(a_{s}) = {value} is not finite")
             weights = nodal_weights(v_n.pole_nodes, weights)
-            data = tuple(((p_next - (a - nodes[n + 1]) * p) / nu_n, weight) for a, p, p_next, weight
-                         in zip(v_n.pole_nodes, table[n], table[n + 1], weights))
-            d_n = _residue_sums([table[n]], [_residue_terms(v_n, data, samples)])[0][0]
-        rows.append((v_n.numerator, nu_n, v_n, d_n, data))
+            data = [((p_next - (a - nodes[n + 1]) * p) / nu_n, weight) for a, p, p_next, weight
+                    in zip(v_n.pole_nodes, table[n], table[n + 1], weights)]
+            column = (tuple(_residue_terms(v_n, data, samples)), None)
+        rows.append((v_n.numerator, nu_n, v_n, _residue_sums([table[n]], [column])[0][0], column))
     return BiorthogonalSystem(family, *zip(*rows), tuple(table))
 
 
@@ -214,16 +214,28 @@ def _residue_sum(p_values: Sequence[Scalar], terms: List[Tuple[Scalar, Scalar]])
     return total
 
 
-def _residue_sums(rows: Sequence[Sequence[Scalar]],
-                  columns: Sequence[List[Tuple[Scalar, Scalar]]]) -> List[List[Scalar]]:
-    """[[_residue_sum(row, terms) for terms in columns] for row in rows]; on exact input an
-    entry is Fraction(integer dot product in ascending s, M_n L_m), with M_n and L_m the
-    common denominators of row n and of V_m's t_s / d_s.  Any float: every entry is the loop."""
-    if not (all(map(is_exact, chain(*rows))) and all(map(is_exact, chain(*chain(*columns))))):
-        return [[_residue_sum(row, terms) for terms in columns] for row in rows]
-    weights = [over_lcm([Fraction(t, d) for t, d in terms]) for terms in columns]
-    return [[Fraction(sum(map(mul, r, u)), m * l) for u, l in weights]
-            for r, m in map(over_lcm, rows)]
+def _residue_sums(rows: Sequence[Sequence[Scalar]], columns: Sequence[tuple]) -> List[List[Scalar]]:
+    """[[<row, V_m> for V_m's stored column] for row in rows], each in ascending s.  Exact rows
+    against exact columns (c, L): Fraction(sum_s u_s c_s, M_n L), row n = u_s / M_n over one
+    denominator.  Otherwise the _residue_sum loop, on an exact column's weights Fraction(c_s, L)."""
+    if all(l is not None for _, l in columns) and all(map(is_exact, chain(*rows))):
+        return [[Fraction(sum(map(mul, u, c)), m * l) for c, l in columns]
+                for u, m in map(over_lcm, rows)]
+    columns = [c if l is None else [(Fraction(c_s, l), 1) for c_s in c] for c, l in columns]
+    return [[_residue_sum(row, terms) for terms in columns] for row in rows]
+
+
+def _columns(system: BiorthogonalSystem, samples: Samples, count: int) -> tuple:
+    """V_0..V_{count-2}'s stored columns, once samples at s < count are the system's: else, in this
+    order, IndexOutOfRange, ZeroSampleValue(smallest s with A_s = 0) or InvalidParameter."""
+    if count > len(samples):
+        raise IndexOutOfRange(f"pairing with V_{count - 2} needs samples up to index {count - 1}")
+    if 0 in samples.values[:count]:
+        raise ZeroSampleValue(samples.values.index(0))
+    theirs, own = (tuple(zip(x.grid.nodes, x.values))[:count] for x in (samples, system.family))
+    if theirs != own:
+        raise InvalidParameter(f"samples differ from the system's on the poles of V_{count - 2}")
+    return system.columns[: count - 1]
 
 
 def pairing(p: Polynomial, v: RationalInterpolant, samples: Samples) -> Scalar:
@@ -264,16 +276,13 @@ def biorthogonality_matrix(system: BiorthogonalSystem, samples: Samples,
     """Matrix of pairings <P-hat_n, V_m> for n, m <= n_max.
 
     Diagonal with entries -1/(nu_n alpha_n); every off-diagonal entry is
-    exactly zero in exact arithmetic.  Every entry is still a computed residue
-    sum in ascending s over P-hat_n's node values and V_m's residue data from
-    build_system, O(N^3) in all: exact ones are integer dot products over one
-    denominator per row and per V_m, bit-identical to pairing's Fraction loop.
+    exactly zero in exact arithmetic.  Every entry is still a computed residue sum in ascending
+    s over P-hat_n's node values and V_m's stored column, O(N^3) in all, bit-identical to
+    pairing's Fraction loop.  samples must be the system's on a_0..a_{n_max+1} (see _columns).
     """
-    if n_max > system.n_max:
-        raise IndexOutOfRange(f"matrix to {n_max} exceeds system size {system.n_max}")
-    terms = [_residue_terms(v, data, samples)
-             for v, data in zip(system.vs[: n_max + 1], system.residues)]
-    return _residue_sums(system.node_values[: n_max + 1], terms)
+    if not 0 <= n_max <= system.n_max:  # n_max + 1 < 0 would slice the rows from the end
+        raise IndexOutOfRange(f"matrix size {n_max} is outside 0..{system.n_max}")
+    return _residue_sums(system.node_values[: n_max + 1], _columns(system, samples, n_max + 2))
 
 
 def expand_in_interpolants(q_poly: Polynomial, system: BiorthogonalSystem,
@@ -282,14 +291,15 @@ def expand_in_interpolants(q_poly: Polynomial, system: BiorthogonalSystem,
 
     xi_k = <q_poly, V_k> / d_k for k = 0..deg(q_poly), using the system's
     verified diagonal.  Exact reconstruction is guaranteed because the
-    pairing annihilates every P-hat_j with j != k.  Each pairing is summed as
-    in the matrix, from V_k's residue data; q_poly is evaluated at the nodes once.
+    pairing annihilates every P-hat_j with j != k.  Each is summed as in the matrix, with q_poly
+    read at the nodes once and samples the system's on a_0..a_{deg+1} (see _columns); a float
+    q_poly on an exact system takes the weights Fraction(c_s, L).
     """
     n = q_poly.degree
     if n > system.n_max:
         raise IndexOutOfRange(f"degree {n} exceeds system size {system.n_max}")
     if 0 in system.diagonal[: n + 1]:
         raise InvalidParameter(f"d_{system.diagonal.index(0)} rounds to 0 in floating point")
-    q_values = [q_poly(a) for a in samples.grid.nodes[: n + 2]]
-    terms = [_residue_terms(v, r, samples) for v, r in zip(system.vs[: n + 1], system.residues)]
-    return tuple(p / d for p, d in zip(_residue_sums([q_values], terms)[0], system.diagonal))
+    columns = _columns(system, samples, n + 2)
+    sums = _residue_sums([[q_poly(a) for a in samples.grid.nodes[: n + 2]]], columns)[0]
+    return tuple(p / d for p, d in zip(sums, system.diagonal))

@@ -239,7 +239,7 @@ def cmd_expand(args, samples: Samples, mode: str, tol: Tolerance) -> tuple:
 
 
 V_SAMPLE_POINTS = (Fraction(1, 2), Fraction(7, 3), Fraction(-3, 2), Fraction(21, 2))
-EXP_EXAMPLE_MAX_N = 40  # --n-max 40 takes about 1.5 s, and the cost grows about as n_max**3
+EXP_EXAMPLE_MAX_N = 40  # --n-max 40 takes about 0.6 s, and the cost grows about as n_max**3
 
 
 def cmd_exp_example(args) -> tuple:

@@ -59,42 +59,31 @@ def pochhammer(b: Scalar, k: int) -> Scalar:
     return prod
 
 
-def _pochhammer_of_minus_z(k: int) -> Polynomial:
-    """(-z)_k as a polynomial in z: the product of (j - z) for j < k."""
-    prod = Polynomial.constant(1)
-    for j in range(k):
-        prod = prod * Polynomial((j, -1))
-    return prod
-
-
 def terminating_2f1(n: int, b: Scalar, c: Scalar, x: Scalar) -> Scalar:
     """2F1(-n, b; c; x) summed exactly over its n+1 terms.
 
-    Terms with a vanishing numerator are dropped; a vanishing
-    lower-parameter factor under a nonzero numerator raises
-    LowerParameterPole.
+    Term k is (-n)_k (b)_k x^k / ((c)_k k!), numerator and denominator each carried from
+    term k-1 by one factor.  Terms with a vanishing numerator are dropped; a vanishing
+    lower-parameter factor under a nonzero numerator raises LowerParameterPole.
     """
     total: Scalar = 0
+    numerator, denominator = x ** 0, 1  # not int 1: term 0 stays in x's arithmetic (1 / 1 is 1.0)
     for k in range(n + 1):
-        numerator = pochhammer(-n, k) * pochhammer(b, k) * x ** k
-        denominator = pochhammer(c, k) * factorial(k)
-        if denominator == 0:
-            if numerator == 0:
-                continue
+        if denominator != 0:
+            total = total + numerator / denominator
+        elif numerator != 0:
             raise LowerParameterPole(f"(c)_{k} = 0 with c = {c}")
-        total = total + numerator / denominator
+        numerator, denominator = numerator * (k - n) * (b + k) * x, denominator * (c + k) * (k + 1)
     return total
 
 
 def exp_interpolant_closed(problem: ExpGridProblem, n: int) -> Polynomial:
     """P_n in closed form; equals the Newton interpolant on the derived samples."""
     q = problem.q
-    acc = Polynomial.zero()
-    coeff: Scalar = 1  # (1 - q)**k / k!, updated per term
+    acc, rising, coeff = Polynomial.zero(), Polynomial.constant(1), 1  # (-z)_k, (1 - q)**k / k!
     for k in range(n + 1):
-        if k:
-            coeff = coeff * (1 - q) / k
-        acc = acc + _pochhammer_of_minus_z(k).scale(coeff)
+        acc = acc + rising.scale(coeff)
+        rising, coeff = rising * Polynomial((k, -1)), coeff * (1 - q) / (k + 1)
     return acc
 
 
@@ -106,15 +95,15 @@ def exp_alpha_closed(problem: ExpGridProblem, n: int) -> Scalar:
 def exp_t_closed(problem: ExpGridProblem, n: int) -> Polynomial:
     """Monic T-hat_n via the terminating 2F1 with polynomial middle argument.
 
-    (n+1)!/(q-1)**n * sum_{k<=n} (-n)_k (-z)_k / ((-1-n)_k k!) * (1-q)**k,
-    with (-z)_k expanded symbolically so the result is a Polynomial.
+    (n+1)!/(q-1)**n * sum_{k<=n} (-n)_k (-z)_k / ((-1-n)_k k!) * (1-q)**k, with (-z)_k
+    expanded symbolically so the result is a Polynomial; each term is carried from the last.
     """
     q = problem.q
-    acc = Polynomial.zero()
+    acc, rising, coeff = Polynomial.zero(), Polynomial.constant(1), (1 - q) ** 0
     for k in range(n + 1):
-        coeff = (pochhammer(-n, k) * (1 - q) ** k
-                 / (pochhammer(-1 - n, k) * factorial(k)))
-        acc = acc + _pochhammer_of_minus_z(k).scale(coeff)
+        acc = acc + rising.scale(coeff)
+        rising = rising * Polynomial((k, -1))
+        coeff = coeff * (k - n) * (1 - q) / ((k - 1 - n) * (k + 1))
     return acc.scale(Fraction(factorial(n + 1)) / (q - 1) ** n)
 
 

@@ -218,6 +218,9 @@ def test_matrix_worked_example(worked):
     system = build_system(family, 1)
     matrix = biorthogonality_matrix(system, samples, 1)
     assert matrix == [[F(-1, 2), 0], [0, F(-1)]]
+    for n_max in (2, -1, -2):  # a negative size sliced the rows and columns from the end
+        with pytest.raises(IndexOutOfRange):
+            biorthogonality_matrix(system, samples, n_max)
 
 
 def test_matrix_diagonal_random():
@@ -375,16 +378,23 @@ def random_systems(seed, count, to_float=False, node_divisor=7):
 
 @pytest.mark.parametrize("to_float", [False, True], ids=["exact", "float"])
 def test_stored_residue_data_matches_oracles(to_float):
-    """Each V_m's stored weights are nodal_derivative_at bit for bit; its
-    T-hat_m(a_s) are ts[m](a_s) bit for bit in exact mode (in float mode the
-    recurrence and Horner round differently; see the accuracy tests below)."""
+    """Each V_m's stored column against the oracles: in exact mode every weight
+    Fraction(c_s, L) is ts[m](a_s) / (A_s nodal_derivative_at(a_s)); in float mode every
+    d_s is A_s nodal_derivative_at(a_s) bit for bit (T-hat_m(a_s) from the recurrence and
+    from Horner round differently there; see the accuracy tests below)."""
     for _, s, system in random_systems(53, 8, to_float):
-        for m, data in enumerate(system.residues):
+        for m, (column, common) in enumerate(system.columns):
             poles = s.grid.nodes[: m + 2]
-            weights = tuple(nodal_derivative_at(s.grid, m + 2, i) for i in range(m + 2))
-            assert repr(tuple(w for _, w in data)) == repr(weights)
-            if not to_float:
-                assert tuple(t for t, _ in data) == tuple(map(system.ts[m], poles))
+            weights = [nodal_derivative_at(s.grid, m + 2, i) for i in range(m + 2)]
+            if to_float:
+                assert common is None
+                scaled = [a_value * w for a_value, w in zip(s.values, weights)]
+                assert repr([d for _, d in column]) == repr(scaled)
+            else:
+                assert all(type(c) is int for c in (*column, common))
+                oracle = [system.ts[m](a) / (a_value * w)
+                          for a, a_value, w in zip(poles, s.values, weights)]
+                assert [F(c, common) for c in column] == oracle
 
 
 def test_expand_matches_pairing_exact():
@@ -484,20 +494,104 @@ def test_node_values_are_the_interpolants_at_the_nodes():
 
 
 def test_pairings_reject_samples_on_another_grid(worked):
-    """The stored residue data belong to the system's nodes: samples whose
-    nodes differ there must not be paired with them."""
+    """The stored columns belong to the system's nodes and values: samples that differ
+    there must not be paired with them.  The matrix and expand check, in this order, that
+    the samples reach V's poles (IndexOutOfRange), hold no zero there (ZeroSampleValue) and
+    match the system's nodes and values there (InvalidParameter)."""
     samples, family = worked
     system = build_system(family, 1)
+    q_poly = Polynomial([F(1), F(1)])
     moved = make_samples([0, 1, 3], [1, 2, 5])
     with pytest.raises(InvalidParameter):
         biorthogonality_matrix(system, moved, 1)
     with pytest.raises(InvalidParameter):
-        expand_in_interpolants(Polynomial([F(1), F(1)]), system, moved)
+        expand_in_interpolants(q_poly, system, moved)
     with pytest.raises(InvalidParameter):
         pairing(family.phats[1], system.vs[1], moved)
-    # nodes beyond the poles of V_m may differ
+    # the same nodes with other nonzero values would pair with weights that are not V's
+    revalued = make_samples([0, 1, 2], [1, 3, 5])
+    with pytest.raises(InvalidParameter):
+        biorthogonality_matrix(system, revalued, 1)
+    with pytest.raises(InvalidParameter):
+        expand_in_interpolants(q_poly, system, revalued)
+    short = make_samples([0, 1], [1, 2])
+    with pytest.raises(IndexOutOfRange):
+        biorthogonality_matrix(system, short, 1)
+    with pytest.raises(IndexOutOfRange):
+        expand_in_interpolants(q_poly, system, short)
+    # a zero on the poles is named before the mismatch it also is, also on moved nodes
+    for poisoned in (make_samples([0, 1, 2], [1, 0, 0]), make_samples([0, 1, 3], [1, 0, 5])):
+        with pytest.raises(ZeroSampleValue) as err:
+            biorthogonality_matrix(system, poisoned, 1)
+        assert err.value.index == 1
+        with pytest.raises(ZeroSampleValue) as err:
+            expand_in_interpolants(q_poly, system, poisoned)
+        assert err.value.index == 1
+    # nodes and values beyond the poles of V_m may differ
     extended = samples.extended(F(9), F(4))
     assert biorthogonality_matrix(system, extended, 1) == [[F(-1, 2), 0], [0, F(-1)]]
+    assert biorthogonality_matrix(system, make_samples([0, 1, 2, 7], [1, 2, 5, 3]), 1) == \
+        [[F(-1, 2), 0], [0, F(-1)]]
+    assert expand_in_interpolants(q_poly, system, extended) == \
+        expand_in_interpolants(q_poly, system, samples)
+
+
+@pytest.mark.parametrize("to_float", [False, True], ids=["exact", "float"])
+def test_matrix_and_expand_build_no_column(monkeypatch, to_float):
+    """build_system builds each V_m's column once: at N = 10 the matrix and expand call
+    _residue_terms zero times, in exact and in float mode."""
+    rng = random.Random(109)
+    while True:
+        s = usable_random_samples(rng, 12)
+        if to_float:
+            s = Samples.from_pairs([float(a) / 7 for a in s.grid.nodes], list(map(float, s.values)))
+        try:
+            system = build_system(monic_family(s, 11), 10)
+        except (DegenerateInterpolant, NuVanishes):
+            continue
+        break
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _residue_terms(*args)
+
+    monkeypatch.setattr(biorthogonality, "_residue_terms", counted)
+    q_poly = Polynomial([F(k - 4, 3) for k in range(11)])
+    biorthogonality_matrix(system, s, 10)
+    expand_in_interpolants(q_poly, system, s)
+    assert calls == []
+    pairing(system.family.phats[1], system.vs[1], s)  # the oracle route is what is counted
+    assert len(calls) == 1
+
+
+def test_float_q_on_an_exact_system_reads_fraction_weights():
+    """A float q_poly on an exact system sums p(a_s) Fraction(c_s, L) in floats.  On random
+    rational nodes, N = 8..14 with denominators up to 12, each xi_k is within 1e-11 relative
+    of the exact xi_k of the same (dyadic) coefficients.  At N = 20 with denominators up to
+    97, c_s and L pass 1,024 bits, so p(a_s) c_s / L on the integers raises OverflowError;
+    there the float sum itself loses digits to cancellation, so the bound is 1e-7."""
+    rng = random.Random(113)
+    checked = 0
+    cases = [*((big_n, 12, 30, 1e-11) for big_n in range(8, 15)), (20, 97, 60, 1e-7)]
+    for big_n, den, height, tol in cases:
+        for _ in range(4):
+            nodes = rng.sample(sorted({F(rng.randint(-height, height), rng.randint(1, den))
+                                       for _ in range(200)}), big_n + 1)
+            values = [F(rng.choice([v for v in range(-9, 10) if v]), rng.randint(1, den))
+                      for _ in nodes]
+            s = Samples.from_pairs(nodes, values)
+            try:
+                system = build_system(monic_family(s, big_n), big_n - 1)
+            except (DegenerateInterpolant, NuVanishes):
+                continue
+            coeffs = [rng.randint(-9, 9) / 7 for _ in range(big_n - 1)] + [1.5]
+            xi = expand_in_interpolants(Polynomial(coeffs), system, s)
+            exact = expand_in_interpolants(Polynomial(list(map(F, coeffs))), system, s)
+            assert all(type(x) is float for x in xi)
+            assert all(abs(F(x) - e) <= tol * abs(e) for x, e in zip(xi, exact))
+            checked += 1
+    assert checked >= 30
 
 
 def test_pipeline_builds_weights_incrementally(monkeypatch):
@@ -573,10 +667,11 @@ def test_int_samples_stay_exact():
         family = monic_family(s, 3)
         system = build_system(family, 2)
         outputs = (s.grid.nodes, s.values, family.alphas, system.nus, system.diagonal,
-                   system.node_values, system.residues, biorthogonality_matrix(system, s, 2),
+                   system.node_values, biorthogonality_matrix(system, s, 2),
                    expand_in_interpolants(Polynomial([1, -2, 3]), system, s))
         assert [x for x in scalars(outputs) if type(x) is not Fraction] == []
-        by_type.append(repr(outputs))
+        assert [x for x in scalars(system.columns) if type(x) is not int] == []  # c_s and L
+        by_type.append(repr((outputs, system.columns)))
     assert by_type[0] == by_type[1] == by_type[2]
 
 
@@ -619,8 +714,8 @@ def test_exact_pipeline_sums_residues_on_integers(monkeypatch):
 def test_float_and_mixed_systems_sum_by_the_loop(kind):
     """A system that holds a float takes every residue sum by the ascending
     loop: its matrix, diagonal and xi equal _residue_sum run directly over
-    node_values and _residue_terms, by repr.  Mixed data are Fraction nodes
-    with float values; its xi pair an exact q_poly with float terms."""
+    node_values and the stored (t_s, d_s) columns, by repr.  Mixed data are Fraction
+    nodes with float values; its xi pair an exact q_poly with float terms."""
     for rng, exact, _ in random_systems(83, 8):
         nodes = [a / 7 for a in exact.grid.nodes]
         if kind == "float":
@@ -631,7 +726,8 @@ def test_float_and_mixed_systems_sum_by_the_loop(kind):
         q_poly = Polynomial([F(rng.randint(-9, 9), 7) for _ in range(n_max)] + [F(3, 2)])
         if kind == "float":
             q_poly = Polynomial(list(map(float, q_poly.coeffs)))
-        terms = [_residue_terms(v, data, s) for v, data in zip(system.vs, system.residues)]
+        assert all(common is None for _, common in system.columns)
+        terms = [column for column, _ in system.columns]
         rows = system.node_values[: n_max + 1]
         q_values = [q_poly(a) for a in s.grid.nodes[: n_max + 2]]
         matrix = biorthogonality_matrix(system, s, n_max)
@@ -640,11 +736,14 @@ def test_float_and_mixed_systems_sum_by_the_loop(kind):
         assert repr(expand_in_interpolants(q_poly, system, s)) == repr(tuple(
             _residue_sum(q_values, t) / d for t, d in zip(terms, system.diagonal)))
         assert all(type(x) is float for row in matrix for x in row)
-    # one float t_s among exact rows and exact d_s keeps the whole grid on the loop
-    rows, terms = [[F(1), F(2)], [F(1, 3), F(-1)]], [[(0.5, F(3)), (F(1), F(2))]]
-    sums = _residue_sums(rows, terms)
-    assert repr(sums) == repr([[_residue_sum(row, terms[0])] for row in rows])
+    # a float column keeps exact rows on the loop; a float row reads an exact column
+    # (c, L) as the weights Fraction(c_s, L)
+    rows, terms = [[F(1), F(2)], [F(1, 3), F(-1)]], [(0.5, F(3)), (F(1), F(2))]
+    sums = _residue_sums(rows, [(terms, None)])
+    assert repr(sums) == repr([[_residue_sum(row, terms)] for row in rows])
     assert all(type(row[0]) is float for row in sums)
+    sums = _residue_sums([[0.5, -2.0]], [((3, -7), 10)])
+    assert repr(sums) == repr([[_residue_sum([0.5, -2.0], [(F(3, 10), 1), (F(-7, 10), 1)])]])
 
 
 def test_t_polynomial_matches_the_polynomial_operator_route():
@@ -694,9 +793,10 @@ def oracle_corpus():
 
 
 def test_integer_route_matches_the_independent_oracles():
-    """Every exact field of build_system is a Fraction equal to its independent route:
-    node values to Horner on P-hat_n, T-hat_m(a_s) to Horner on ts[m], omega'(a_s) to
-    nodal_derivative_at, and d_n to pairing (Fraction loop) and to -1/(nu_n alpha_n)."""
+    """Every exact field of build_system is a Fraction, and every column entry an int, equal
+    to its independent route: node values to Horner on P-hat_n, each column weight
+    Fraction(c_s, L) to Horner on ts[m] over A_s nodal_derivative_at(a_s), and d_n to pairing
+    (Fraction loop) and to -1/(nu_n alpha_n)."""
     built, negative_nu, zero_value = 0, False, False
     for name, s in oracle_corpus():
         size = len(s)
@@ -707,16 +807,16 @@ def test_integer_route_matches_the_independent_oracles():
             continue
         built += 1
         nodes = s.grid.nodes
-        fields = (system.nus, system.diagonal, system.node_values, system.residues,
-                  [t.coeffs for t in system.ts])
+        fields = (system.nus, system.diagonal, system.node_values, [t.coeffs for t in system.ts])
         assert [x for x in scalars(fields) if type(x) is not Fraction] == [], name
+        assert [x for x in scalars(system.columns) if type(x) is not int] == [], name
         for n, row in enumerate(system.node_values):
             assert row == tuple(family.phats[n](a) for a in nodes), (name, n)
             zero_value = zero_value or 0 in row
-        for m, data in enumerate(system.residues):
-            assert [t for t, _ in data] == [system.ts[m](a) for a in nodes[: m + 2]], (name, m)
-            assert [w for _, w in data] == [nodal_derivative_at(nodes, m + 2, i)
-                                            for i in range(m + 2)], (name, m)
+        for m, (column, common) in enumerate(system.columns):
+            assert [F(c, common) for c in column] == [
+                system.ts[m](nodes[i]) / (s.values[i] * nodal_derivative_at(nodes, m + 2, i))
+                for i in range(m + 2)], (name, m)
             d_m = system.diagonal[m]
             assert d_m == pairing(family.phats[m], system.vs[m], s), (name, m)
             assert d_m == -1 / (system.nus[m] * family.alphas[m]), (name, m)
