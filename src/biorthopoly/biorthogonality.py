@@ -14,8 +14,9 @@ a_0..a_{n+1}) pair with the interpolants through the residue sum
 the sum of residues of p(zeta) V_m(zeta) / F(zeta) over the finite poles.
 The matrix <P-hat_n, V_m> is diagonal with entries -1/(nu_n alpha_n).  The pipeline reads
 P-hat_n(a_s) off the three-term recurrence and stores each V_m's residue column once; one kernel
-sums d_n, the matrix and the expansion over them, on integers over one denominator on exact data.
-`pairing` (Horner, nodal_derivative_at, Fraction loop) is the oracle that they match bit for bit.
+sums d_n, the matrix and the expansion over them.  On exact data T-hat_n, the columns and q(a_s)
+are integer rows over one denominator each.  `pairing` (Horner, nodal_derivative_at, Fraction
+loop) and `t_polynomial` are the oracles that they match bit for bit.
 
 Normalization note: the diagonal is -1/(nu_n alpha_n), not the +1/alpha_n
 sometimes quoted for this construction; exact rational arithmetic on nodes
@@ -126,7 +127,8 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
     <P-hat_n, V_n> by the matrix's kernel (in exact arithmetic -1/(nu_n alpha_n)).  On exact data
     all are integers over one denominator per row (a_s = b_s / D, A_s = e_s / E, P-hat_n(a_s) =
     u_s / M_n, omega'_{n+2}(a_s) = w_s / D^(n+1), T-hat_n(a_s) = t_s / t_den, column c_s / L by
-    one gcd); only node values become Fractions.  Any float keeps the whole system on scalars.
+    one gcd), T_n too, as t = D k_n k_{n+1} T_n from the coefficient rows P-hat_n = U_n / k_n:
+    only nu_n, T-hat_n's t_j / t_n and node values become Fractions.  Any float keeps scalars.
     """
     if n_max < 0:
         raise IndexOutOfRange(f"system size n_max = {n_max} is negative")
@@ -141,17 +143,19 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
     if exact:  # P-hat_n(a_s) = u[s] / m and P-hat_{n-1}(a_s) = u_prev[s] / m_prev on integers
         (b, big_d), (e, big_e) = over_lcm(nodes), over_lcm(samples.values[: n_max + 2])
         u, m, w, power, ratio_prev = [1] * len(nodes), 1, [1], 1, 0
-        u_prev, m_prev = u, m
+        u_prev, m_prev, coeffs, k = u, m, [1], 1  # P-hat_n = sum_j coeffs[j] z^j / k
     for n in range(n_max + 1):
-        t_n = t_polynomial(family, n)
-        nu_n = t_n.coefficient(n)
-        if nu_n == 0:
-            raise NuVanishes(n)
-        if not (is_exact(nu_n) or math.isfinite(nu_n)):
-            raise InvalidParameter(f"nu_{n} = {nu_n} is not finite")
-        v_n = RationalInterpolant(n, t_n.divide(nu_n), nodes[: n + 2])
-        if exact:  # P-hat_{n+1}(a_s) = ((b_s - b_n)(x u_s - z u_prev_s) + y u_s) / (D common)
-            ratio = Fraction(alphas[n], alphas[n + 1])
+        if exact:  # D k k_next T_n = D k U_{n+1} - k_next (D z - b_{n+1}) U_n, U_n = coeffs
+            coeffs_next, k_next = over_lcm(family.phats[n + 1].coeffs)
+            x, y, z = big_d * k, k_next * big_d, k_next * b[n + 1]
+            t = [x * c1 - y * c + z * c0 for c1, c0, c in zip(coeffs_next, coeffs, [0, *coeffs])]
+            if t[n] == 0:
+                raise NuVanishes(n)
+            nu_n = Fraction(t[n], big_d * k * k_next)
+            t_hat = Polynomial([Fraction(t_j, t[n]) for t_j in t])  # monic: t_n / t_n = Fraction(1)
+            v_n = RationalInterpolant(n, t_hat, nodes[: n + 2])
+            # P-hat_{n+1}(a_s) = ((b_s - b_n)(x u_s - z u_prev_s) + y u_s) / (D common)
+            coeffs, k, ratio = coeffs_next, k_next, Fraction(alphas[n], alphas[n + 1])
             common = math.lcm(ratio.denominator * m, ratio_prev.denominator * m_prev)
             x, z = common // m, ratio_prev.numerator * (common // (ratio_prev.denominator * m_prev))
             y = ratio.numerator * big_d * (x // ratio.denominator)
@@ -171,6 +175,13 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
             g = math.gcd(t_den * common, *c)
             column = (tuple(c_s // g for c_s in c), t_den * common // g)
         else:
+            t_n = t_polynomial(family, n)
+            nu_n = t_n.coefficient(n)
+            if nu_n == 0:
+                raise NuVanishes(n)
+            if not (is_exact(nu_n) or math.isfinite(nu_n)):
+                raise InvalidParameter(f"nu_{n} = {nu_n} is not finite")
+            v_n = RationalInterpolant(n, t_n.divide(nu_n), nodes[: n + 2])
             # at n = 0, table[n - 1] is P-hat_0 in place of P-hat_{-1}, but alpha_ratio(0) = 0
             a_n, ratio_n, ratio_nm1 = nodes[n], alphas[n] / alphas[n + 1], family.alpha_ratio(n)
             table.append(tuple(((shift := x - a_n) + ratio_n) * p - ratio_nm1 * shift * q
@@ -292,14 +303,22 @@ def expand_in_interpolants(q_poly: Polynomial, system: BiorthogonalSystem,
     xi_k = <q_poly, V_k> / d_k for k = 0..deg(q_poly), using the system's
     verified diagonal.  Exact reconstruction is guaranteed because the
     pairing annihilates every P-hat_j with j != k.  Each is summed as in the matrix, with q_poly
-    read at the nodes once and samples the system's on a_0..a_{deg+1} (see _columns); a float
-    q_poly on an exact system takes the weights Fraction(c_s, L).
+    read at the nodes once (Horner on integers over Q D^deg when exact) and samples the system's
+    on a_0..a_{deg+1} (see _columns); a float q_poly on an exact system reads Fraction(c_s, L).
     """
     n = q_poly.degree
     if n > system.n_max:
         raise IndexOutOfRange(f"degree {n} exceeds system size {system.n_max}")
     if 0 in system.diagonal[: n + 1]:
         raise InvalidParameter(f"d_{system.diagonal.index(0)} rounds to 0 in floating point")
-    columns = _columns(system, samples, n + 2)
-    sums = _residue_sums([[q_poly(a) for a in samples.grid.nodes[: n + 2]]], columns)[0]
-    return tuple(p / d for p, d in zip(sums, system.diagonal))
+    columns, nodes = _columns(system, samples, n + 2), samples.grid.nodes[: n + 2]
+    if all(map(is_exact, chain(q_poly.coeffs, nodes))):  # q = sum_k c_k z^k / Q, a_s = b_s / D
+        (c, big_q), (b, big_d) = over_lcm(q_poly.coeffs), over_lcm(nodes)
+        h = Polynomial([c_k * big_d ** (n - k) for k, c_k in enumerate(c)])  # h(b_s) = Q D^n q(a_s)
+        den = big_q * big_d ** max(n, 0)  # the zero q has n = -1 and h = 0
+        values = [Fraction(h(b_s), den) for b_s in b]  # Horner on integers
+    else:
+        values = [q_poly(a) for a in nodes]
+    sums = _residue_sums([values], columns)[0]
+    return tuple(Fraction(p.numerator * d.denominator, p.denominator * d.numerator)
+                 if is_exact(p) and is_exact(d) else p / d for p, d in zip(sums, system.diagonal))

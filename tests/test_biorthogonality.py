@@ -4,6 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import biorthopoly.biorthogonality as biorthogonality
 from biorthopoly.biorthogonality import (
@@ -824,9 +825,8 @@ def test_integer_route_matches_the_independent_oracles():
     assert built >= 18 and negative_nu and zero_value
 
 
-def test_nu_vanishes_before_zero_sample_value_on_a_long_grid():
-    """N = 11: alphas chosen so that nu_5 = 0 and A_6 = 0, so n = 5 meets both; NuVanishes(5)
-    wins, as on the N = 2 worked example."""
+def planted_nu_zero_samples():
+    """N = 11: alphas chosen so that nu_5 = 0 and A_6 = 0, so n = 5 meets both."""
     nodes = [F(3), F(-1, 2), F(5, 3), F(0), F(7, 2), F(-2), F(1), F(9, 4), F(-5, 3), F(4), F(1, 3), F(-3)]
     alphas = [None, F(2), F(-1, 3), F(3, 2), F(1, 5), F(-2, 7), None, F(-1, 2), F(2, 3), F(3),
               F(-3, 4), F(5)]
@@ -835,9 +835,14 @@ def test_nu_vanishes_before_zero_sample_value_on_a_long_grid():
     # ... and A_6 = sum_s alpha_s omega_s(a_6) = 0 fixes alpha_0, with omega_0 = 1
     omegas = [math.prod((nodes[6] - a for a in nodes[:s]), start=F(1)) for s in range(7)]
     alphas[0] = -sum(alpha * omega for alpha, omega in zip(alphas[1:7], omegas[1:]))
-    values = family_from_recurrence(Grid(nodes), alphas).values
-    family = monic_family(Samples.from_pairs(nodes, values), 11)
-    assert family.alphas == tuple(alphas) and values[6] == 0 and leading_nu(family, 5) == 0
+    return Samples.from_pairs(nodes, family_from_recurrence(Grid(nodes), alphas).values), alphas
+
+
+def test_nu_vanishes_before_zero_sample_value_on_a_long_grid():
+    """On planted_nu_zero_samples NuVanishes(5) wins, as on the N = 2 worked example."""
+    samples, alphas = planted_nu_zero_samples()
+    family = monic_family(samples, 11)
+    assert family.alphas == tuple(alphas) and samples.values[6] == 0 and leading_nu(family, 5) == 0
     build_system(family, 4)
     with pytest.raises(NuVanishes) as err:
         build_system(family, 10)
@@ -874,8 +879,9 @@ FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "
 def test_exact_system_builds_no_node_data_with_fraction_operators(monkeypatch):
     """Counts calls of Fraction's arithmetic operators (+, -, *, /, **, unary minus and
     their reflected forms; not the constructor or comparisons).  Exact build_system at
-    N = 10 makes exactly the calls that building T-hat_n = T_n / nu_n makes by itself, so
-    no node value, T-hat_n(a_s), omega'(a_s) or d_n term is a Fraction operation."""
+    N = 10 and expand_in_interpolants of a degree-10 q with rational coefficients make none:
+    T-hat_n, node values, T-hat_n(a_s), omega'(a_s), d_n, q(a_s) and xi_k are all built on
+    integers.  The oracle routes, t_polynomial and pairing, make many."""
     rng = random.Random(103)
     while True:
         s = usable_random_samples(rng, 12)
@@ -885,20 +891,21 @@ def test_exact_system_builds_no_node_data_with_fraction_operators(monkeypatch):
         except NuVanishes:
             continue
         break
+    q = Polynomial([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(10)] + [F(3, 7)])
     calls = []
     for name in FRACTION_OPERATORS:
         def counted(*args, original=getattr(Fraction, name)):
             calls.append(original)
             return original(*args)
         monkeypatch.setattr(Fraction, name, counted)
-    for n in range(11):
-        t_n = t_polynomial(family, n)
-        t_n.divide(t_n.coefficient(n))
-    t_hats = len(calls)
-    build_system(family, 10)
-    assert len(calls) == 2 * t_hats > 0
-    pairing(family.phats[2], build_system(family, 10).vs[2], s)  # the oracle route is counted
-    assert len(calls) > 3 * t_hats
+    system = build_system(family, 10)
+    built = len(calls)
+    xi = expand_in_interpolants(q, system, s)
+    assert (built, len(calls) - built) == (0, 0)
+    pairing(family.phats[2], system.vs[2], s)  # the oracle routes are counted
+    t_polynomial(family, 10)
+    assert len(calls) > 10
+    assert xi == tuple(pairing(q, system.vs[k], s) / system.diagonal[k] for k in range(11))
 
 
 def test_exact_family_layers_make_no_fraction_operator_calls(monkeypatch):
@@ -923,3 +930,70 @@ def test_exact_family_layers_make_no_fraction_operator_calls(monkeypatch):
     assert calls == []
     newton_interpolant(s, 14)
     assert len(calls) > 14
+
+
+@st.composite
+def exact_problems(draw):
+    """(samples, n_max, q) with n_max in 0..14: int nodes, rational nodes with denominators up
+    to 9 or up to 1e12, q**k grids, or alphas with a planted nu_j = 0; q of degree <= n_max."""
+    n_max = draw(st.integers(0, 14))
+    kind = draw(st.sampled_from(["int", "den 9", "den 1e12", "q**k", "nu = 0"]))
+    top = {"int": 1, "den 9": 9, "den 1e12": 10 ** 12}.get(kind, 9)
+    rationals = st.builds(F, st.integers(-60 * top, 60 * top), st.integers(1, top))
+    q = Polynomial(draw(st.lists(rationals | st.integers(-9, 9), max_size=n_max + 1)))
+    if kind == "q**k":
+        ratio = draw(st.sampled_from([F(-3, 2), F(2, 5), F(1, 6), F(7), F(-1, 3)]))
+        return ExpGridProblem(ratio, n_max).samples, n_max, q
+    nodes = draw(st.lists(rationals, min_size=n_max + 2, max_size=n_max + 2, unique=True))
+    values = draw(st.lists(rationals.filter(bool), min_size=n_max + 2, max_size=n_max + 2))
+    if kind == "nu = 0":  # values[] are the alphas, and nu_j = 0 fixes alpha_{j+1}
+        j = draw(st.integers(0, n_max))
+        below = values[j - 1] if j else 0
+        if below != (nodes[j + 1] - nodes[j]) * values[j]:
+            values[j + 1] = values[j] ** 2 / (below - (nodes[j + 1] - nodes[j]) * values[j])
+        values = family_from_recurrence(Grid(nodes), values).values
+    return Samples.from_pairs(nodes, values), n_max, q
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(exact_problems())
+@example((planted_nu_zero_samples()[0], 10, Polynomial([F(1, 2), -3, F(5, 7)])))
+def test_integer_t_hats_and_expansion_are_bit_identical_to_the_fraction_routes(problem):
+    """Exact build_system's T-hat_n equal t_polynomial(f, n) / nu_n by repr, its nu_n equal
+    leading_nu, it raises the NuVanishes or ZeroSampleValue that the oracles predict, and
+    expand's xi_k equal pairing(q, V_k) / d_k."""
+    samples, n_max, q = problem
+    try:
+        family = monic_family(samples, n_max + 1)
+    except DegenerateInterpolant:
+        return
+    for n in range(n_max + 1):
+        if leading_nu(family, n) == 0 or 0 in samples.values[: n + 2]:
+            error = NuVanishes if leading_nu(family, n) == 0 else ZeroSampleValue
+            with pytest.raises(error) as err:
+                build_system(family, n_max)
+            assert err.value.index == (n if error is NuVanishes else samples.values.index(0))
+            return
+    system = build_system(family, n_max)
+    for n in range(n_max + 1):
+        t_n = t_polynomial(family, n)
+        assert repr(system.ts[n]) == repr(t_n.divide(t_n.coefficient(n)))
+        assert repr(system.nus[n]) == repr(leading_nu(family, n))
+    xi = expand_in_interpolants(q, system, samples)
+    assert [type(x) for x in xi] == [Fraction] * (q.degree + 1)
+    assert xi == tuple(pairing(q, system.vs[k], samples) / system.diagonal[k]
+                       for k in range(q.degree + 1))
+
+
+def test_zero_and_constant_q_expand_on_exact_and_float_systems(worked):
+    """The zero q expands to () on exact and float systems; int and constant q on an exact
+    system give Fractions: 3 = 3 P-hat_0 and 1 - 2z = 3 P-hat_0 - 2 P-hat_1, P-hat_1 = z + 1."""
+    samples, family = worked
+    float_samples = Samples.from_pairs([0.0, 1.0, 2.0], [1.0, 2.0, 5.0])
+    for s, f in ((samples, family), (float_samples, monic_family(float_samples, 2))):
+        assert expand_in_interpolants(Polynomial(), build_system(f, 1), s) == ()
+    system = build_system(family, 1)
+    for q, expected in ((Polynomial([3]), (F(3),)), (Polynomial([F(-2, 5)]), (F(-2, 5),)),
+                        (Polynomial([1, -2]), (F(3), F(-2)))):
+        xi = expand_in_interpolants(q, system, samples)
+        assert xi == expected and [type(x) for x in xi] == [Fraction] * len(xi)

@@ -175,6 +175,16 @@ def test_expand_reconstructs(tmp_path, capsys):
     assert report["checks"][0]["pass"]
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("poly", ["[]", '["0"]', '["0", "0"]'])
+def test_expand_zero_poly(tmp_path, capsys, poly, mode):
+    path = write_problem(tmp_path, dict(WORKED, mode=mode))
+    code, report = run(capsys, ["expand", path, "--poly", poly])
+    assert code == 0
+    assert report["outputs"] == {"coefficients": [], "basis": []}
+    assert [(c["name"], c["pass"]) for c in report["checks"]] == [("reconstruction", True)]
+
+
 def test_expand_needs_enough_samples(tmp_path, capsys):
     path = write_problem(tmp_path, WORKED)
     code, _ = run(capsys, ["expand", path, "--poly", '["0", "0", "1"]'])
