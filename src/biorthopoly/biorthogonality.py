@@ -35,8 +35,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from .divided_differences import Samples
 from .errors import IndexOutOfRange, InvalidParameter, NuVanishes, PoleEvaluation, ZeroSampleValue
-from .interpolation import MonicInterpolantFamily
-from .numerics import Scalar, is_exact, over_lcm
+from .interpolation import MonicInterpolantFamily, integer_step
+from .numerics import Scalar, is_exact, over_lcm, reduced
 from .polynomials import Polynomial, nodal_derivative_at, nodal_weights
 
 
@@ -123,12 +123,12 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
     smallest zero A_s on V_n's poles, and InvalidParameter when a float nu_n, P-hat_n(a_s) or
     A_s omega'(a_s) is inf or nan, or the last is 0.  Node values are one recurrence step each,
     O(N^2) in all; V_n's column is built once from T-hat_n(a_s) = (P-hat_{n+1}(a_s) - (a_s -
-    a_{n+1}) P-hat_n(a_s)) / nu_n and omega'_{n+2}(a_s), extended from V_{n-1}'s in O(n).  d_n is
-    <P-hat_n, V_n> by the matrix's kernel (in exact arithmetic -1/(nu_n alpha_n)).  On exact data
-    all are integers over one denominator per row (a_s = b_s / D, A_s = e_s / E, P-hat_n(a_s) =
-    u_s / M_n, omega'_{n+2}(a_s) = w_s / D^(n+1), T-hat_n(a_s) = t_s / t_den, column c_s / L by
-    one gcd), T_n too, as t = D k_n k_{n+1} T_n from the coefficient rows P-hat_n = U_n / k_n:
-    only nu_n, T-hat_n's t_j / t_n and node values become Fractions.  Any float keeps scalars.
+    a_{n+1}) P-hat_n(a_s)) / nu_n and omega'_{n+2}(a_s), extended from V_{n-1}'s in O(n), and
+    d_n = <P-hat_n, V_n> (-1/(nu_n alpha_n) in exact arithmetic).  On exact data (a_s = b_s / D,
+    A_s = e_s / E) the node values u_s / M_n step by integer_step, T-hat_n(a_s) and the column
+    c_s / L are integer rows over one denominator, the column and d_n = sum_s u_s c_s / (M_n L)
+    in lowest terms, and T_n is t = D k_n k_{n+1} T_n from the coefficient rows U_n / k_n of
+    P-hat_n: only nu_n, T-hat_n, d_n and node values become Fractions.  Floats keep scalars.
     """
     if n_max < 0:
         raise IndexOutOfRange(f"system size n_max = {n_max} is negative")
@@ -142,8 +142,8 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
                                     *(p.coeffs for p in family.phats[: n_max + 2]))))
     if exact:  # P-hat_n(a_s) = u[s] / m and P-hat_{n-1}(a_s) = u_prev[s] / m_prev on integers
         (b, big_d), (e, big_e) = over_lcm(nodes), over_lcm(samples.values[: n_max + 2])
-        u, m, w, power, ratio_prev = [1] * len(nodes), 1, [1], 1, 0
-        u_prev, m_prev, coeffs, k = u, m, [1], 1  # P-hat_n = sum_j coeffs[j] z^j / k
+        u, m, w, power, coeffs, k = [1] * len(nodes), 1, [1], 1, [1], 1  # P-hat_n = coeffs / k
+        u_prev, m_prev, ratios = u, m, [0, *map(Fraction, alphas, alphas[1: n_max + 2])]
     for n in range(n_max + 1):
         if exact:  # D k k_next T_n = D k U_{n+1} - k_next (D z - b_{n+1}) U_n, U_n = coeffs
             coeffs_next, k_next = over_lcm(family.phats[n + 1].coeffs)
@@ -154,14 +154,9 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
             nu_n = Fraction(t[n], big_d * k * k_next)
             t_hat = Polynomial([Fraction(t_j, t[n]) for t_j in t])  # monic: t_n / t_n = Fraction(1)
             v_n = RationalInterpolant(n, t_hat, nodes[: n + 2])
-            # P-hat_{n+1}(a_s) = ((b_s - b_n)(x u_s - z u_prev_s) + y u_s) / (D common)
-            coeffs, k, ratio = coeffs_next, k_next, Fraction(alphas[n], alphas[n + 1])
-            common = math.lcm(ratio.denominator * m, ratio_prev.denominator * m_prev)
-            x, z = common // m, ratio_prev.numerator * (common // (ratio_prev.denominator * m_prev))
-            y = ratio.numerator * big_d * (x // ratio.denominator)
-            row = [(b_s - b[n]) * (x * p - z * q) + y * p for b_s, p, q in zip(b, u, u_prev)]
-            g = math.gcd(big_d * common, *row)
-            u_prev, m_prev, u, m, ratio_prev = u, m, [r // g for r in row], big_d * common // g, ratio
+            coeffs, k, (u, m), (u_prev, m_prev) = coeffs_next, k_next, integer_step(
+                (u, m), (u_prev, m_prev), ratios[n + 1], ratios[n], big_d,
+                lambda v: [(b_s - b[n]) * v_s for b_s, v_s in zip(b, v)]), (u, m)
             table.append(tuple(Fraction(r, m) for r in u))
             w = nodal_weights(b[: n + 2], w)
             power, t_den = power * big_d, big_d * m_prev * m * nu_n.numerator
@@ -171,9 +166,9 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
                 raise ZeroSampleValue(e.index(0))
             scaled = [e_s * w_s for e_s, w_s in zip(e, w)]  # A_s omega'(a_s) E D^(n+1)
             common = math.lcm(*scaled)
-            c = [big_e * power * t_s * (common // d) for t_s, d in zip(t, scaled)]
-            g = math.gcd(t_den * common, *c)
-            column = (tuple(c_s // g for c_s in c), t_den * common // g)
+            c, l = reduced([big_e * power * t_s * (common // d) for t_s, d in zip(t, scaled)],
+                           t_den * common)
+            column, d_n = (tuple(c), l), Fraction(sum(map(mul, u_prev, c)), m_prev * l)
         else:
             t_n = t_polynomial(family, n)
             nu_n = t_n.coefficient(n)
@@ -193,7 +188,8 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
             data = [((p_next - (a - nodes[n + 1]) * p) / nu_n, weight) for a, p, p_next, weight
                     in zip(v_n.pole_nodes, table[n], table[n + 1], weights)]
             column = (tuple(_residue_terms(v_n, data, samples)), None)
-        rows.append((v_n.numerator, nu_n, v_n, _residue_sums([table[n]], [column])[0][0], column))
+            d_n = _residue_sum(table[n], column[0])
+        rows.append((v_n.numerator, nu_n, v_n, d_n, column))
     return BiorthogonalSystem(family, *zip(*rows), tuple(table))
 
 

@@ -11,16 +11,15 @@ Subcommands map one-to-one onto library pipelines:
 
 A problem file is {"nodes": [...], "values": [...], "mode": "exact"|"float"}
 with scalars as strings ("3", "-1/2", "0.25").  Reports echo the command,
-digest the inputs, list outputs and one verdict per declared check.  Exit
-codes: 0 all checks pass, 1 some check failed; a library error exits with the
-code its class sets.  2: unparsable input or bad parameter, also a float scalar,
-alpha_n, nu_n, P-hat_n(a_s), A_s omega'(a_s) or contour sample that overflows,
-a float omega'(a_s), A_s omega'(a_s), nu_n alpha_n or d_n that underflows to 0,
-an exact value too long to print, a non-finite tolerance or --h, a negative
---contour-tolerance, a --contour circle through a node or pole or leaving a
-node outside, or an exp-example --with-contour whose q or closed-form values
-leave double range.
-3: index/degree out of range (a negative --n-max, or exp-example --n-max > 40).
+digest the inputs, list outputs and one verdict per declared check.  Exit codes: 0 all checks
+pass, 1 some check failed; a library error exits with the code its class sets.
+2: unparsable input or bad parameter, also a float scalar, alpha_n, nu_n, P-hat_n(a_s),
+A_s omega'(a_s) or contour sample that overflows, a float omega'(a_s), A_s omega'(a_s),
+nu_n alpha_n or d_n that underflows to 0, an exact value too long to print, a non-finite
+tolerance or --h, a negative --contour-tolerance, a --contour circle through a node or pole,
+leaving a node outside or of more than 65536 samples, or an exp-example --with-contour whose q
+or closed-form values leave double range.
+3: index/degree out of range (a negative --n-max, exp-example --n-max > 40, hermite --k > 200).
 4: degenerate data (zero alpha/nu/sample value; the index is in the message).
 """
 
@@ -39,30 +38,12 @@ from typing import List, Optional, Sequence
 from .biorthogonality import biorthogonality_matrix, build_system, expand_in_interpolants
 from .contour import Circle, contour_biortho_check, default_circle, hermite_divided_difference
 from .divided_differences import Samples, newton_interpolant
-from .errors import (
-    BiorthopolyError,
-    IndexOutOfRange,
-    InvalidParameter,
-    ParseError,
-    ZeroDenominator,
-)
-from .exponential import (
-    ExpGridProblem,
-    exp_alpha_closed,
-    exp_interpolant_closed,
-    exp_t_closed,
-    exp_v_alt_eval,
-)
+from .errors import BiorthopolyError, IndexOutOfRange, InvalidParameter, ParseError, ZeroDenominator
+from .exponential import (ExpGridProblem, exp_alpha_closed, exp_interpolant_closed, exp_t_closed,
+                          exp_v_alt_eval)
 from .interpolation import (family_from_recurrence, lagrange_interpolant, monic_family,
                             recurrence_step)
-from .numerics import (
-    EXACT,
-    FLOAT,
-    Tolerance,
-    approx_equal,
-    format_scalar,
-    parse_scalar,
-)
+from .numerics import EXACT, FLOAT, Tolerance, approx_equal, format_scalar, parse_scalar
 from .polynomials import Polynomial, nodal_polynomial
 
 NORMALIZATION_NOTES = [
@@ -240,6 +221,7 @@ def cmd_expand(args, samples: Samples, mode: str, tol: Tolerance) -> tuple:
 
 V_SAMPLE_POINTS = (Fraction(1, 2), Fraction(7, 3), Fraction(-3, 2), Fraction(21, 2))
 EXP_EXAMPLE_MAX_N = 40  # --n-max 40 takes about 0.6 s, and the cost grows about as n_max**3
+HERMITE_MAX_K = 200  # --k 200 already exits 2: omega_{k+1} overflows on the circle
 
 
 def cmd_exp_example(args) -> tuple:
@@ -306,6 +288,8 @@ def cmd_exp_example(args) -> tuple:
 
 def cmd_hermite(args) -> tuple:
     h, k, tol = args.h, args.k, args.contour_tolerance
+    if k > HERMITE_MAX_K:  # before the k + 1 nodes are built
+        raise IndexOutOfRange(f"--k {k} exceeds {HERMITE_MAX_K}")
     circle = _resolve_circle(args.contour, k)
     estimate = hermite_divided_difference(h, k, circle)
     expected = _double(lambda: (math.exp(h) - 1.0) ** k / math.factorial(k), "(e**h - 1)**k / k!")

@@ -41,8 +41,8 @@ class Circle:
         if not self.radius > 0:
             raise InvalidParameter("circle radius must be positive")
         m = self.sample_count
-        if m < 16 or m & (m - 1):
-            raise InvalidParameter("sample_count must be a power of two >= 16")
+        if not 16 <= m <= 2 ** 16 or m & (m - 1):  # 2**16 complex samples take a few MB
+            raise InvalidParameter("sample_count must be a power of two from 16 to 65536")
 
     def points(self) -> List[complex]:
         """Samples in angle order.  One octant is computed and mirrored, so the

@@ -15,7 +15,7 @@ from itertools import chain
 from typing import Sequence, Tuple
 
 from .errors import IndexOutOfRange
-from .numerics import Scalar, exact_if_int, is_exact, over_lcm
+from .numerics import Scalar, exact_if_int, is_exact, over_lcm, reduced
 from .polynomials import Grid, Polynomial, nodal_weights
 
 
@@ -81,9 +81,8 @@ def divided_differences_recursive(samples: Samples) -> DividedDifferenceTable:
         for j in range(1, len(c)):
             gaps = [hi - lo for lo, hi in zip(b, b[j:])]
             lcm = math.lcm(*gaps)
-            c = [big_d * (y - x) * (lcm // gap) for x, y, gap in zip(c, c[1:], gaps)]
-            g = math.gcd(common * lcm, *c)
-            c, common = [x // g for x in c], common * lcm // g
+            c, common = reduced([big_d * (y - x) * (lcm // gap) for x, y, gap
+                                 in zip(c, c[1:], gaps)], common * lcm)
             top.append(Fraction(c[0], common))
         return DividedDifferenceTable(samples, tuple(top))
     for j in range(1, len(column)):

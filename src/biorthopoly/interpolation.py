@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
-from typing import Sequence, Tuple
+from itertools import chain, zip_longest
+from typing import Callable, List, Sequence, Tuple
 
 from .divided_differences import Samples, divided_differences_recursive
 from .errors import DegenerateInterpolant, IndexOutOfRange, InvalidParameter
-from .numerics import Scalar, is_exact, over_lcm
+from .numerics import Scalar, is_exact, over_lcm, reduced
 from .polynomials import Grid, Polynomial, nodal_polynomial, nodal_weights
 
 
@@ -107,9 +107,7 @@ def monic_family(samples: Samples, n_max: int) -> MonicInterpolantFamily:
             p, q = alpha.numerator, alpha.denominator
             common = math.lcm(m, q * big_d ** n)  # P_n = P_{n-1} + p (D^n omega_n) / (q D^n)
             x, y = common // m, p * (common // (q * big_d ** n))
-            u = [x * c + y * w for c, w in zip(u + [0], omega)]
-            g = math.gcd(common, *u)
-            u, m = [c // g for c in u], common // g
+            u, m = reduced([x * c + y * w for c, w in zip(u + [0], omega)], common)
             phats.append(Polynomial([Fraction(c * q, m * p) for c in u]))
         return MonicInterpolantFamily(samples.grid, samples.values, alphas, tuple(phats))
     phats, interpolant, omega = [], Polynomial.zero(), Polynomial.constant(1)
@@ -137,6 +135,24 @@ def recurrence_step(phat_n: Polynomial, phat_nm1: Polynomial, a_n: Scalar,
     return first - second
 
 
+def integer_step(row: tuple, prev: tuple, ratio: Fraction, ratio_prev: Scalar, big_d: int,
+                 shift: Callable[[List[int]], List[int]]) -> Tuple[List[int], int]:
+    """recurrence_step on integer rows (u, m), P-hat = u / m: P-hat_{n+1}'s row in lowest terms.
+
+    row and prev are P-hat_n's and P-hat_{n-1}'s rows (a shorter one is zero-padded), ratio and
+    ratio_prev are alpha_n/alpha_{n+1} and alpha_{n-1}/alpha_n (0 at n = 0), and shift(v) is
+    (D z - b_n) v, a_n = b_n / D, on the rows' kind: coefficients move up one power, node values
+    v_s take the factor b_s - b_n.  With common = lcm(m ratio.denominator, m_prev
+    ratio_prev.denominator), D common P-hat_{n+1} = shift(x u - z u_prev) + y u on integers.
+    """
+    (u, m), (u_prev, m_prev) = row, prev
+    common = math.lcm(ratio.denominator * m, ratio_prev.denominator * m_prev)
+    x, z = common // m, ratio_prev.numerator * (common // (ratio_prev.denominator * m_prev))
+    y = ratio.numerator * big_d * (x // ratio.denominator)
+    v = shift([x * p - z * q for p, q in zip_longest(u, u_prev, fillvalue=0)])
+    return reduced([w + y * p for w, p in zip_longest(v, u, fillvalue=0)], big_d * common)
+
+
 def family_from_recurrence(grid: Grid, alphas: Sequence[Scalar],
                            n_max: int | None = None) -> MonicInterpolantFamily:
     """Rebuild the family, and the data it interpolates, from (grid, alphas).
@@ -157,21 +173,17 @@ def family_from_recurrence(grid: Grid, alphas: Sequence[Scalar],
     for n, alpha in enumerate(alphas):
         if alpha == 0:
             raise DegenerateInterpolant(n)
+        if not (is_exact(alpha) or math.isfinite(alpha)):
+            raise InvalidParameter(f"alpha_{n} = {alpha} is not finite")
 
     nodes, phats, previous = sub_grid.nodes, [Polynomial.constant(1)], Polynomial.zero()
     exact = all(map(is_exact, chain(nodes, alphas)))
-    if exact:  # P-hat_n = u / m, a_s = b_s / D, stepped as build_system steps node values
+    if exact:  # coefficient rows P-hat_n = u / m, a_s = b_s / D, shifted by D z - b_n
         (b, big_d), (c, big_q) = over_lcm(nodes), over_lcm(alphas)
-        u, m, u_prev, m_prev, r_prev = [1], 1, [], 1, 0
-        for n in range(n_max):  # D common P-hat_{n+1} = (D z - b_n)(x u - z u_prev) + y u
-            r = Fraction(alphas[n], alphas[n + 1])
-            common = math.lcm(r.denominator * m, r_prev.denominator * m_prev)
-            x, z = common // m, r_prev.numerator * (common // (r_prev.denominator * m_prev))
-            y = r.numerator * big_d * (x // r.denominator)
-            v = [x * p - z * q for p, q in zip(u, u_prev + [0])]
-            row = [big_d * lo - b[n] * hi + y * p for lo, hi, p in zip([0, *v], v + [0], u + [0])]
-            g = math.gcd(big_d * common, *row)
-            u_prev, m_prev, u, m, r_prev = u, m, [e // g for e in row], big_d * common // g, r
+        (u, m), prev, ratios = ([1], 1), ([], 1), [0, *map(Fraction, alphas, alphas[1:])]
+        for n in range(n_max):
+            (u, m), prev = integer_step((u, m), prev, ratios[n + 1], ratios[n], big_d, lambda v: [
+                big_d * lo - b[n] * hi for lo, hi in zip([0, *v], v + [0])]), (u, m)
             phats.append(Polynomial([*(Fraction(e, m) for e in u[:-1]), 1]))
     else:
         (b, big_d), (c, big_q) = (nodes, 1), (alphas, 1)  # then the sum below is the plain one

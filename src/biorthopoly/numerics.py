@@ -58,6 +58,12 @@ def over_lcm(values: Sequence[Scalar]) -> Tuple[List[int], int]:
     return [x.numerator * (common // x.denominator) for x in values], common
 
 
+def reduced(row: Sequence[int], den: int) -> Tuple[List[int], int]:
+    """(row, den) divided by gcd(den, *row): row[s] / den in lowest terms, den keeping its sign."""
+    g = math.gcd(den, *row)
+    return [x // g for x in row], den // g
+
+
 def parse_scalar(text: str, mode: str = EXACT) -> Scalar:
     """Parse "p", "p/q" or a decimal literal into a scalar of the given mode."""
     text = text.strip()

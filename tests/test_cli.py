@@ -281,6 +281,43 @@ def test_exp_example_n_max_outside_zero_to_forty_is_out_of_range(capsys, n_max):
     assert captured.err.startswith("error: IndexOutOfRange:")
 
 
+HUGE_CONTOUR = "5/1099511627776"  # 2**40 samples: about 10**12 complex numbers if built
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["hermite", "--h", "1", "--k", "201"], 3),
+    (["hermite", "--h", "1", "--k", "1000000000000"], 3),
+    (["hermite", "--h", "1", "--k", "1000000000000", "--contour", HUGE_CONTOUR], 3),
+    (["hermite", "--h", "1", "--k", "2", "--contour", HUGE_CONTOUR], 2),
+    (["hermite", "--h", "1", "--k", "2", "--contour", "5/131072"], 2),
+    (["exp-example", "--q", "2", "--n-max", "2", "--with-contour", "--contour", HUGE_CONTOUR], 2),
+])
+def test_huge_contour_sizes_are_rejected_before_allocation(argv, code, capsys, monkeypatch):
+    """hermite --k above HERMITE_MAX_K exits 3, and a --contour of more than 65536 samples exits
+    2, before any node list or sample is built (the quadrature here refuses to run at all)."""
+    import biorthopoly.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature reached")
+
+    for name in ("hermite_divided_difference", "contour_biortho_check"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(cli.Circle, "points", refuse)
+    assert cli.HERMITE_MAX_K == 200
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: IndexOutOfRange:" if code == 3
+                                   else "error: InvalidParameter:")
+
+
+@pytest.mark.parametrize("k", ["199", "200"])
+def test_hermite_k_up_to_the_bound_keeps_its_exit_code(k, capsys):
+    """Below and at HERMITE_MAX_K nothing changes: omega_{k+1} overflows at the first sample."""
+    assert main(["hermite", "--h", "1", "--k", k]) == 2
+    assert capsys.readouterr().err.startswith("error: NonFiniteSample:")
+
+
 def test_exp_example_failed_closed_form_reports_its_residual(capsys, monkeypatch):
     import biorthopoly.cli as cli
     closed = cli.exp_alpha_closed
@@ -588,7 +625,7 @@ H_TEXTS = ["0.5", "1", "-1", "0", "2.5", "-0.25", "nan", "inf", "-inf", "1e308",
            "1e-300", "x"]
 CONTOURS = ["5/16", "1/16", "0.5/16", "1.5/64", "2/4096", "30/1024", "0/64", "-2/64", "nan/64",
             "inf/64", "1e308/64", "5/48", "5/0", "5/-16", "5/8", "5/", "/64", "3", "r/16", "5/16/2",
-            "5/1e3", ""]
+            "5/1e3", "", "5/1099511627776"]
 
 
 @st.composite
@@ -601,7 +638,8 @@ def contour_calls(draw):
         argv += draw(st.sampled_from([[], [], ["--with-contour"]]))  # a third: contours cost most
         argv += draw(st.sampled_from([[], ["--h=" + draw(st.sampled_from(H_TEXTS))]]))
     else:
-        argv = ["hermite", "--h=" + draw(st.sampled_from(H_TEXTS)), "--k", str(draw(st.integers(-2, 12)))]
+        argv = ["hermite", "--h=" + draw(st.sampled_from(H_TEXTS)),
+                "--k", str(draw(st.sampled_from([*range(-2, 13), 10**12])))]
     return argv + draw(st.sampled_from([[], ["--contour=" + draw(st.sampled_from(CONTOURS))]]))
 
 

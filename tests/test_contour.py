@@ -34,6 +34,14 @@ def test_circle_validation():
         Circle(center=0j, radius=1.0, sample_count=8)
 
 
+@pytest.mark.parametrize("count", [2 ** 17, 2 ** 40])
+def test_circle_rejects_sample_counts_above_65536(count):
+    """A huge power of two is refused when the circle is made, before points() builds samples."""
+    assert Circle(center=0j, radius=1.0, sample_count=2 ** 16).sample_count == 65536
+    with pytest.raises(InvalidParameter, match="16 to 65536"):
+        Circle(center=0j, radius=1.0, sample_count=count)
+
+
 def test_default_circle_geometry():
     c = default_circle(3)
     assert c.center == 1.5 + 0j

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,13 +11,15 @@ from biorthopoly.divided_differences import (
     divided_differences_recursive,
     newton_interpolant,
 )
-from biorthopoly.errors import DegenerateInterpolant, IndexOutOfRange
+from biorthopoly.errors import DegenerateInterpolant, IndexOutOfRange, InvalidParameter
 from biorthopoly.interpolation import (
     family_from_recurrence,
+    integer_step,
     lagrange_interpolant,
     monic_family,
     recurrence_step,
 )
+from biorthopoly.numerics import over_lcm
 from biorthopoly.polynomials import Grid, Polynomial, nodal_polynomial
 
 F = Fraction
@@ -150,6 +153,48 @@ def test_family_from_recurrence_rejects_zero_alpha():
     with pytest.raises(DegenerateInterpolant) as err:
         family_from_recurrence(Grid([F(0), F(1)]), [F(1), F(0)])
     assert err.value.index == 1
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_family_from_recurrence_rejects_non_finite_float_alpha(bad):
+    """As monic_family does; an inf or nan alpha used to give inf and nan values and P-hats."""
+    with pytest.raises(InvalidParameter, match="alpha_1"):
+        family_from_recurrence(Grid([0.0, 1.0, 2.0]), [1.0, bad, 2.0])
+    with pytest.raises(InvalidParameter, match="alpha_1"):  # the first bad alpha is named
+        family_from_recurrence(Grid([0.0, 1.0, 2.0]), [1.0, bad, 0.0])
+    with pytest.raises(DegenerateInterpolant) as err:
+        family_from_recurrence(Grid([0.0, 1.0, 2.0]), [1.0, 0.0, bad])
+    assert err.value.index == 1
+
+
+def test_integer_step_matches_recurrence_step_on_both_row_kinds():
+    """On coefficient rows and on node-value rows over one denominator, integer_step gives
+    P-hat_{n+1} in lowest terms: recurrence_step's coefficients and the values at the nodes.
+    The nodes a/6 make D = 6, so the scale D common is exercised."""
+    rng = random.Random(13)
+    for size in range(2, 10):
+        while True:
+            nodes = [F(a, 6) for a in rng.sample(range(-30, 31), size)]
+            s = Samples.from_pairs(nodes, [F(rng.choice([-5, -2, 1, 3, 7]), rng.randint(1, 5))
+                                           for _ in nodes])
+            if 0 not in divided_differences_recursive(s).diffs:
+                break
+        fam, (b, big_d) = monic_family(s, size - 1), over_lcm(nodes)
+        coeff_rows = [([], 1)] + [over_lcm(p.coeffs) for p in fam.phats]
+        value_rows = [([0] * size, 1)] + [over_lcm([p(a) for a in nodes]) for p in fam.phats]
+        for n in range(size - 1):
+            ratio, ratio_prev = F(fam.alphas[n], fam.alphas[n + 1]), fam.alpha_ratio(n)
+            u, m = integer_step(coeff_rows[n + 1], coeff_rows[n], ratio, ratio_prev, big_d,
+                                lambda v: [big_d * lo - b[n] * hi
+                                           for lo, hi in zip([0, *v], v + [0])])
+            prev = fam.phats[n - 1] if n else Polynomial.zero()
+            expected = recurrence_step(fam.phats[n], prev, nodes[n], ratio, ratio_prev)
+            assert [F(x, m) for x in u] == list(expected.coeffs) == list(fam.phats[n + 1].coeffs)
+            assert m > 0 and math.gcd(m, *u) == 1
+            u, m = integer_step(value_rows[n + 1], value_rows[n], ratio, ratio_prev, big_d,
+                                lambda v: [(b_s - b[n]) * v_s for b_s, v_s in zip(b, v)])
+            assert [F(x, m) for x in u] == [fam.phats[n + 1](a) for a in nodes]
+            assert m > 0 and math.gcd(m, *u) == 1
 
 
 def test_family_from_recurrence_needs_enough_nodes():

@@ -13,6 +13,7 @@ from biorthopoly.numerics import (
     format_scalar,
     is_exact,
     parse_scalar,
+    reduced,
 )
 
 nonzero_fractions = st.fractions(
@@ -120,3 +121,23 @@ def test_fraction_field_identities(a, b, c):
 def test_fraction_inverse_is_exact(x):
     assert x * (1 / x) == 1
     assert x / x == 1
+
+
+def test_reduced_puts_a_row_in_lowest_terms():
+    """reduced divides the row and its denominator by one gcd; the values u_s / den are kept."""
+    assert reduced([6, -9, 12], 15) == ([2, -3, 4], 5)
+    assert reduced([3, 5], 7) == ([3, 5], 7)  # already in lowest terms
+    # gcd is nonnegative, so a negative denominator (a column carrying nu_n's sign) keeps its sign
+    assert reduced([4, -6], -8) == ([2, -3], -4)
+    assert reduced([0, 0, 0], 6) == ([0, 0, 0], 1)
+    assert reduced([0, 0], -6) == ([0, 0], -1)
+    assert reduced([], 6) == ([], 1)
+    assert reduced([], -6) == ([], -1)
+
+
+@given(st.lists(st.integers(-10**6, 10**6), max_size=6),
+       st.integers(-10**6, 10**6).filter(lambda d: d != 0))
+def test_reduced_keeps_the_values(row, den):
+    u, m = reduced(row, den)
+    assert [Fraction(x, m) for x in u] == [Fraction(x, den) for x in row]
+    assert math.gcd(m, *u) == 1 and (m > 0) == (den > 0)
