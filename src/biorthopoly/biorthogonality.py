@@ -13,10 +13,10 @@ a_0..a_{n+1}) pair with the interpolants through the residue sum
 
 the sum of residues of p(zeta) V_m(zeta) / F(zeta) over the finite poles.
 The matrix <P-hat_n, V_m> is diagonal with entries -1/(nu_n alpha_n).  The pipeline reads
-P-hat_n(a_s) off the three-term recurrence and stores each V_m's residue column once; one kernel
-sums d_n, the matrix and the expansion over them.  On exact data T-hat_n, the columns and q(a_s)
-are integer rows over one denominator each.  `pairing` (Horner, nodal_derivative_at, Fraction
-loop) and `t_polynomial` are the oracles that they match bit for bit.
+P-hat_n(a_s) off the three-term recurrence and stores them and each V_m's residue column once; one
+kernel sums d_n, the matrix and the expansion over them.  On exact data T-hat_n, the node values,
+the columns and q(a_s) are integer rows over one denominator each.  `pairing` (Horner,
+nodal_derivative_at, Fraction loop) and `t_polynomial` are the oracles that they match bit for bit.
 
 Normalization note: the diagonal is -1/(nu_n alpha_n), not the +1/alpha_n
 sometimes quoted for this construction; exact rational arithmetic on nodes
@@ -73,11 +73,11 @@ class RationalInterpolant:
 
 @dataclass(frozen=True)
 class BiorthogonalSystem:
-    """The family together with its T-hats, leading coefficients nu_n, the
-    rational functions V_n, the verified diagonal pairing values d_n, each V_m's residue column,
-    built and checked once: (c, L) with integers c_s / L = T-hat_m(a_s) / (A_s omega'_{m+2}(a_s))
-    on exact data, else (pairs (T-hat_m(a_s), A_s omega'_{m+2}(a_s)), None), s = 0..m+1; and the
-    node values node_values[n][s] = P-hat_n(a_s), n, s = 0..n_max+1."""
+    """The family with its T-hats, leading coefficients nu_n, rational functions V_n, verified
+    diagonal pairing values d_n, each V_m's residue column, built and checked once: (c, L) with
+    integers c_s / L = T-hat_m(a_s) / (A_s omega'_{m+2}(a_s)) on exact data, else (pairs
+    (T-hat_m(a_s), A_s omega'_{m+2}(a_s)), None), s = 0..m+1; and in that shape node_rows[n],
+    P-hat_n(a_s) = u_s / M_n for s = 0..n_max+1, ints (u, M_n) when exact, else (values, None)."""
 
     family: MonicInterpolantFamily
     ts: Tuple[Polynomial, ...]
@@ -85,7 +85,13 @@ class BiorthogonalSystem:
     vs: Tuple[RationalInterpolant, ...]
     diagonal: Tuple[Scalar, ...]
     columns: Tuple[Tuple[tuple, Optional[int]], ...]
-    node_values: Tuple[Tuple[Scalar, ...], ...]
+    node_rows: Tuple[Tuple[tuple, Optional[int]], ...]
+
+    @property
+    def node_values(self) -> Tuple[Tuple[Scalar, ...], ...]:
+        """node_values[n][s] = P-hat_n(a_s), built from node_rows on each call."""
+        return ((self.family.phats[0].coefficient(0),) * len(self.node_rows[0][0]), *(  # as stored
+            u if m is None else tuple(Fraction(x, m) for x in u) for u, m in self.node_rows[1:]))
 
     @property
     def n_max(self) -> int:
@@ -128,18 +134,18 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
     A_s = e_s / E) the node values u_s / M_n step by integer_step, T-hat_n(a_s) and the column
     c_s / L are integer rows over one denominator, the column and d_n = sum_s u_s c_s / (M_n L)
     in lowest terms, and T_n is t = D k_n k_{n+1} T_n from the coefficient rows U_n / k_n of
-    P-hat_n: only nu_n, T-hat_n, d_n and node values become Fractions.  Floats keep scalars.
+    P-hat_n: only nu_n, T-hat_n and d_n become Fractions.  Floats keep scalars.
     """
     if n_max < 0:
         raise IndexOutOfRange(f"system size n_max = {n_max} is negative")
     if n_max + 1 > family.n_max:
         raise IndexOutOfRange(f"system to {n_max} needs family to {n_max + 1}")
     nodes, alphas, samples = family.grid.nodes[: n_max + 2], family.alphas, family.samples
-    table = [(family.phats[0].coefficient(0),) * len(nodes)]  # table[n][s] = P-hat_n(a_s)
     rows = []  # (T-hat_n, nu_n, V_n, d_n, column of V_n)
     weights: Tuple[Scalar, ...] = ()
     exact = all(map(is_exact, chain(nodes, samples.values[: n_max + 2], alphas[: n_max + 2],
                                     *(p.coeffs for p in family.phats[: n_max + 2]))))
+    table = [((1,) * len(nodes), 1) if exact else ((family.phats[0].coeffs[0],) * len(nodes), None)]
     if exact:  # P-hat_n(a_s) = u[s] / m and P-hat_{n-1}(a_s) = u_prev[s] / m_prev on integers
         (b, big_d), (e, big_e) = over_lcm(nodes), over_lcm(samples.values[: n_max + 2])
         u, m, w, power, coeffs, k = [1] * len(nodes), 1, [1], 1, [1], 1  # P-hat_n = coeffs / k
@@ -157,7 +163,7 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
             coeffs, k, (u, m), (u_prev, m_prev) = coeffs_next, k_next, integer_step(
                 (u, m), (u_prev, m_prev), ratios[n + 1], ratios[n], big_d,
                 lambda v: [(b_s - b[n]) * v_s for b_s, v_s in zip(b, v)]), (u, m)
-            table.append(tuple(Fraction(r, m) for r in u))
+            table.append((tuple(u), m))
             w = nodal_weights(b[: n + 2], w)
             power, t_den = power * big_d, big_d * m_prev * m * nu_n.numerator
             t = [(p1 * big_d * m_prev - (b_s - b[n + 1]) * p0 * m) * nu_n.denominator
@@ -179,16 +185,16 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
             v_n = RationalInterpolant(n, t_n.divide(nu_n), nodes[: n + 2])
             # at n = 0, table[n - 1] is P-hat_0 in place of P-hat_{-1}, but alpha_ratio(0) = 0
             a_n, ratio_n, ratio_nm1 = nodes[n], alphas[n] / alphas[n + 1], family.alpha_ratio(n)
-            table.append(tuple(((shift := x - a_n) + ratio_n) * p - ratio_nm1 * shift * q
-                               for x, p, q in zip(nodes, table[n], table[n - 1])))
-            for s, value in enumerate(table[n + 1]):
+            table.append((tuple(((shift := x - a_n) + ratio_n) * p - ratio_nm1 * shift * q
+                                for x, p, q in zip(nodes, table[n][0], table[n - 1][0])), None))
+            for s, value in enumerate(table[n + 1][0]):
                 if not (is_exact(value) or math.isfinite(value)):
                     raise InvalidParameter(f"P-hat_{n + 1}(a_{s}) = {value} is not finite")
             weights = nodal_weights(v_n.pole_nodes, weights)
             data = [((p_next - (a - nodes[n + 1]) * p) / nu_n, weight) for a, p, p_next, weight
-                    in zip(v_n.pole_nodes, table[n], table[n + 1], weights)]
+                    in zip(v_n.pole_nodes, table[n][0], table[n + 1][0], weights)]
             column = (tuple(_residue_terms(v_n, data, samples)), None)
-            d_n = _residue_sum(table[n], column[0])
+            d_n = _residue_sum(table[n][0], column[0])
         rows.append((v_n.numerator, nu_n, v_n, d_n, column))
     return BiorthogonalSystem(family, *zip(*rows), tuple(table))
 
@@ -221,13 +227,13 @@ def _residue_sum(p_values: Sequence[Scalar], terms: List[Tuple[Scalar, Scalar]])
     return total
 
 
-def _residue_sums(rows: Sequence[Sequence[Scalar]], columns: Sequence[tuple]) -> List[List[Scalar]]:
-    """[[<row, V_m> for V_m's stored column] for row in rows], each in ascending s.  Exact rows
-    against exact columns (c, L): Fraction(sum_s u_s c_s, M_n L), row n = u_s / M_n over one
-    denominator.  Otherwise the _residue_sum loop, on an exact column's weights Fraction(c_s, L)."""
-    if all(l is not None for _, l in columns) and all(map(is_exact, chain(*rows))):
-        return [[Fraction(sum(map(mul, u, c)), m * l) for c, l in columns]
-                for u, m in map(over_lcm, rows)]
+def _residue_sums(rows: Sequence[tuple], columns: Sequence[tuple]) -> List[List[Scalar]]:
+    """[[<row, V_m> for V_m's stored column] for row in rows], ascending in s, rows shaped like the
+    columns: (u, M), p(a_s) = u_s / M, or (values, None).  Fraction(sum_s u_s c_s, M L) when every M
+    and L is an int, else the _residue_sum loop, on Fraction(u_s, M) and Fraction(c_s, L)."""
+    if all(l is not None for _, l in chain(rows, columns)):
+        return [[Fraction(sum(map(mul, u, c)), m * l) for c, l in columns] for u, m in rows]
+    rows = [u if m is None else [Fraction(u_s, m) for u_s in u] for u, m in rows]
     columns = [c if l is None else [(Fraction(c_s, l), 1) for c_s in c] for c, l in columns]
     return [[_residue_sum(row, terms) for terms in columns] for row in rows]
 
@@ -289,7 +295,7 @@ def biorthogonality_matrix(system: BiorthogonalSystem, samples: Samples,
     """
     if not 0 <= n_max <= system.n_max:  # n_max + 1 < 0 would slice the rows from the end
         raise IndexOutOfRange(f"matrix size {n_max} is outside 0..{system.n_max}")
-    return _residue_sums(system.node_values[: n_max + 1], _columns(system, samples, n_max + 2))
+    return _residue_sums(system.node_rows[: n_max + 1], _columns(system, samples, n_max + 2))
 
 
 def expand_in_interpolants(q_poly: Polynomial, system: BiorthogonalSystem,
@@ -312,9 +318,9 @@ def expand_in_interpolants(q_poly: Polynomial, system: BiorthogonalSystem,
         (c, big_q), (b, big_d) = over_lcm(q_poly.coeffs), over_lcm(nodes)
         h = Polynomial([c_k * big_d ** (n - k) for k, c_k in enumerate(c)])  # h(b_s) = Q D^n q(a_s)
         den = big_q * big_d ** max(n, 0)  # the zero q has n = -1 and h = 0
-        values = [Fraction(h(b_s), den) for b_s in b]  # Horner on integers
+        row = ([h(b_s) for b_s in b], den)  # Horner on integers
     else:
-        values = [q_poly(a) for a in nodes]
-    sums = _residue_sums([values], columns)[0]
+        row = ([q_poly(a) for a in nodes], None)
+    sums = _residue_sums([row], columns)[0]
     return tuple(Fraction(p.numerator * d.denominator, p.denominator * d.numerator)
                  if is_exact(p) and is_exact(d) else p / d for p, d in zip(sums, system.diagonal))

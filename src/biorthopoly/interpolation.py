@@ -201,4 +201,10 @@ def family_from_recurrence(grid: Grid, alphas: Sequence[Scalar],
         for c_s, b_s in zip(c[: n + 1], b):
             total, omega = total * big_d + c_s * omega, omega * (b[n] - b_s)
         values.append(Fraction(total, big_q * big_d ** n) if exact else total)
+    if not exact:  # finite float alphas can still overflow the recurrence or the sums
+        for name, x in chain(((f"P-hat_{n} coefficient {k}", x) for n, p in enumerate(phats)
+                              for k, x in enumerate(p.coeffs)),
+                             ((f"implied value A_{n}", x) for n, x in enumerate(values))):
+            if not (is_exact(x) or math.isfinite(x)):
+                raise InvalidParameter(f"{name} = {x} is not finite")
     return MonicInterpolantFamily(sub_grid, tuple(values), alphas, tuple(phats))

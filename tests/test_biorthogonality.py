@@ -711,6 +711,38 @@ def test_exact_pipeline_sums_residues_on_integers(monkeypatch):
     assert len(calls) == 1 + 11 + 11 * 11 + 11
 
 
+def test_exact_matrix_and_expand_read_the_stored_integer_node_rows(monkeypatch):
+    """Exact N = 10: build_system stores each row of node values as integers (u, M_n), so the
+    matrix reads them with no over_lcm or is_exact call, and expand calls over_lcm only on q's
+    coefficients and on the nodes, then sums its integer Horner row as it is.  node_values
+    builds the Fractions on demand, with row 0 as the family stores P-hat_0 (int 1 when rebuilt
+    by family_from_recurrence)."""
+    rng = random.Random(101)
+    while True:
+        s = usable_random_samples(rng, 12)
+        try:
+            system = build_system(monic_family(s, 11), 10)
+        except NuVanishes:
+            continue
+        break
+    calls = []
+    for name in ("over_lcm", "is_exact"):
+        original = getattr(biorthogonality, name)
+        monkeypatch.setattr(biorthogonality, name, lambda *args, f=original, name=name:
+                            calls.append((name, args)) or f(*args))
+    biorthogonality_matrix(system, s, 10)
+    assert calls == []
+    q_poly = Polynomial([F(k - 4, 3) for k in range(11)])
+    expand_in_interpolants(q_poly, system, s)
+    over_lcm_args = [args for name, args in calls if name == "over_lcm"]
+    assert over_lcm_args == [(q_poly.coeffs,), (s.grid.nodes,)]
+    assert len(system.node_rows) == 12
+    assert [x for x in scalars(system.node_rows) if type(x) is not int] == []  # u_s and M_n
+    assert system.node_values == tuple(tuple(F(x, m) for x in u) for u, m in system.node_rows)
+    rebuilt = build_system(family_from_recurrence(s.grid, system.family.alphas), 10)
+    assert repr(rebuilt.node_values) == repr(((1,) * 12, *system.node_values[1:]))
+
+
 @pytest.mark.parametrize("kind", ["float", "mixed"])
 def test_float_and_mixed_systems_sum_by_the_loop(kind):
     """A system that holds a float takes every residue sum by the ascending
@@ -737,13 +769,13 @@ def test_float_and_mixed_systems_sum_by_the_loop(kind):
         assert repr(expand_in_interpolants(q_poly, system, s)) == repr(tuple(
             _residue_sum(q_values, t) / d for t, d in zip(terms, system.diagonal)))
         assert all(type(x) is float for row in matrix for x in row)
-    # a float column keeps exact rows on the loop; a float row reads an exact column
-    # (c, L) as the weights Fraction(c_s, L)
+    # a float column keeps exact rows, integer rows (u, M) read as Fraction(u_s, M), on the
+    # loop; a float row (values, None) reads an exact column (c, L) as the weights Fraction(c_s, L)
     rows, terms = [[F(1), F(2)], [F(1, 3), F(-1)]], [(0.5, F(3)), (F(1), F(2))]
-    sums = _residue_sums(rows, [(terms, None)])
+    sums = _residue_sums([((1, 2), 1), ((1, -3), 3)], [(terms, None)])
     assert repr(sums) == repr([[_residue_sum(row, terms)] for row in rows])
     assert all(type(row[0]) is float for row in sums)
-    sums = _residue_sums([[0.5, -2.0]], [((3, -7), 10)])
+    sums = _residue_sums([([0.5, -2.0], None)], [((3, -7), 10)])
     assert repr(sums) == repr([[_residue_sum([0.5, -2.0], [(F(3, 10), 1), (F(-7, 10), 1)])]])
 
 

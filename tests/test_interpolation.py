@@ -167,6 +167,18 @@ def test_family_from_recurrence_rejects_non_finite_float_alpha(bad):
     assert err.value.index == 1
 
 
+def test_family_from_recurrence_rejects_overflow_from_finite_float_alphas():
+    """Finite alphas whose float recurrence or implied-value sum overflows raise, naming the first
+    non-finite P-hat coefficient, else the first implied value; they used to return P-hat_2
+    [nan, 0.0, 1] and the values (1.0, 1.0, inf) silently."""
+    grid = Grid([0.0, 1e200, 2e200])
+    with pytest.raises(InvalidParameter, match=r"P-hat_2 coefficient 0 = nan is not finite"):
+        family_from_recurrence(grid, [1.0, 1e-300, 1.0])
+    with pytest.raises(InvalidParameter, match=r"implied value A_2 = inf is not finite"):
+        family_from_recurrence(grid, [1.0, 1.0, 1.0])
+    assert family_from_recurrence(grid, [1.0, 1.0, 1.0], 1).values == (1.0, 1e200)
+
+
 def test_integer_step_matches_recurrence_step_on_both_row_kinds():
     """On coefficient rows and on node-value rows over one denominator, integer_step gives
     P-hat_{n+1} in lowest terms: recurrence_step's coefficients and the values at the nodes.
