@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
@@ -118,8 +117,7 @@ def leading_nu(family: MonicInterpolantFamily, n: int) -> Scalar:
     if n + 1 > family.n_max:
         raise IndexOutOfRange(f"nu_{n} needs alpha_{n + 1}; family stops at {family.n_max}")
     return (family.grid[n + 1] - family.grid[n]
-            + family.alphas[n] / family.alphas[n + 1]
-            - family.alpha_ratio(n))
+            + family.alpha_ratio(n + 1) - family.alpha_ratio(n))
 
 
 def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSystem:
@@ -130,11 +128,12 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
     A_s omega'(a_s) is inf or nan, or the last is 0.  Node values are one recurrence step each,
     O(N^2) in all; V_n's column is built once from T-hat_n(a_s) = (P-hat_{n+1}(a_s) - (a_s -
     a_{n+1}) P-hat_n(a_s)) / nu_n and omega'_{n+2}(a_s), extended from V_{n-1}'s in O(n), and
-    d_n = <P-hat_n, V_n> (-1/(nu_n alpha_n) in exact arithmetic).  On exact data (a_s = b_s / D,
-    A_s = e_s / E) the node values u_s / M_n step by integer_step, T-hat_n(a_s) and the column
-    c_s / L are integer rows over one denominator, the column and d_n = sum_s u_s c_s / (M_n L)
-    in lowest terms, and T_n is t = D k_n k_{n+1} T_n from the coefficient rows U_n / k_n of
-    P-hat_n: only nu_n, T-hat_n and d_n become Fractions.  Floats keep scalars.
+    d_n = <P-hat_n, V_n> (-1/(nu_n alpha_n) in exact arithmetic).  The route is the family's: when
+    it has integer rows P-hat_n = U_n / k_n (a_s = b_s / D, A_s = e_s / E), T_n is t = D k_n
+    k_{n+1} T_n from them, the node values u_s / M_n step by integer_step, T-hat_n(a_s) and the
+    column c_s / L are integer rows over one denominator, the column and d_n = sum_s u_s c_s /
+    (M_n L) in lowest terms: only nu_n, T-hat_n and d_n become Fractions.  Otherwise (float or
+    mixed data, or a family built by hand) the same steps run on scalars, exactly on Fractions.
     """
     if n_max < 0:
         raise IndexOutOfRange(f"system size n_max = {n_max} is negative")
@@ -143,16 +142,15 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
     nodes, alphas, samples = family.grid.nodes[: n_max + 2], family.alphas, family.samples
     rows = []  # (T-hat_n, nu_n, V_n, d_n, column of V_n)
     weights: Tuple[Scalar, ...] = ()
-    exact = all(map(is_exact, chain(nodes, samples.values[: n_max + 2], alphas[: n_max + 2],
-                                    *(p.coeffs for p in family.phats[: n_max + 2]))))
+    exact = family.rows is not None
     table = [((1,) * len(nodes), 1) if exact else ((family.phats[0].coeffs[0],) * len(nodes), None)]
-    if exact:  # P-hat_n(a_s) = u[s] / m and P-hat_{n-1}(a_s) = u_prev[s] / m_prev on integers
+    # at n = 0, table[n - 1] is P-hat_0 in place of P-hat_{-1}, but alpha_{-1} / alpha_0 = 0
+    if exact:  # P-hat_{n+1}(a_s) = u[s] / m and P-hat_n(a_s) = u_prev[s] / m_prev on integers
         (b, big_d), (e, big_e) = over_lcm(nodes), over_lcm(samples.values[: n_max + 2])
-        u, m, w, power, coeffs, k = [1] * len(nodes), 1, [1], 1, [1], 1  # P-hat_n = coeffs / k
-        u_prev, m_prev, ratios = u, m, [0, *map(Fraction, alphas, alphas[1: n_max + 2])]
+        ratios = [0, *map(Fraction, alphas, alphas[1: n_max + 2])]
     for n in range(n_max + 1):
-        if exact:  # D k k_next T_n = D k U_{n+1} - k_next (D z - b_{n+1}) U_n, U_n = coeffs
-            coeffs_next, k_next = over_lcm(family.phats[n + 1].coeffs)
+        if exact:  # D k k_next T_n = D k U_{n+1} - k_next (D z - b_{n+1}) U_n, P-hat_n = U_n / k
+            (coeffs, k), (coeffs_next, k_next) = family.rows[n: n + 2]
             x, y, z = big_d * k, k_next * big_d, k_next * b[n + 1]
             t = [x * c1 - y * c + z * c0 for c1, c0, c in zip(coeffs_next, coeffs, [0, *coeffs])]
             if t[n] == 0:
@@ -160,18 +158,17 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
             nu_n = Fraction(t[n], big_d * k * k_next)
             t_hat = Polynomial([Fraction(t_j, t[n]) for t_j in t])  # monic: t_n / t_n = Fraction(1)
             v_n = RationalInterpolant(n, t_hat, nodes[: n + 2])
-            coeffs, k, (u, m), (u_prev, m_prev) = coeffs_next, k_next, integer_step(
-                (u, m), (u_prev, m_prev), ratios[n + 1], ratios[n], big_d,
-                lambda v: [(b_s - b[n]) * v_s for b_s, v_s in zip(b, v)]), (u, m)
+            (u_prev, m_prev), (u, m) = table[n], integer_step(
+                table[n], table[n - 1], ratios[n + 1], ratios[n], big_d,
+                lambda v: [(b_s - b[n]) * v_s for b_s, v_s in zip(b, v)])
             table.append((tuple(u), m))
-            w = nodal_weights(b[: n + 2], w)
-            power, t_den = power * big_d, big_d * m_prev * m * nu_n.numerator
+            weights, t_den = nodal_weights(b[: n + 2], weights), big_d * m_prev * m * nu_n.numerator
             t = [(p1 * big_d * m_prev - (b_s - b[n + 1]) * p0 * m) * nu_n.denominator
                  for b_s, p0, p1 in zip(b[: n + 2], u_prev, u)]  # T-hat_n(a_s) = t_s / t_den
             if 0 in e[: n + 2]:
                 raise ZeroSampleValue(e.index(0))
-            scaled = [e_s * w_s for e_s, w_s in zip(e, w)]  # A_s omega'(a_s) E D^(n+1)
-            common = math.lcm(*scaled)
+            scaled = [e_s * w_s for e_s, w_s in zip(e, weights)]  # A_s omega'(a_s) E D^(n+1)
+            common, power = math.lcm(*scaled), big_d ** (n + 1)
             c, l = reduced([big_e * power * t_s * (common // d) for t_s, d in zip(t, scaled)],
                            t_den * common)
             column, d_n = (tuple(c), l), Fraction(sum(map(mul, u_prev, c)), m_prev * l)
@@ -183,8 +180,7 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
             if not (is_exact(nu_n) or math.isfinite(nu_n)):
                 raise InvalidParameter(f"nu_{n} = {nu_n} is not finite")
             v_n = RationalInterpolant(n, t_n.divide(nu_n), nodes[: n + 2])
-            # at n = 0, table[n - 1] is P-hat_0 in place of P-hat_{-1}, but alpha_ratio(0) = 0
-            a_n, ratio_n, ratio_nm1 = nodes[n], alphas[n] / alphas[n + 1], family.alpha_ratio(n)
+            a_n, ratio_n, ratio_nm1 = nodes[n], family.alpha_ratio(n + 1), family.alpha_ratio(n)
             table.append((tuple(((shift := x - a_n) + ratio_n) * p - ratio_nm1 * shift * q
                                 for x, p, q in zip(nodes, table[n][0], table[n - 1][0])), None))
             for s, value in enumerate(table[n + 1][0]):
@@ -229,13 +225,12 @@ def _residue_sum(p_values: Sequence[Scalar], terms: List[Tuple[Scalar, Scalar]])
 
 def _residue_sums(rows: Sequence[tuple], columns: Sequence[tuple]) -> List[List[Scalar]]:
     """[[<row, V_m> for V_m's stored column] for row in rows], ascending in s, rows shaped like the
-    columns: (u, M), p(a_s) = u_s / M, or (values, None).  Fraction(sum_s u_s c_s, M L) when every M
-    and L is an int, else the _residue_sum loop, on Fraction(u_s, M) and Fraction(c_s, L)."""
-    if all(l is not None for _, l in chain(rows, columns)):
+    columns: (u, M), p(a_s) = u_s / M, or (values, None).  Fraction(sum_s u_s c_s, M L) on integer
+    rows, which come with integer columns, else the _residue_sum loop, on Fraction(c_s, L)."""
+    if all(m is not None for _, m in rows):
         return [[Fraction(sum(map(mul, u, c)), m * l) for c, l in columns] for u, m in rows]
-    rows = [u if m is None else [Fraction(u_s, m) for u_s in u] for u, m in rows]
     columns = [c if l is None else [(Fraction(c_s, l), 1) for c_s in c] for c, l in columns]
-    return [[_residue_sum(row, terms) for terms in columns] for row in rows]
+    return [[_residue_sum(row, terms) for terms in columns] for row, _ in rows]
 
 
 def _columns(system: BiorthogonalSystem, samples: Samples, count: int) -> tuple:
@@ -305,16 +300,17 @@ def expand_in_interpolants(q_poly: Polynomial, system: BiorthogonalSystem,
     xi_k = <q_poly, V_k> / d_k for k = 0..deg(q_poly), using the system's
     verified diagonal.  Exact reconstruction is guaranteed because the
     pairing annihilates every P-hat_j with j != k.  Each is summed as in the matrix, with q_poly
-    read at the nodes once (Horner on integers over Q D^deg when exact) and samples the system's
-    on a_0..a_{deg+1} (see _columns); a float q_poly on an exact system reads Fraction(c_s, L).
+    read at the nodes once (Horner on integers over Q D^deg on a family with rows) and samples the
+    system's on a_0..a_{deg+1} (see _columns); a float q_poly there reads Fraction(c_s, L).
     """
     n = q_poly.degree
     if n > system.n_max:
         raise IndexOutOfRange(f"degree {n} exceeds system size {system.n_max}")
     if 0 in system.diagonal[: n + 1]:
         raise InvalidParameter(f"d_{system.diagonal.index(0)} rounds to 0 in floating point")
-    columns, nodes = _columns(system, samples, n + 2), samples.grid.nodes[: n + 2]
-    if all(map(is_exact, chain(q_poly.coeffs, nodes))):  # q = sum_k c_k z^k / Q, a_s = b_s / D
+    columns, nodes = _columns(system, samples, n + 2), system.family.grid.nodes[: n + 2]
+    exact = system.family.rows is not None and all(map(is_exact, q_poly.coeffs))
+    if exact:  # q = sum_k c_k z^k / Q, a_s = b_s / D
         (c, big_q), (b, big_d) = over_lcm(q_poly.coeffs), over_lcm(nodes)
         h = Polynomial([c_k * big_d ** (n - k) for k, c_k in enumerate(c)])  # h(b_s) = Q D^n q(a_s)
         den = big_q * big_d ** max(n, 0)  # the zero q has n = -1 and h = 0
@@ -323,4 +319,4 @@ def expand_in_interpolants(q_poly: Polynomial, system: BiorthogonalSystem,
         row = ([q_poly(a) for a in nodes], None)
     sums = _residue_sums([row], columns)[0]
     return tuple(Fraction(p.numerator * d.denominator, p.denominator * d.numerator)
-                 if is_exact(p) and is_exact(d) else p / d for p, d in zip(sums, system.diagonal))
+                 if exact else p / d for p, d in zip(sums, system.diagonal))

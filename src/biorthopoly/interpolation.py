@@ -24,7 +24,7 @@ from typing import Callable, List, Sequence, Tuple
 
 from .divided_differences import Samples, divided_differences_recursive
 from .errors import DegenerateInterpolant, IndexOutOfRange, InvalidParameter
-from .numerics import Scalar, is_exact, over_lcm, reduced
+from .numerics import Scalar, exact_if_int, is_exact, over_lcm, reduced
 from .polynomials import Grid, Polynomial, nodal_polynomial, nodal_weights
 
 
@@ -51,10 +51,11 @@ class MonicInterpolantFamily:
     """Aligned sequences alpha_0..alpha_n and monic P-hat_0..P-hat_n over a grid.
 
     Invariants: every alpha is nonzero, P-hat_n is monic of degree exactly n,
-    and alpha_n * P-hat_n(a_k) = A_k for k <= n.
+    and alpha_n * P-hat_n(a_k) = A_k for k <= n.  The builders set rows[n] = (U_n, k_n), P-hat_n =
+    U_n / k_n in lowest terms, on exact data; None (float, mixed or built by hand) means scalars.
     """
 
-    __slots__ = ("grid", "values", "alphas", "phats")
+    __slots__ = ("grid", "values", "alphas", "phats", "rows")
 
     def __init__(self, grid: Grid, values: Tuple[Scalar, ...],
                  alphas: Tuple[Scalar, ...], phats: Tuple[Polynomial, ...]):
@@ -62,6 +63,7 @@ class MonicInterpolantFamily:
         self.values = tuple(values)
         self.alphas = tuple(alphas)
         self.phats = tuple(phats)
+        self.rows = None
         if len(self.alphas) != len(self.phats):
             raise ValueError("alphas and phats must align")
         if len(self.alphas) > len(self.values) or len(self.values) != len(grid):
@@ -76,10 +78,10 @@ class MonicInterpolantFamily:
         return Samples(self.grid, self.values)
 
     def alpha_ratio(self, n: int) -> Scalar:
-        """alpha_{n-1}/alpha_n with the alpha_{-1} = 0 convention."""
+        """alpha_{n-1}/alpha_n with the alpha_{-1} = 0 convention, a Fraction for int alphas."""
         if n == 0:
             return 0
-        return self.alphas[n - 1] / self.alphas[n]
+        return exact_if_int(self.alphas[n - 1]) / self.alphas[n]
 
 
 def monic_family(samples: Samples, n_max: int) -> MonicInterpolantFamily:
@@ -88,7 +90,7 @@ def monic_family(samples: Samples, n_max: int) -> MonicInterpolantFamily:
     One table and one Newton pass (P_n = P_{n-1} + alpha_n omega_n) cost O(N^2).
     On float data each P-hat_n repeats newton_interpolant(samples, n).divide(alpha_n)
     operation for operation; on exact data, a_s = b_s / D, the pass runs on the
-    integer rows D^n omega_n and P_n = U_n / M_n, and P-hat_n = U_n q_n / (M_n p_n).
+    integer rows D^n omega_n and P_n = u / M_n, and P-hat_n = u / u[-1] is kept as a family row.
     DegenerateInterpolant(n) names the first zero alpha_n = p_n / q_n (alpha_0 = A_0
     too: the residue pairing divides by the values), and InvalidParameter the first
     float alpha_n that is inf or nan.
@@ -97,10 +99,10 @@ def monic_family(samples: Samples, n_max: int) -> MonicInterpolantFamily:
         raise IndexOutOfRange(f"n_max = {n_max} outside 0..{samples.last_index}")
     table = divided_differences_recursive(samples)
     alphas, nodes = table.diffs[: n_max + 1], samples.grid.nodes[:n_max]
+    if 0 in alphas:
+        raise DegenerateInterpolant(alphas.index(0))
     if all(map(is_exact, chain(nodes, alphas))):
-        if 0 in alphas:
-            raise DegenerateInterpolant(alphas.index(0))
-        (b, big_d), u, m, omega, phats = over_lcm(nodes), [], 1, [1], []
+        (b, big_d), u, m, omega, rows = over_lcm(nodes), [], 1, [1], []
         for n, alpha in enumerate(alphas):
             if n:  # D^n omega_n = D^(n-1) omega_{n-1} (D z - b_{n-1})
                 omega = [big_d * lo - b[n - 1] * hi for lo, hi in zip([0, *omega], omega + [0])]
@@ -108,12 +110,13 @@ def monic_family(samples: Samples, n_max: int) -> MonicInterpolantFamily:
             common = math.lcm(m, q * big_d ** n)  # P_n = P_{n-1} + p (D^n omega_n) / (q D^n)
             x, y = common // m, p * (common // (q * big_d ** n))
             u, m = reduced([x * c + y * w for c, w in zip(u + [0], omega)], common)
-            phats.append(Polynomial([Fraction(c * q, m * p) for c in u]))
-        return MonicInterpolantFamily(samples.grid, samples.values, alphas, tuple(phats))
+            rows.append(reduced(u, u[-1]) if u[-1] > 0 else reduced([-c for c in u], -u[-1]))
+        family = MonicInterpolantFamily(samples.grid, samples.values, alphas, tuple(
+            Polynomial([Fraction(c, k) for c in row]) for row, k in rows))
+        family.rows = tuple((tuple(row), k) for row, k in rows)
+        return family
     phats, interpolant, omega = [], Polynomial.zero(), Polynomial.constant(1)
     for n, alpha in enumerate(alphas):
-        if alpha == 0:
-            raise DegenerateInterpolant(n)
         if not (is_exact(alpha) or math.isfinite(alpha)):
             raise InvalidParameter(f"alpha_{n} = {alpha} is not finite")
         interpolant = interpolant + omega.scale(alpha)  # P_n
@@ -176,23 +179,22 @@ def family_from_recurrence(grid: Grid, alphas: Sequence[Scalar],
         if not (is_exact(alpha) or math.isfinite(alpha)):
             raise InvalidParameter(f"alpha_{n} = {alpha} is not finite")
 
-    nodes, phats, previous = sub_grid.nodes, [Polynomial.constant(1)], Polynomial.zero()
+    nodes, phats = sub_grid.nodes, [Polynomial.constant(1)]
     exact = all(map(is_exact, chain(nodes, alphas)))
     if exact:  # coefficient rows P-hat_n = u / m, a_s = b_s / D, shifted by D z - b_n
         (b, big_d), (c, big_q) = over_lcm(nodes), over_lcm(alphas)
-        (u, m), prev, ratios = ([1], 1), ([], 1), [0, *map(Fraction, alphas, alphas[1:])]
+        rows, ratios = [((), 1), ((1,), 1)], [0, *map(Fraction, alphas, alphas[1:])]  # P-hat_-1 = 0
         for n in range(n_max):
-            (u, m), prev = integer_step((u, m), prev, ratios[n + 1], ratios[n], big_d, lambda v: [
-                big_d * lo - b[n] * hi for lo, hi in zip([0, *v], v + [0])]), (u, m)
+            u, m = integer_step(rows[-1], rows[-2], ratios[n + 1], ratios[n], big_d, lambda v: [
+                big_d * lo - b[n] * hi for lo, hi in zip([0, *v], v + [0])])
+            rows.append((tuple(u), m))
             phats.append(Polynomial([*(Fraction(e, m) for e in u[:-1]), 1]))
     else:
         (b, big_d), (c, big_q) = (nodes, 1), (alphas, 1)  # then the sum below is the plain one
-        for n in range(n_max):
-            ratio_n = alphas[n] / alphas[n + 1]
-            ratio_nm1 = 0 if n == 0 else alphas[n - 1] / alphas[n]
-            nxt = recurrence_step(phats[-1], previous, grid[n], ratio_n, ratio_nm1)
-            previous = phats[-1]
-            phats.append(nxt)
+        for n in range(n_max):  # P-hat_{n-1} and alpha_{n-1} / alpha_n are 0 at n = 0
+            phats.append(recurrence_step(phats[-1], phats[-2] if n else Polynomial.zero(),
+                                         grid[n], alphas[n] / alphas[n + 1],
+                                         n and alphas[n - 1] / alphas[n]))
 
     # alpha_s = c_s / Q: Q D^n A_n = sum_s c_s (D^s omega_s(a_n)) D^(n-s), by Horner in D
     values = []
@@ -207,4 +209,6 @@ def family_from_recurrence(grid: Grid, alphas: Sequence[Scalar],
                              ((f"implied value A_{n}", x) for n, x in enumerate(values))):
             if not (is_exact(x) or math.isfinite(x)):
                 raise InvalidParameter(f"{name} = {x} is not finite")
-    return MonicInterpolantFamily(sub_grid, tuple(values), alphas, tuple(phats))
+    family = MonicInterpolantFamily(sub_grid, tuple(values), alphas, tuple(phats))
+    family.rows = tuple(rows[1:]) if exact else None
+    return family

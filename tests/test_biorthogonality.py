@@ -32,7 +32,7 @@ from biorthopoly.errors import (
     ZeroSampleValue,
 )
 from biorthopoly.exponential import ExpGridProblem
-from biorthopoly.interpolation import family_from_recurrence, monic_family
+from biorthopoly.interpolation import MonicInterpolantFamily, family_from_recurrence, monic_family
 from biorthopoly.polynomials import Grid, Polynomial, nodal_derivative_at
 
 F = Fraction
@@ -712,16 +712,18 @@ def test_exact_pipeline_sums_residues_on_integers(monkeypatch):
 
 
 def test_exact_matrix_and_expand_read_the_stored_integer_node_rows(monkeypatch):
-    """Exact N = 10: build_system stores each row of node values as integers (u, M_n), so the
-    matrix reads them with no over_lcm or is_exact call, and expand calls over_lcm only on q's
-    coefficients and on the nodes, then sums its integer Horner row as it is.  node_values
-    builds the Fractions on demand, with row 0 as the family stores P-hat_0 (int 1 when rebuilt
-    by family_from_recurrence)."""
+    """Exact N = 10: build_system takes the family's integer P-hat rows as they are, so it calls
+    no is_exact and over_lcm only on the nodes and the sample values.  It stores each row of node
+    values as integers (u, M_n), so the matrix reads them with no over_lcm or is_exact call, and
+    expand calls over_lcm only on q's coefficients and on the nodes, then sums its integer Horner
+    row as it is.  node_values builds the Fractions on demand, with row 0 as the family stores
+    P-hat_0 (int 1 when rebuilt by family_from_recurrence)."""
     rng = random.Random(101)
     while True:
         s = usable_random_samples(rng, 12)
+        family = monic_family(s, 11)
         try:
-            system = build_system(monic_family(s, 11), 10)
+            build_system(family, 10)
         except NuVanishes:
             continue
         break
@@ -730,6 +732,9 @@ def test_exact_matrix_and_expand_read_the_stored_integer_node_rows(monkeypatch):
         original = getattr(biorthogonality, name)
         monkeypatch.setattr(biorthogonality, name, lambda *args, f=original, name=name:
                             calls.append((name, args)) or f(*args))
+    system = build_system(family, 10)
+    assert calls == [("over_lcm", (s.grid.nodes,)), ("over_lcm", (s.values,))]
+    calls.clear()
     biorthogonality_matrix(system, s, 10)
     assert calls == []
     q_poly = Polynomial([F(k - 4, 3) for k in range(11)])
@@ -741,6 +746,36 @@ def test_exact_matrix_and_expand_read_the_stored_integer_node_rows(monkeypatch):
     assert system.node_values == tuple(tuple(F(x, m) for x in u) for u, m in system.node_rows)
     rebuilt = build_system(family_from_recurrence(s.grid, system.family.alphas), 10)
     assert repr(rebuilt.node_values) == repr(((1,) * 12, *system.node_values[1:]))
+
+
+def test_a_family_built_by_hand_takes_the_scalar_route_with_the_same_results():
+    """MonicInterpolantFamily(grid, values, alphas, phats) carries no integer rows, so
+    build_system and expand run on scalars: exact on Fractions, with the ts, nus, diagonal,
+    node_values, matrix and xi of the builder's family by repr.  That holds for monic_family and
+    for family_from_recurrence with Fraction and with int alphas (int / int would give floats)."""
+    checked = 0
+    for rng, s, system in random_systems(107, 12):
+        n_max = system.n_max
+        alphas = [rng.choice([a for a in range(-9, 10) if a]) for _ in range(n_max + 2)]
+        for family in (system.family, family_from_recurrence(s.grid, system.family.alphas),
+                       family_from_recurrence(s.grid, alphas)):
+            copy = MonicInterpolantFamily(family.grid, family.values, family.alphas, family.phats)
+            assert family.rows is not None and copy.rows is None
+            try:
+                built = build_system(family, n_max)
+            except (NuVanishes, ZeroSampleValue):
+                continue
+            by_hand = build_system(copy, n_max)
+            assert all(common is None for _, common in by_hand.columns)
+            samples = family.samples
+            q_poly = Polynomial([F(rng.randint(-9, 9), 7) for _ in range(n_max)] + [F(3, 2)])
+            outputs = [([t.coeffs for t in x.ts], x.nus, x.diagonal, x.node_values,
+                        biorthogonality_matrix(x, samples, n_max),
+                        expand_in_interpolants(q_poly, x, samples)) for x in (built, by_hand)]
+            assert repr(outputs[0]) == repr(outputs[1])
+            assert [v for v in scalars(outputs[1]) if type(v) not in (int, Fraction)] == []
+            checked += 1
+    assert checked >= 24
 
 
 @pytest.mark.parametrize("kind", ["float", "mixed"])
@@ -769,12 +804,7 @@ def test_float_and_mixed_systems_sum_by_the_loop(kind):
         assert repr(expand_in_interpolants(q_poly, system, s)) == repr(tuple(
             _residue_sum(q_values, t) / d for t, d in zip(terms, system.diagonal)))
         assert all(type(x) is float for row in matrix for x in row)
-    # a float column keeps exact rows, integer rows (u, M) read as Fraction(u_s, M), on the
-    # loop; a float row (values, None) reads an exact column (c, L) as the weights Fraction(c_s, L)
-    rows, terms = [[F(1), F(2)], [F(1, 3), F(-1)]], [(0.5, F(3)), (F(1), F(2))]
-    sums = _residue_sums([((1, 2), 1), ((1, -3), 3)], [(terms, None)])
-    assert repr(sums) == repr([[_residue_sum(row, terms)] for row in rows])
-    assert all(type(row[0]) is float for row in sums)
+    # a float row (values, None) reads an exact column (c, L) as the weights Fraction(c_s, L)
     sums = _residue_sums([([0.5, -2.0], None)], [((3, -7), 10)])
     assert repr(sums) == repr([[_residue_sum([0.5, -2.0], [(F(3, 10), 1), (F(-7, 10), 1)])]])
 

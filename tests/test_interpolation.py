@@ -149,6 +149,30 @@ def test_family_from_recurrence_int_alphas_stay_exact():
     assert ints.phats[2] == Polynomial([F(1, 3), F(-1, 3), 1])
 
 
+def test_exact_builders_keep_the_integer_rows_of_their_phats():
+    """On exact data monic_family and family_from_recurrence (Fraction or int alphas) keep
+    rows[n] = (U_n, k_n) on ints in lowest terms, k_n = U_n[-1] > 0, with Fraction(c, k_n) over
+    U_n equal to P-hat_n's coefficients.  Float data and mixed data (Fraction nodes with float
+    values, or float nodes with Fraction alphas) keep none."""
+    rng = random.Random(137)
+    for size in range(2, 16):
+        s = nondegenerate_samples(rng, size)
+        fam = monic_family(s, s.last_index)
+        ints = [rng.choice([a for a in range(-9, 10) if a]) for _ in range(size)]
+        for f in (fam, family_from_recurrence(s.grid, fam.alphas),
+                  family_from_recurrence(s.grid, ints)):
+            assert len(f.rows) == len(f.phats)
+            for (row, k), p in zip(f.rows, f.phats):
+                assert all(type(c) is int for c in (*row, k))
+                assert k == row[-1] > 0 and math.gcd(*row) == 1
+                assert tuple(F(c, k) for c in row) == p.coeffs
+        floats = list(map(float, s.values))
+        for nodes in (list(map(float, s.grid.nodes)), s.grid.nodes):
+            f = monic_family(Samples.from_pairs(nodes, floats), s.last_index)
+            assert f.rows is None and family_from_recurrence(f.grid, f.alphas).rows is None
+        assert family_from_recurrence(Grid(map(float, s.grid.nodes)), fam.alphas).rows is None
+
+
 def test_family_from_recurrence_rejects_zero_alpha():
     with pytest.raises(DegenerateInterpolant) as err:
         family_from_recurrence(Grid([F(0), F(1)]), [F(1), F(0)])
