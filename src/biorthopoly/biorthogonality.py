@@ -27,15 +27,14 @@ sometimes quoted for this construction; exact rational arithmetic on nodes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
 
 from .divided_differences import Samples
 from .errors import IndexOutOfRange, InvalidParameter, NuVanishes, PoleEvaluation, ZeroSampleValue
 from .interpolation import MonicInterpolantFamily, integer_step
-from .numerics import Scalar, is_exact, over_lcm, reduced
+from .numerics import Scalar, is_exact, over_lcm, reduced, slots_repr
 from .polynomials import Polynomial, nodal_derivative_at, nodal_weights
 
 
@@ -45,7 +44,7 @@ class RationalInterpolant:
 
     __slots__ = ("index", "numerator", "pole_nodes")
 
-    def __init__(self, index: int, numerator: Polynomial, pole_nodes: Tuple[Scalar, ...]):
+    def __init__(self, index: int, numerator: Polynomial, pole_nodes: tuple[Scalar, ...]):
         self.index = index
         self.numerator = numerator
         self.pole_nodes = tuple(pole_nodes)
@@ -70,7 +69,6 @@ class RationalInterpolant:
         return f"RationalInterpolant(index={self.index}, numerator={self.numerator!r})"
 
 
-@dataclass(frozen=True)
 class BiorthogonalSystem:
     """The family with its T-hats, leading coefficients nu_n, rational functions V_n, verified
     diagonal pairing values d_n, each V_m's residue column, built and checked once: (c, L) with
@@ -78,16 +76,18 @@ class BiorthogonalSystem:
     (T-hat_m(a_s), A_s omega'_{m+2}(a_s)), None), s = 0..m+1; and in that shape node_rows[n],
     P-hat_n(a_s) = u_s / M_n for s = 0..n_max+1, ints (u, M_n) when exact, else (values, None)."""
 
-    family: MonicInterpolantFamily
-    ts: Tuple[Polynomial, ...]
-    nus: Tuple[Scalar, ...]
-    vs: Tuple[RationalInterpolant, ...]
-    diagonal: Tuple[Scalar, ...]
-    columns: Tuple[Tuple[tuple, Optional[int]], ...]
-    node_rows: Tuple[Tuple[tuple, Optional[int]], ...]
+    __slots__ = ("family", "ts", "nus", "vs", "diagonal", "columns", "node_rows")
+    __repr__ = slots_repr
+
+    def __init__(self, family: MonicInterpolantFamily, ts: tuple[Polynomial, ...],
+                 nus: tuple[Scalar, ...], vs: tuple[RationalInterpolant, ...],
+                 diagonal: tuple[Scalar, ...], columns: tuple[tuple[tuple, int | None], ...],
+                 node_rows: tuple[tuple[tuple, int | None], ...]):
+        self.family, self.ts, self.nus, self.vs = family, ts, nus, vs
+        self.diagonal, self.columns, self.node_rows = diagonal, columns, node_rows
 
     @property
-    def node_values(self) -> Tuple[Tuple[Scalar, ...], ...]:
+    def node_values(self) -> tuple[tuple[Scalar, ...], ...]:
         """node_values[n][s] = P-hat_n(a_s), built from node_rows on each call."""
         return ((self.family.phats[0].coefficient(0),) * len(self.node_rows[0][0]), *(  # as stored
             u if m is None else tuple(Fraction(x, m) for x in u) for u, m in self.node_rows[1:]))
@@ -141,7 +141,7 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
         raise IndexOutOfRange(f"system to {n_max} needs family to {n_max + 1}")
     nodes, alphas, samples = family.grid.nodes[: n_max + 2], family.alphas, family.samples
     rows = []  # (T-hat_n, nu_n, V_n, d_n, column of V_n)
-    weights: Tuple[Scalar, ...] = ()
+    weights: tuple[Scalar, ...] = ()
     exact = family.rows is not None
     table = [((1,) * len(nodes), 1) if exact else ((family.phats[0].coeffs[0],) * len(nodes), None)]
     # at n = 0, table[n - 1] is P-hat_0 in place of P-hat_{-1}, but alpha_{-1} / alpha_0 = 0
@@ -195,8 +195,8 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
     return BiorthogonalSystem(family, *zip(*rows), tuple(table))
 
 
-def _residue_terms(v: RationalInterpolant, data: Sequence[Tuple[Scalar, Scalar]],
-                   samples: Samples) -> List[Tuple[Scalar, Scalar]]:
+def _residue_terms(v: RationalInterpolant, data: Sequence[tuple[Scalar, Scalar]],
+                   samples: Samples) -> list[tuple[Scalar, Scalar]]:
     """(T-hat_m(a_s), A_s omega'_{m+2}(a_s)) for the poles s = 0..m+1 of V_m, from its
     residue data and samples on its poles; ZeroSampleValue(s) names the smallest zero A_s."""
     count = v.index + 2
@@ -215,7 +215,7 @@ def _residue_terms(v: RationalInterpolant, data: Sequence[Tuple[Scalar, Scalar]]
     return [(t_value, d) for (t_value, _), d in zip(data, scaled)]
 
 
-def _residue_sum(p_values: Sequence[Scalar], terms: List[Tuple[Scalar, Scalar]]) -> Scalar:
+def _residue_sum(p_values: Sequence[Scalar], terms: list[tuple[Scalar, Scalar]]) -> Scalar:
     """sum_s p(a_s) t_s / d_s over the terms, in ascending s."""
     total: Scalar = 0
     for p_value, (t_value, d_value) in zip(p_values, terms):
@@ -223,7 +223,7 @@ def _residue_sum(p_values: Sequence[Scalar], terms: List[Tuple[Scalar, Scalar]])
     return total
 
 
-def _residue_sums(rows: Sequence[tuple], columns: Sequence[tuple]) -> List[List[Scalar]]:
+def _residue_sums(rows: Sequence[tuple], columns: Sequence[tuple]) -> list[list[Scalar]]:
     """[[<row, V_m> for V_m's stored column] for row in rows], ascending in s, rows shaped like the
     columns: (u, M), p(a_s) = u_s / M, or (values, None).  Fraction(sum_s u_s c_s, M L) on integer
     rows, which come with integer columns, else the _residue_sum loop, on Fraction(c_s, L)."""
@@ -280,7 +280,7 @@ def orthogonality_moment(family: MonicInterpolantFamily, n: int, j: int) -> Scal
 
 
 def biorthogonality_matrix(system: BiorthogonalSystem, samples: Samples,
-                           n_max: int) -> List[List[Scalar]]:
+                           n_max: int) -> list[list[Scalar]]:
     """Matrix of pairings <P-hat_n, V_m> for n, m <= n_max.
 
     Diagonal with entries -1/(nu_n alpha_n); every off-diagonal entry is
@@ -294,7 +294,7 @@ def biorthogonality_matrix(system: BiorthogonalSystem, samples: Samples,
 
 
 def expand_in_interpolants(q_poly: Polynomial, system: BiorthogonalSystem,
-                           samples: Samples) -> Tuple[Scalar, ...]:
+                           samples: Samples) -> tuple[Scalar, ...]:
     """Coefficients xi_k with q_poly = sum_k xi_k P-hat_k.
 
     xi_k = <q_poly, V_k> / d_k for k = 0..deg(q_poly), using the system's

@@ -19,7 +19,7 @@ nu_n alpha_n or d_n that underflows to 0, an exact value too long to print, a no
 tolerance or --h, a negative --contour-tolerance, a --contour circle through a node or pole,
 leaving a node outside or of more than 65536 samples, or an exp-example --with-contour whose q
 or closed-form values leave double range.
-3: index/degree out of range (a negative --n-max, exp-example --n-max > 40, hermite --k > 200).
+3: index/degree out of range (a negative --n-max or --k, exp-example --n-max > 40, --k > 200).
 4: degenerate data (zero alpha/nu/sample value; the index is in the message).
 """
 
@@ -31,9 +31,9 @@ import json
 import math
 import re
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import zip_longest
-from typing import List, Optional, Sequence
 
 from .biorthogonality import biorthogonality_matrix, build_system, expand_in_interpolants
 from .contour import Circle, contour_biortho_check, default_circle, hermite_divided_difference
@@ -72,7 +72,7 @@ def _read_json(path: str):
         raise ParseError(f"cannot read problem {path!r}: {exc}")
 
 
-def load_problem(path: str, mode_override: Optional[str]):
+def load_problem(path: str, mode_override: str | None):
     """Parse a problem file into (Samples, mode, digest)."""
     raw = _read_json(path)
     if not isinstance(raw, dict) or "nodes" not in raw or "values" not in raw:
@@ -99,7 +99,7 @@ def load_problem(path: str, mode_override: Optional[str]):
     return samples, mode, digest
 
 
-def _scalars_json(xs) -> List[str]:
+def _scalars_json(xs) -> list[str]:
     return [format_scalar(x) for x in xs]
 
 
@@ -288,8 +288,8 @@ def cmd_exp_example(args) -> tuple:
 
 def cmd_hermite(args) -> tuple:
     h, k, tol = args.h, args.k, args.contour_tolerance
-    if k > HERMITE_MAX_K:  # before the k + 1 nodes are built
-        raise IndexOutOfRange(f"--k {k} exceeds {HERMITE_MAX_K}")
+    if not 0 <= k <= HERMITE_MAX_K:  # before the k + 1 nodes are built
+        raise IndexOutOfRange(f"--k {k} is outside 0..{HERMITE_MAX_K}")
     circle = _resolve_circle(args.contour, k)
     estimate = hermite_divided_difference(h, k, circle)
     expected = _double(lambda: (math.exp(h) - 1.0) ** k / math.factorial(k), "(e**h - 1)**k / k!")
@@ -340,7 +340,7 @@ def build_report(args) -> dict:
     return report
 
 
-def _resolve_circle(spec: Optional[str], max_node: int) -> Circle:
+def _resolve_circle(spec: str | None, max_node: int) -> Circle:
     """Turn an optional "radius/samples" override into a Circle for 0..max_node."""
     base = default_circle(max_node)
     if spec is None:
@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "rational functions, verified in exact rational arithmetic.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name: str, handler, summary: str, mode: Optional[str] = None):
+    def add(name: str, handler, summary: str, mode: str | None = None):
         """A subcommand run by handler; mode None reads a problem file."""
         p = sub.add_parser(name, help=summary)
         p._negative_number_matcher = re.compile(r"^-\.?\d")  # "-1/3", "-1e-3" are values too
@@ -440,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = build_report(args)

@@ -19,32 +19,31 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+from collections.abc import Callable
 
 from .biorthogonality import build_system
 from .divided_differences import Samples
 from .errors import InvalidParameter, NonFiniteSample
 from .interpolation import monic_family
+from .numerics import slots_repr
 
 
-@dataclass(frozen=True)
 class Circle:
     """Quadrature contour: |zeta - center| = radius, sampled at a power of
     two points."""
 
-    center: complex
-    radius: float
-    sample_count: int = 2048
+    __slots__ = ("center", "radius", "sample_count")
+    __repr__ = slots_repr
 
-    def __post_init__(self):
-        if not self.radius > 0:
+    def __init__(self, center: complex, radius: float, sample_count: int = 2048):
+        if not radius > 0:
             raise InvalidParameter("circle radius must be positive")
-        m = self.sample_count
+        m = sample_count
         if not 16 <= m <= 2 ** 16 or m & (m - 1):  # 2**16 complex samples take a few MB
             raise InvalidParameter("sample_count must be a power of two from 16 to 65536")
+        self.center, self.radius, self.sample_count = center, radius, sample_count
 
-    def points(self) -> List[complex]:
+    def points(self) -> list[complex]:
         """Samples in angle order.  One octant is computed and mirrored, so the
         circle's eightfold symmetry is exact and symmetric terms cancel."""
         m = self.sample_count
@@ -81,7 +80,7 @@ def contour_integral(integrand: Callable[[complex], complex], circle: Circle) ->
         raise NonFiniteSample("integrand samples overflow their sum")
 
 
-def hermite_divided_difference(h: float, k: int, circle: Optional[Circle] = None) -> complex:
+def hermite_divided_difference(h: float, k: int, circle: Circle | None = None) -> complex:
     """Divided difference [0, 1, ..., k] of e**(h z) as a contour integral.
 
     (2 pi i)**-1 contour-integral e**(h zeta) / omega_{k+1}(zeta): the
@@ -102,7 +101,7 @@ def hermite_divided_difference(h: float, k: int, circle: Optional[Circle] = None
     return contour_integral(integrand, circle)
 
 
-def contour_biortho_check(h: float, n: int, m: int, circle: Optional[Circle] = None) -> complex:
+def contour_biortho_check(h: float, n: int, m: int, circle: Circle | None = None) -> complex:
     """(2 pi i)**-1 contour-integral of P-hat_n(zeta) V_m(zeta) e**(-h zeta).
 
     The float-mode family for F = e**(h z) on nodes 0..max(n, m+1) is built

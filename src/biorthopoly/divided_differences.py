@@ -9,28 +9,25 @@ input, which the tests enforce.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain
-from typing import Sequence, Tuple
 
 from .errors import IndexOutOfRange
-from .numerics import Scalar, exact_if_int, is_exact, over_lcm, reduced
+from .numerics import Scalar, exact_if_int, is_exact, over_lcm, reduced, slots_repr
 from .polynomials import Grid, Polynomial, nodal_weights
 
 
-@dataclass(frozen=True)
 class Samples:
     """Interpolation data: distinct nodes a_k and values A_k (int as Fraction)."""
 
-    grid: Grid
-    values: Tuple[Scalar, ...]
+    __slots__ = ("grid", "values")
+    __repr__ = slots_repr
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(map(exact_if_int, self.values)))
-        if len(self.grid) != len(self.values):
-            raise ValueError(
-                f"{len(self.grid)} nodes but {len(self.values)} values")
+    def __init__(self, grid: Grid, values: tuple[Scalar, ...]):
+        self.grid, self.values = grid, tuple(map(exact_if_int, values))
+        if len(grid) != len(self.values):
+            raise ValueError(f"{len(grid)} nodes but {len(self.values)} values")
 
     @classmethod
     def from_pairs(cls, nodes: Sequence[Scalar], values: Sequence[Scalar]) -> "Samples":
@@ -49,12 +46,14 @@ class Samples:
         return Samples(Grid(self.grid.nodes + (node,)), self.values + (value,))
 
 
-@dataclass(frozen=True)
 class DividedDifferenceTable:
     """Top edge of the divided-difference triangle: entry k is [a_0,...,a_k]."""
 
-    samples: Samples
-    diffs: Tuple[Scalar, ...]
+    __slots__ = ("samples", "diffs")
+    __repr__ = slots_repr
+
+    def __init__(self, samples: Samples, diffs: tuple[Scalar, ...]):
+        self.samples, self.diffs = samples, diffs
 
     def __len__(self) -> int:
         return len(self.diffs)

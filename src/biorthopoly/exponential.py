@@ -19,36 +19,32 @@ logarithm of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
 from .divided_differences import Samples
 from .errors import InvalidParameter, LowerParameterPole, PoleEvaluation
-from .numerics import Scalar, exact_if_int
+from .numerics import Scalar, exact_if_int, slots_repr
 from .polynomials import Polynomial
 
 
-@dataclass(frozen=True)
 class ExpGridProblem:
     """Exponential samples A_k = q**k on the integer grid 0..n_max+2."""
 
-    q: Scalar
-    n_max: int
-    samples: Samples = field(init=False)
+    __slots__ = ("q", "n_max", "samples")
+    __repr__ = slots_repr
 
-    def __post_init__(self):
-        q = exact_if_int(self.q)
-        object.__setattr__(self, "q", q)
+    def __init__(self, q: Scalar, n_max: int):
+        q = exact_if_int(q)
         if q == 0 or q == 1:
             raise InvalidParameter("q must differ from 0 and 1")
-        if self.n_max < 0:
+        if n_max < 0:
             raise InvalidParameter("n_max must be nonnegative")
-        count = self.n_max + 3
+        count = n_max + 3
         one = q / q
         nodes = tuple(one * k for k in range(count))
         values = tuple(q ** k for k in range(count))
-        object.__setattr__(self, "samples", Samples.from_pairs(nodes, values))
+        self.q, self.n_max, self.samples = q, n_max, Samples.from_pairs(nodes, values)
 
 
 def pochhammer(b: Scalar, k: int) -> Scalar:

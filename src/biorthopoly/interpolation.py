@@ -18,9 +18,9 @@ run on integer rows over one common denominator; `newton_interpolant` and
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from itertools import chain, zip_longest
-from typing import Callable, List, Sequence, Tuple
 
 from .divided_differences import Samples, divided_differences_recursive
 from .errors import DegenerateInterpolant, IndexOutOfRange, InvalidParameter
@@ -57,8 +57,8 @@ class MonicInterpolantFamily:
 
     __slots__ = ("grid", "values", "alphas", "phats", "rows")
 
-    def __init__(self, grid: Grid, values: Tuple[Scalar, ...],
-                 alphas: Tuple[Scalar, ...], phats: Tuple[Polynomial, ...]):
+    def __init__(self, grid: Grid, values: tuple[Scalar, ...],
+                 alphas: tuple[Scalar, ...], phats: tuple[Polynomial, ...]):
         self.grid = grid
         self.values = tuple(values)
         self.alphas = tuple(alphas)
@@ -139,7 +139,7 @@ def recurrence_step(phat_n: Polynomial, phat_nm1: Polynomial, a_n: Scalar,
 
 
 def integer_step(row: tuple, prev: tuple, ratio: Fraction, ratio_prev: Scalar, big_d: int,
-                 shift: Callable[[List[int]], List[int]]) -> Tuple[List[int], int]:
+                 shift: Callable[[list[int]], list[int]]) -> tuple[list[int], int]:
     """recurrence_step on integer rows (u, m), P-hat = u / m: P-hat_{n+1}'s row in lowest terms.
 
     row and prev are P-hat_n's and P-hat_{n-1}'s rows (a shorter one is zero-padded), ratio and

@@ -13,30 +13,35 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
 
 from .errors import InvalidParameter, ZeroDenominator
 
 #: Anything accepted as a coefficient.  `int` is allowed on input; Grid and
 #: Samples store an int node or value as a Fraction, so it behaves exactly.
-Scalar = Union[int, Fraction, float]
+Scalar = int | Fraction | float
 
 EXACT = "exact"
 FLOAT = "float"
 
 
-@dataclass(frozen=True)
+def slots_repr(obj) -> str:
+    """Name(slot=value!r, ...) over the class's __slots__, in slot order."""
+    fields = ", ".join(f"{name}={getattr(obj, name)!r}" for name in type(obj).__slots__)
+    return f"{type(obj).__qualname__}({fields})"
+
+
 class Tolerance:
     """Relative/absolute comparison widths used only by float-mode checks."""
 
-    rel: float = 1e-9
-    abs: float = 1e-12
+    __slots__ = ("rel", "abs")
+    __repr__ = slots_repr
 
-    def __post_init__(self):
-        if not all(math.isfinite(x) and x >= 0 for x in (self.rel, self.abs)):
+    def __init__(self, rel: float = 1e-9, abs: float = 1e-12):
+        if not all(math.isfinite(x) and x >= 0 for x in (rel, abs)):
             raise InvalidParameter("tolerance components must be finite and nonnegative")
+        self.rel, self.abs = rel, abs
 
 
 DEFAULT_TOLERANCE = Tolerance()
@@ -52,13 +57,13 @@ def exact_if_int(x: Scalar) -> Scalar:
     return Fraction(x) if isinstance(x, int) else x
 
 
-def over_lcm(values: Sequence[Scalar]) -> Tuple[List[int], int]:
+def over_lcm(values: Sequence[Scalar]) -> tuple[list[int], int]:
     """(u, L): integers u[s] = values[s] * L, L the lcm of the exact values' denominators."""
     common = math.lcm(*(x.denominator for x in values))
     return [x.numerator * (common // x.denominator) for x in values], common
 
 
-def reduced(row: Sequence[int], den: int) -> Tuple[List[int], int]:
+def reduced(row: Sequence[int], den: int) -> tuple[list[int], int]:
     """(row, den) divided by gcd(den, *row): row[s] / den in lowest terms, den keeping its sign."""
     g = math.gcd(den, *row)
     return [x // g for x in row], den // g

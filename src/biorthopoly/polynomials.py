@@ -7,13 +7,13 @@ coefficient tuple and reports degree -1.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from collections.abc import Iterable, Sequence
 
 from .errors import IndexOutOfRange, InsufficientNodes, InvalidParameter
 from .numerics import Scalar, exact_if_int
 
 
-def _strip(coeffs: Sequence[Scalar]) -> Tuple[Scalar, ...]:
+def _strip(coeffs: Sequence[Scalar]) -> tuple[Scalar, ...]:
     n = len(coeffs)
     while n and coeffs[n - 1] == 0:
         n -= 1
@@ -108,7 +108,7 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
-    def deflate(self, root: Scalar) -> Tuple["Polynomial", Scalar]:
+    def deflate(self, root: Scalar) -> tuple["Polynomial", Scalar]:
         """Synthetic division by (z - root): returns (quotient, remainder).
 
         The remainder equals self(root); it is exactly zero whenever root
@@ -186,7 +186,7 @@ def nodal_derivative_at(grid: Grid | Sequence[Scalar], k_plus_1: int, s: int) ->
     return prod
 
 
-def nodal_weights(nodes: Sequence[Scalar], prefix: Sequence[Scalar] = ()) -> Tuple[Scalar, ...]:
+def nodal_weights(nodes: Sequence[Scalar], prefix: Sequence[Scalar] = ()) -> tuple[Scalar, ...]:
     """omega'_K(a_s), s < K = len(nodes), extending the weights `prefix` of nodes[:len(prefix)]:
     node a_k multiplies each w_s by (a_s - a_k) and appends prod_{i<k} (a_k - a_i), in O(k).
     nodal_derivative_at's fold in its order, so floats match it bit for bit.

@@ -291,10 +291,12 @@ HUGE_CONTOUR = "5/1099511627776"  # 2**40 samples: about 10**12 complex numbers 
     (["hermite", "--h", "1", "--k", "2", "--contour", HUGE_CONTOUR], 2),
     (["hermite", "--h", "1", "--k", "2", "--contour", "5/131072"], 2),
     (["exp-example", "--q", "2", "--n-max", "2", "--with-contour", "--contour", HUGE_CONTOUR], 2),
+    (["hermite", "--h", "1", "--k", "-1"], 3),
 ])
 def test_huge_contour_sizes_are_rejected_before_allocation(argv, code, capsys, monkeypatch):
-    """hermite --k above HERMITE_MAX_K exits 3, and a --contour of more than 65536 samples exits
-    2, before any node list or sample is built (the quadrature here refuses to run at all)."""
+    """hermite --k below 0 or above HERMITE_MAX_K exits 3, and a --contour of more than 65536
+    samples exits 2, before any node list or sample is built (the quadrature here refuses to run
+    at all)."""
     import biorthopoly.cli as cli
 
     def refuse(*args, **kwargs):
@@ -410,6 +412,18 @@ def test_cli_import_needs_no_numpy():
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     code = "import sys, biorthopoly.cli; assert 'numpy' not in sys.modules"
     proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_loads_no_reflection_modules():
+    """The CLI imports no dataclasses, inspect or typing. -I -S keep the environment and site's
+    own imports out; -B keeps the child from writing bytecode into the source tree."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import biorthopoly.cli; "
+            "loaded = {'dataclasses', 'inspect', 'typing'} & set(sys.modules); "
+            "assert not loaded, sorted(loaded)")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, src],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from biorthopoly import Circle, ExpGridProblem, Samples, divided_differences_recursive
 from biorthopoly.errors import InvalidParameter, ZeroDenominator
 from biorthopoly.numerics import (
     EXACT,
@@ -141,3 +142,24 @@ def test_reduced_keeps_the_values(row, den):
     u, m = reduced(row, den)
     assert [Fraction(x, m) for x in u] == [Fraction(x, den) for x in row]
     assert math.gcd(m, *u) == 1 and (m > 0) == (den > 0)
+
+
+def test_value_class_reprs_name_every_field():
+    """The value classes print as Name(field=value!r, ...), the text bench fingerprints hash."""
+    samples = Samples.from_pairs([0, Fraction(1, 2)], [1, 2])
+    assert repr(samples) == ("Samples(grid=Grid([Fraction(0, 1), Fraction(1, 2)]), "
+                             "values=(Fraction(1, 1), Fraction(2, 1)))")
+    assert repr(divided_differences_recursive(samples)) == (
+        "DividedDifferenceTable(samples=Samples(grid=Grid([Fraction(0, 1), Fraction(1, 2)]), "
+        "values=(Fraction(1, 1), Fraction(2, 1))), diffs=(Fraction(1, 1), Fraction(2, 1)))")
+    assert repr(ExpGridProblem(Fraction(1, 6), 0)) == (
+        "ExpGridProblem(q=Fraction(1, 6), n_max=0, samples=Samples(grid=Grid([Fraction(0, 1), "
+        "Fraction(1, 1), Fraction(2, 1)]), values=(Fraction(1, 1), Fraction(1, 6), "
+        "Fraction(1, 36))))")
+    assert repr(ExpGridProblem(0.5, 0)) == (
+        "ExpGridProblem(q=0.5, n_max=0, samples=Samples(grid=Grid([0.0, 1.0, 2.0]), "
+        "values=(1.0, 0.5, 0.25)))")
+    assert repr(Tolerance()) == "Tolerance(rel=1e-09, abs=1e-12)"
+    assert repr(Tolerance(rel=0.5, abs=0)) == "Tolerance(rel=0.5, abs=0)"
+    assert repr(Circle(center=1j, radius=2.0)) == "Circle(center=1j, radius=2.0, sample_count=2048)"
+    assert repr(Circle(1 + 0j, 3.0, 16)) == "Circle(center=(1+0j), radius=3.0, sample_count=16)"
