@@ -70,11 +70,11 @@ class RationalInterpolant:
 
 
 class BiorthogonalSystem:
-    """The family with its T-hats, leading coefficients nu_n, rational functions V_n, verified
-    diagonal pairing values d_n, each V_m's residue column, built and checked once: (c, L) with
-    integers c_s / L = T-hat_m(a_s) / (A_s omega'_{m+2}(a_s)) on exact data, else (pairs
-    (T-hat_m(a_s), A_s omega'_{m+2}(a_s)), None), s = 0..m+1; and in that shape node_rows[n],
-    P-hat_n(a_s) = u_s / M_n for s = 0..n_max+1, ints (u, M_n) when exact, else (values, None)."""
+    """The family with its T-hats, leading coefficients nu_n, rational functions V_n, diagonal
+    pairings d_n (not compared with -1/(nu_n alpha_n) here), each V_m's residue column, built and
+    checked once: integers (c, L), c_s / L = T-hat_m(a_s) / (A_s omega'_{m+2}(a_s)), on exact data,
+    else (pairs (T-hat_m(a_s), A_s omega'_{m+2}(a_s)), None), s = 0..m+1; node_rows[n] likewise,
+    P-hat_n(a_s) = u_s / M_n for s = 0..n_max+1."""
 
     __slots__ = ("family", "ts", "nus", "vs", "diagonal", "columns", "node_rows")
     __repr__ = slots_repr
@@ -89,8 +89,8 @@ class BiorthogonalSystem:
     @property
     def node_values(self) -> tuple[tuple[Scalar, ...], ...]:
         """node_values[n][s] = P-hat_n(a_s), built from node_rows on each call."""
-        return ((self.family.phats[0].coefficient(0),) * len(self.node_rows[0][0]), *(  # as stored
-            u if m is None else tuple(Fraction(x, m) for x in u) for u, m in self.node_rows[1:]))
+        return tuple(u if m is None else tuple(Fraction(x, m) for x in u)
+                     for u, m in self.node_rows)
 
     @property
     def n_max(self) -> int:
@@ -121,19 +121,19 @@ def leading_nu(family: MonicInterpolantFamily, n: int) -> Scalar:
 
 
 def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSystem:
-    """Assemble T-hat_n, V_n, their residue columns and the verified diagonal.
+    """Assemble T-hat_n, V_n, their residue columns and the diagonal d_n, which it does not check.
 
-    Raises NuVanishes(n) when T_n loses its degree-n term, then ZeroSampleValue(s) for the
-    smallest zero A_s on V_n's poles, and InvalidParameter when a float nu_n, P-hat_n(a_s) or
-    A_s omega'(a_s) is inf or nan, or the last is 0.  Node values are one recurrence step each,
-    O(N^2) in all; V_n's column is built once from T-hat_n(a_s) = (P-hat_{n+1}(a_s) - (a_s -
-    a_{n+1}) P-hat_n(a_s)) / nu_n and omega'_{n+2}(a_s), extended from V_{n-1}'s in O(n), and
-    d_n = <P-hat_n, V_n> (-1/(nu_n alpha_n) in exact arithmetic).  The route is the family's: when
-    it has integer rows P-hat_n = U_n / k_n (a_s = b_s / D, A_s = e_s / E), T_n is t = D k_n
-    k_{n+1} T_n from them, the node values u_s / M_n step by integer_step, T-hat_n(a_s) and the
-    column c_s / L are integer rows over one denominator, the column and d_n = sum_s u_s c_s /
-    (M_n L) in lowest terms: only nu_n, T-hat_n and d_n become Fractions.  Otherwise (float or
-    mixed data, or a family built by hand) the same steps run on scalars, exactly on Fractions.
+    Raises NuVanishes(n) when T_n loses its degree-n term, then ZeroSampleValue(s) for the smallest
+    zero A_s on V_n's poles, and InvalidParameter when a float nu_n, P-hat_n(a_s) or A_s
+    omega'(a_s) is inf or nan, or the last is 0.  Node values are one recurrence step each, O(N^2)
+    in all; V_n's column is built once from T-hat_n(a_s) = (P-hat_{n+1}(a_s) - (a_s - a_{n+1})
+    P-hat_n(a_s)) / nu_n and omega'_{n+2}(a_s), extended from V_{n-1}'s in O(n), and d_n =
+    <P-hat_n, V_n>, which check-biortho and the tests compare with -1/(nu_n alpha_n).  The route is
+    the family's: when it has integer rows P-hat_n = U_n / k_n (a_s = b_s / D, A_s = e_s / E), T_n
+    is t = D k_n k_{n+1} T_n from them, the node values u_s / M_n step by integer_step,
+    T-hat_n(a_s) and the column c_s / L are integer rows over one denominator, the column and d_n =
+    sum_s u_s c_s / (M_n L) in lowest terms: only nu_n, T-hat_n and d_n become Fractions.  Without
+    rows (float or mixed data, or built by hand) the same steps run on scalars.
     """
     if n_max < 0:
         raise IndexOutOfRange(f"system size n_max = {n_max} is negative")
@@ -298,7 +298,7 @@ def expand_in_interpolants(q_poly: Polynomial, system: BiorthogonalSystem,
     """Coefficients xi_k with q_poly = sum_k xi_k P-hat_k.
 
     xi_k = <q_poly, V_k> / d_k for k = 0..deg(q_poly), using the system's
-    verified diagonal.  Exact reconstruction is guaranteed because the
+    diagonal (not compared here with -1/(nu_k alpha_k)).  Exact reconstruction holds because the
     pairing annihilates every P-hat_j with j != k.  Each is summed as in the matrix, with q_poly
     read at the nodes once (Horner on integers over Q D^deg on a family with rows) and samples the
     system's on a_0..a_{deg+1} (see _columns); a float q_poly there reads Fraction(c_s, L).

@@ -44,7 +44,7 @@ from .exponential import (ExpGridProblem, exp_alpha_closed, exp_interpolant_clos
 from .interpolation import (family_from_recurrence, lagrange_interpolant, monic_family,
                             recurrence_step)
 from .numerics import EXACT, FLOAT, Tolerance, approx_equal, format_scalar, parse_scalar
-from .polynomials import Polynomial, nodal_polynomial
+from .polynomials import Polynomial
 
 NORMALIZATION_NOTES = [
     "Diagonal pairing values are -1/(nu_n*alpha_n).  The +1/alpha_n constant "
@@ -147,7 +147,7 @@ def cmd_recurrence(args, samples: Samples, mode: str, tol: Tolerance) -> tuple:
     n_max = args.n_max if args.n_max is not None else samples.last_index
     family = monic_family(samples, n_max)
 
-    step_residuals, rel1_residuals = [], []
+    step_residuals, rel1_residuals, omega = [], [], Polynomial.constant(1)
     for n in range(n_max):
         ratio_n = family.alphas[n] / family.alphas[n + 1]
         stepped = recurrence_step(
@@ -155,7 +155,7 @@ def cmd_recurrence(args, samples: Samples, mode: str, tol: Tolerance) -> tuple:
             family.phats[n - 1] if n else Polynomial.zero(),
             family.grid[n], ratio_n, family.alpha_ratio(n))
         step_residuals.append(_coeff_residual(stepped, family.phats[n + 1]))
-        omega = nodal_polynomial(family.grid, n + 1)
+        omega = omega * Polynomial((-family.grid[n], 1))  # omega_{n+1}
         rel1 = family.phats[n + 1] - family.phats[n].scale(ratio_n)
         rel1_residuals.append(_coeff_residual(rel1, omega))
 

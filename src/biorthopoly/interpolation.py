@@ -51,19 +51,24 @@ class MonicInterpolantFamily:
     """Aligned sequences alpha_0..alpha_n and monic P-hat_0..P-hat_n over a grid.
 
     Invariants: every alpha is nonzero, P-hat_n is monic of degree exactly n,
-    and alpha_n * P-hat_n(a_k) = A_k for k <= n.  The builders set rows[n] = (U_n, k_n), P-hat_n =
-    U_n / k_n in lowest terms, on exact data; None (float, mixed or built by hand) means scalars.
+    and alpha_n * P-hat_n(a_k) = A_k for k <= n.  Give exactly one of phats (float, mixed or built
+    by hand; rows is None) and rows, the builders' integer rows on exact data: rows[n] = (U_n, k_n)
+    in lowest terms with k_n = U_n[-1] > 0, and the family makes P-hat_n = U_n / k_n in Fractions.
+    Int alphas are held as Fractions.
     """
 
     __slots__ = ("grid", "values", "alphas", "phats", "rows")
 
-    def __init__(self, grid: Grid, values: tuple[Scalar, ...],
-                 alphas: tuple[Scalar, ...], phats: tuple[Polynomial, ...]):
+    def __init__(self, grid: Grid, values: tuple[Scalar, ...], alphas: tuple[Scalar, ...],
+                 phats: Sequence[Polynomial] | None = None, *, rows: Sequence | None = None):
+        if (phats is None) == (rows is None):
+            raise ValueError("give exactly one of phats and rows")
         self.grid = grid
         self.values = tuple(values)
-        self.alphas = tuple(alphas)
-        self.phats = tuple(phats)
-        self.rows = None
+        self.alphas = tuple(map(exact_if_int, alphas))
+        self.rows = None if rows is None else tuple((tuple(u), k) for u, k in rows)
+        self.phats = tuple(phats) if rows is None else tuple(
+            Polynomial([Fraction(c, k) for c in u]) for u, k in self.rows)
         if len(self.alphas) != len(self.phats):
             raise ValueError("alphas and phats must align")
         if len(self.alphas) > len(self.values) or len(self.values) != len(grid):
@@ -78,10 +83,10 @@ class MonicInterpolantFamily:
         return Samples(self.grid, self.values)
 
     def alpha_ratio(self, n: int) -> Scalar:
-        """alpha_{n-1}/alpha_n with the alpha_{-1} = 0 convention, a Fraction for int alphas."""
+        """alpha_{n-1}/alpha_n with the alpha_{-1} = 0 convention."""
         if n == 0:
             return 0
-        return exact_if_int(self.alphas[n - 1]) / self.alphas[n]
+        return self.alphas[n - 1] / self.alphas[n]
 
 
 def monic_family(samples: Samples, n_max: int) -> MonicInterpolantFamily:
@@ -111,10 +116,7 @@ def monic_family(samples: Samples, n_max: int) -> MonicInterpolantFamily:
             x, y = common // m, p * (common // (q * big_d ** n))
             u, m = reduced([x * c + y * w for c, w in zip(u + [0], omega)], common)
             rows.append(reduced(u, u[-1]) if u[-1] > 0 else reduced([-c for c in u], -u[-1]))
-        family = MonicInterpolantFamily(samples.grid, samples.values, alphas, tuple(
-            Polynomial([Fraction(c, k) for c in row]) for row, k in rows))
-        family.rows = tuple((tuple(row), k) for row, k in rows)
-        return family
+        return MonicInterpolantFamily(samples.grid, samples.values, alphas, rows=rows)
     phats, interpolant, omega = [], Polynomial.zero(), Polynomial.constant(1)
     for n, alpha in enumerate(alphas):
         if not (is_exact(alpha) or math.isfinite(alpha)):
@@ -179,18 +181,17 @@ def family_from_recurrence(grid: Grid, alphas: Sequence[Scalar],
         if not (is_exact(alpha) or math.isfinite(alpha)):
             raise InvalidParameter(f"alpha_{n} = {alpha} is not finite")
 
-    nodes, phats = sub_grid.nodes, [Polynomial.constant(1)]
+    nodes = sub_grid.nodes
     exact = all(map(is_exact, chain(nodes, alphas)))
     if exact:  # coefficient rows P-hat_n = u / m, a_s = b_s / D, shifted by D z - b_n
         (b, big_d), (c, big_q) = over_lcm(nodes), over_lcm(alphas)
         rows, ratios = [((), 1), ((1,), 1)], [0, *map(Fraction, alphas, alphas[1:])]  # P-hat_-1 = 0
         for n in range(n_max):
-            u, m = integer_step(rows[-1], rows[-2], ratios[n + 1], ratios[n], big_d, lambda v: [
-                big_d * lo - b[n] * hi for lo, hi in zip([0, *v], v + [0])])
-            rows.append((tuple(u), m))
-            phats.append(Polynomial([*(Fraction(e, m) for e in u[:-1]), 1]))
+            rows.append(integer_step(rows[-1], rows[-2], ratios[n + 1], ratios[n], big_d, (
+                lambda v: [big_d * lo - b[n] * hi for lo, hi in zip([0, *v], v + [0])])))
     else:
         (b, big_d), (c, big_q) = (nodes, 1), (alphas, 1)  # then the sum below is the plain one
+        phats = [Polynomial.constant(1)]
         for n in range(n_max):  # P-hat_{n-1} and alpha_{n-1} / alpha_n are 0 at n = 0
             phats.append(recurrence_step(phats[-1], phats[-2] if n else Polynomial.zero(),
                                          grid[n], alphas[n] / alphas[n + 1],
@@ -203,12 +204,11 @@ def family_from_recurrence(grid: Grid, alphas: Sequence[Scalar],
         for c_s, b_s in zip(c[: n + 1], b):
             total, omega = total * big_d + c_s * omega, omega * (b[n] - b_s)
         values.append(Fraction(total, big_q * big_d ** n) if exact else total)
-    if not exact:  # finite float alphas can still overflow the recurrence or the sums
-        for name, x in chain(((f"P-hat_{n} coefficient {k}", x) for n, p in enumerate(phats)
-                              for k, x in enumerate(p.coeffs)),
-                             ((f"implied value A_{n}", x) for n, x in enumerate(values))):
-            if not (is_exact(x) or math.isfinite(x)):
-                raise InvalidParameter(f"{name} = {x} is not finite")
-    family = MonicInterpolantFamily(sub_grid, tuple(values), alphas, tuple(phats))
-    family.rows = tuple(rows[1:]) if exact else None
-    return family
+    if exact:
+        return MonicInterpolantFamily(sub_grid, values, alphas, rows=rows[1:])
+    for name, x in chain(((f"P-hat_{n} coefficient {k}", x) for n, p in enumerate(phats)
+                          for k, x in enumerate(p.coeffs)),
+                         ((f"implied value A_{n}", x) for n, x in enumerate(values))):
+        if not (is_exact(x) or math.isfinite(x)):  # finite float alphas can still overflow
+            raise InvalidParameter(f"{name} = {x} is not finite")
+    return MonicInterpolantFamily(sub_grid, values, alphas, tuple(phats))

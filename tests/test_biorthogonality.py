@@ -31,8 +31,11 @@ from biorthopoly.errors import (
     PoleEvaluation,
     ZeroSampleValue,
 )
+from biorthopoly.contour import contour_biortho_check, hermite_divided_difference
 from biorthopoly.exponential import ExpGridProblem
-from biorthopoly.interpolation import MonicInterpolantFamily, family_from_recurrence, monic_family
+from biorthopoly.interpolation import (MonicInterpolantFamily, family_from_recurrence,
+                                       lagrange_interpolant, monic_family)
+from biorthopoly.numerics import parse_scalar
 from biorthopoly.polynomials import Grid, Polynomial, nodal_derivative_at
 
 F = Fraction
@@ -134,6 +137,40 @@ def test_build_system_nu_vanishes():
     with pytest.raises(NuVanishes) as err:
         build_system(family, 1)
     assert err.value.index == 1
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda s, f: leading_nu(f, f.n_max), IndexOutOfRange, "nu_2 needs alpha_3"),
+    (lambda s, f: build_system(f, f.n_max), IndexOutOfRange, "system to 2 needs family to 3"),
+    (lambda s, f: orthogonality_moment(f, 3, 0), IndexOutOfRange, "moment needs P-hat_3"),
+    (lambda s, f: orthogonality_moment(f, 2, -1), IndexOutOfRange, r"power -1 outside 0\.\.2"),
+    (lambda s, f: orthogonality_moment(f, 1, 2), IndexOutOfRange, r"power 2 outside 0\.\.1"),
+    (lambda s, f: orthogonality_moment(monic_family(make_samples([0, 1, 2], [1, 0, 5]), 2), 2, 0),
+     ZeroSampleValue, "A_1 = 0"),
+    (lambda s, f: expand_in_interpolants(Polynomial([F(1)] * 3), build_system(f, 1), s),
+     IndexOutOfRange, "degree 2 exceeds system size 1"),
+    (lambda s, f: lagrange_interpolant(s, -1), IndexOutOfRange, r"degree -1 outside 0\.\.2"),
+    (lambda s, f: lagrange_interpolant(s, 3), IndexOutOfRange, r"degree 3 outside 0\.\.2"),
+    (lambda s, f: family_from_recurrence(s.grid, f.alphas, -1), IndexOutOfRange, "n_max = -1"),
+    (lambda s, f: family_from_recurrence(s.grid, f.alphas, 3), IndexOutOfRange, "n_max = 3"),
+    (lambda s, f: hermite_divided_difference(1.0, -1), InvalidParameter, "k must be nonnegative"),
+    (lambda s, f: contour_biortho_check(1.0, -1, 0), InvalidParameter, "indices must be"),
+    (lambda s, f: parse_scalar("1/2", "complex"), InvalidParameter, "unknown scalar mode"),
+    (lambda s, f: MonicInterpolantFamily(f.grid, f.values, f.alphas[:2], f.phats), ValueError,
+     "must align"),
+    (lambda s, f: MonicInterpolantFamily(f.grid, f.values[:2], f.alphas, f.phats), ValueError,
+     "lengths inconsistent"),
+    (lambda s, f: MonicInterpolantFamily(f.grid, f.values, f.alphas), ValueError, "exactly one"),
+    (lambda s, f: MonicInterpolantFamily(f.grid, f.values, f.alphas, f.phats, rows=f.rows),
+     ValueError, "exactly one"),
+], ids=["leading_nu", "build_system", "moment-n", "moment-j-low", "moment-j-high", "moment-zero",
+        "expand-degree", "lagrange-low", "lagrange-high", "recurrence-low", "recurrence-high",
+        "hermite-k", "contour-index", "scalar-mode", "family-align", "family-lengths",
+        "family-neither", "family-both"])
+def test_out_of_range_arguments_raise_typed_errors(call, error, message, worked):
+    samples, family = worked
+    with pytest.raises(error, match=message):
+        call(samples, family)
 
 
 def test_rational_interpolant_pole_evaluation(worked):
@@ -716,8 +753,8 @@ def test_exact_matrix_and_expand_read_the_stored_integer_node_rows(monkeypatch):
     no is_exact and over_lcm only on the nodes and the sample values.  It stores each row of node
     values as integers (u, M_n), so the matrix reads them with no over_lcm or is_exact call, and
     expand calls over_lcm only on q's coefficients and on the nodes, then sums its integer Horner
-    row as it is.  node_values builds the Fractions on demand, with row 0 as the family stores
-    P-hat_0 (int 1 when rebuilt by family_from_recurrence)."""
+    row as it is.  node_values builds the Fractions on demand, the same by repr for the family that
+    family_from_recurrence rebuilds."""
     rng = random.Random(101)
     while True:
         s = usable_random_samples(rng, 12)
@@ -745,14 +782,14 @@ def test_exact_matrix_and_expand_read_the_stored_integer_node_rows(monkeypatch):
     assert [x for x in scalars(system.node_rows) if type(x) is not int] == []  # u_s and M_n
     assert system.node_values == tuple(tuple(F(x, m) for x in u) for u, m in system.node_rows)
     rebuilt = build_system(family_from_recurrence(s.grid, system.family.alphas), 10)
-    assert repr(rebuilt.node_values) == repr(((1,) * 12, *system.node_values[1:]))
+    assert repr(rebuilt.node_values) == repr(system.node_values)
 
 
 def test_a_family_built_by_hand_takes_the_scalar_route_with_the_same_results():
     """MonicInterpolantFamily(grid, values, alphas, phats) carries no integer rows, so
     build_system and expand run on scalars: exact on Fractions, with the ts, nus, diagonal,
     node_values, matrix and xi of the builder's family by repr.  That holds for monic_family and
-    for family_from_recurrence with Fraction and with int alphas (int / int would give floats)."""
+    for family_from_recurrence with Fraction and with int alphas (held as Fractions)."""
     checked = 0
     for rng, s, system in random_systems(107, 12):
         n_max = system.n_max

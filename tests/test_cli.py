@@ -575,6 +575,25 @@ def test_unreadable_problem_file_is_parse_error(content, tmp_path, capsys):
     assert captured.err.startswith("error: ParseError:")
 
 
+@pytest.mark.parametrize("problem, extra", [
+    ([["0"], ["1"]], []),
+    ({"nodes": ["0"]}, []),
+    ({"nodes": "0", "values": ["1"]}, []),
+    ({"nodes": ["0"], "values": {"0": "1"}}, []),
+    ({"nodes": [], "values": []}, []),
+    ({"nodes": ["0"], "values": ["1"], "mode": "complex"}, []),
+    (WORKED, ["--poly", '{"0": "1"}']),
+], ids=["not-an-object", "missing-values", "nodes-not-array", "values-not-array", "empty",
+        "unknown-mode", "poly-not-array"])
+def test_malformed_problem_is_parse_error(problem, extra, tmp_path, capsys):
+    path = write_problem(tmp_path, problem)
+    code = main(["expand", path, *(extra or ["--poly", '["1"]'])])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ParseError:")
+
+
 def _error_classes(cls=BiorthopolyError):
     for sub in cls.__subclasses__():
         yield sub

@@ -140,12 +140,17 @@ def test_family_from_recurrence_doubling_data():
     assert fam.values == (1, 2, 4, 8)
 
 
+def family_fields(family):
+    return family.alphas, family.phats, family.rows, family.values
+
+
 def test_family_from_recurrence_int_alphas_stay_exact():
-    """int alphas are exact data: the family equals that of their Fraction twins (int / int
-    in the alpha ratios gave float coefficients)."""
+    """int alphas are exact data, held as Fractions: the family equals that of their Fraction
+    twins by repr (int / int in the alpha ratios gave float coefficients)."""
     ints = family_from_recurrence(Grid([0, 1, 2]), [1, 2, 3])
     twins = family_from_recurrence(Grid([0, 1, 2]), [F(1), F(2), F(3)])
-    assert repr((ints.values, ints.phats)) == repr((twins.values, twins.phats))
+    assert repr(family_fields(ints)) == repr(family_fields(twins))
+    assert ints.alphas == (F(1), F(2), F(3)) and type(ints.alphas[0]) is Fraction
     assert ints.phats[2] == Polynomial([F(1, 3), F(-1, 3), 1])
 
 
@@ -251,6 +256,26 @@ def test_round_trip_both_directions():
         assert table.diffs == fam.alphas
 
 
+def test_recurrence_round_trip_is_exact_by_repr():
+    """The builders hand their integer rows to the family, which makes every exact P-hat by one
+    rule: family_from_recurrence(grid, alphas) gives back monic_family's alphas, P-hats (Fraction(1)
+    as P-hat_0 and as leading coefficients), rows and values, equal by repr."""
+    rng = random.Random(211)
+    checked = 0
+    for size in [*range(1, 15)] * 15:
+        nodes = {F(a, rng.randint(1, 9)) for a in rng.sample(range(-40, 41), size)}
+        values = [F(rng.choice([v for v in range(-9, 10) if v]), rng.randint(1, 9)) for _ in nodes]
+        s = Samples.from_pairs(sorted(nodes, key=lambda _: rng.random()), values)
+        if 0 in divided_differences_recursive(s).diffs:
+            continue
+        fam = monic_family(s, s.last_index)
+        rebuilt = family_from_recurrence(s.grid, fam.alphas)
+        assert repr(family_fields(rebuilt)) == repr(family_fields(fam))
+        assert all(type(c) is Fraction for p in rebuilt.phats for c in p.coeffs)
+        checked += 1
+    assert checked >= 150
+
+
 def test_family_range_checks():
     s = make_samples([0, 1], [1, 2])
     with pytest.raises(IndexOutOfRange):
@@ -295,7 +320,7 @@ def test_integer_family_routes_match_the_fraction_oracles(drawn):
                               for n, alpha in enumerate(fam.alphas))
     rebuilt = family_from_recurrence(s.grid, fam.alphas)
     assert rebuilt.values == s.values[: n_max + 1] and rebuilt.phats == fam.phats
-    assert all(type(c) is Fraction for p in fam.phats + rebuilt.phats for c in p.coeffs[:-1])
+    assert all(type(c) is Fraction for p in fam.phats + rebuilt.phats for c in p.coeffs)
 
 
 def scalar_table(nodes, values):
