@@ -43,7 +43,7 @@ from .exponential import (ExpGridProblem, exp_alpha_closed, exp_interpolant_clos
                           exp_v_alt_eval)
 from .interpolation import (family_from_recurrence, lagrange_interpolant, monic_family,
                             recurrence_step)
-from .numerics import EXACT, FLOAT, Tolerance, approx_equal, format_scalar, parse_scalar
+from .numerics import EXACT, FLOAT, Tolerance, approx_equal, format_scalar, over_lcm, parse_scalar
 from .polynomials import Polynomial
 
 NORMALIZATION_NOTES = [
@@ -116,6 +116,15 @@ def _coeff_residual(a: Polynomial, b: Polynomial):
 def _polys_equal(a: Polynomial, b: Polynomial, tol: Tolerance) -> bool:
     """Coefficientwise approx_equal: exact coefficients must match exactly."""
     return all(approx_equal(x, y, tol) for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0))
+
+
+def _exact_value(v, z: Fraction) -> Fraction:
+    """v(z) for an exact V_n, on integers: T-hat_n = c / L, z = x / y and poles b_s / D."""
+    (c, big_l), (b, big_d), (x, y) = (over_lcm(v.numerator.coeffs), over_lcm(v.pole_nodes),
+                                      z.as_integer_ratio())
+    top = Polynomial([c_k * y ** (v.index - k) for k, c_k in enumerate(c)])(x)  # L y**n T-hat(z)
+    return Fraction(top * (big_d * y) ** len(b),  # (D y)**(n+2) omega_{n+2}(z) = prod (D x - b_s y)
+                    big_l * y ** v.index * math.prod(big_d * x - b_s * y for b_s in b))
 
 
 def _double(value, name: str) -> float:
@@ -220,7 +229,7 @@ def cmd_expand(args, samples: Samples, mode: str, tol: Tolerance) -> tuple:
 
 
 V_SAMPLE_POINTS = (Fraction(1, 2), Fraction(7, 3), Fraction(-3, 2), Fraction(21, 2))
-EXP_EXAMPLE_MAX_N = 40  # --n-max 40 takes about 0.6 s, and the cost grows about as n_max**3
+EXP_EXAMPLE_MAX_N = 40  # --n-max 40 takes about 0.2 s; its integer checks grow about as n_max**2
 HERMITE_MAX_K = 200  # --k 200 already exits 2: omega_{k+1} overflows on the circle
 
 
@@ -231,21 +240,24 @@ def cmd_exp_example(args) -> tuple:
     problem = ExpGridProblem(q, n_max)
     family = monic_family(problem.samples, n_max + 1)
     system = build_system(family, n_max)
-    indices = range(n_max + 1)
-    newtons = [family.phats[n].scale(family.alphas[n]) for n in indices]  # P_n = alpha_n P-hat_n
+    indices, (p, r) = range(n_max + 1), q.as_integer_ratio()
 
     checks = [
-        ("interpolant_closed_form",
-         max(_coeff_residual(exp_interpolant_closed(problem, n), newtons[n]) for n in indices)),
+        ("interpolant_closed_form", max(_coeff_residual(exp_interpolant_closed(problem, n),
+                                                        family.phats[n].scale(family.alphas[n]))
+                                        for n in indices)),
         ("alpha_closed_form",
          max(abs(exp_alpha_closed(problem, n) - family.alphas[n]) for n in range(n_max + 2))),
         ("nu_closed_form", max(abs(nu - q / (q - 1)) for nu in system.nus)),
         ("t_closed_form",
          max(_coeff_residual(exp_t_closed(problem, n), system.ts[n]) for n in indices)),
-        ("v_routes_agree", max(abs(exp_v_alt_eval(problem, n, z) - system.vs[n](z))
-                               for n in indices for z in V_SAMPLE_POINTS)),
-        ("grid_power_values",
-         max(abs(newtons[n](m) - q ** m) for n in indices for m in range(n + 1))),
+        ("v_routes_agree", max(abs(exp_v_alt_eval(problem, v.index, z) - _exact_value(v, z))
+                               for v in system.vs for z in V_SAMPLE_POINTS)),
+        ("grid_power_values",  # P_n(m) - q**m over b k_n r**m: alpha_n = a / b, P-hat_n = U_n / k_n
+         max(Fraction(abs(a * Polynomial(u)(m) * r ** m - p ** m * b * k), b * k * r ** m)
+             for (u, k), (a, b) in zip(family.rows[: n_max + 1],
+                                       map(Fraction.as_integer_ratio, family.alphas))
+             for m in range(len(u)))),
     ]
     outputs = {
         "alphas": _scalars_json(family.alphas),

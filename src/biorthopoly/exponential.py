@@ -10,11 +10,12 @@ closed form:
     T-hat_n  = (n+1)!/(q-1)**n * 2F1(-n, -z; -1-n; 1-q)
     V_n(z)   = 1/((1-q)**n z(z-1)) * 2F1(-n, -z; 2-z; q)
 
-with (b)_k the rising factorial.  Each closed form is checked against the
-generic machinery coefficient-for-coefficient; the two V_n routes meeting
-at off-grid points is the numerical witness for the underlying 2F1
-transformation.  q < 0 is allowed: only q enters the identities, never a
-logarithm of it.
+with (b)_k the rising factorial.  With q = p/r, P_n, T-hat_n and V_n(z) are built as
+integer rows over one known denominator, Fractions only at the end; pochhammer and
+terminating_2f1 are their generic oracles.  Each closed form is checked against the
+generic machinery coefficient-for-coefficient; the two V_n routes meeting at off-grid
+points is the numerical witness for the underlying 2F1 transformation.  q < 0 is
+allowed: only q enters the identities, never a logarithm of it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from math import factorial
 
 from .divided_differences import Samples
 from .errors import InvalidParameter, LowerParameterPole, PoleEvaluation
-from .numerics import Scalar, exact_if_int, slots_repr
+from .numerics import Scalar, exact_if_int, is_exact, slots_repr
 from .polynomials import Polynomial
 
 
@@ -73,14 +74,25 @@ def terminating_2f1(n: int, b: Scalar, c: Scalar, x: Scalar) -> Scalar:
     return total
 
 
+def _closed_form(q: Scalar, n: int, t_hat: bool) -> Polynomial:
+    """P_n, or T-hat_n if t_hat, as one integer row over a known denominator.
+
+    With q = p/r and w_k = 1 (n+1-k for T-hat_n), C_0 = n! r**n P_n (= (p-r)**n T-hat_n) =
+    sum_{k<=n} w_k (n!/k!) r**(n-k) (r-p)**k (-z)_k by Horner, (-z)_{k+1} = (-z)_k (k - z):
+    C_n = 1, C_k = w_k (n!/k!) r**(n-k) + (r-p) (k - z) C_{k+1}.  Only the last division
+    makes Fractions (correctly rounded floats for a float q)."""
+    (p, r), e, row = q.as_integer_ratio(), 1, [1]
+    for k in range(n - 1, -1, -1):
+        e = e * r * (k + 1)  # (n!/k!) r**(n-k)
+        row = [(n + 1 - k if t_hat else 1) * e + (r - p) * k * row[0],
+               *((r - p) * (k * c - lower) for c, lower in zip([*row[1:], 0], row))]
+    den = (p - r) ** n if t_hat else e
+    return Polynomial([Fraction(c, den) if is_exact(q) else c / den for c in row])
+
+
 def exp_interpolant_closed(problem: ExpGridProblem, n: int) -> Polynomial:
     """P_n in closed form; equals the Newton interpolant on the derived samples."""
-    q = problem.q
-    acc, rising, coeff = Polynomial.zero(), Polynomial.constant(1), 1  # (-z)_k, (1 - q)**k / k!
-    for k in range(n + 1):
-        acc = acc + rising.scale(coeff)
-        rising, coeff = rising * Polynomial((k, -1)), coeff * (1 - q) / (k + 1)
-    return acc
+    return _closed_form(problem.q, n, t_hat=False)
 
 
 def exp_alpha_closed(problem: ExpGridProblem, n: int) -> Scalar:
@@ -89,29 +101,23 @@ def exp_alpha_closed(problem: ExpGridProblem, n: int) -> Scalar:
 
 
 def exp_t_closed(problem: ExpGridProblem, n: int) -> Polynomial:
-    """Monic T-hat_n via the terminating 2F1 with polynomial middle argument.
-
-    (n+1)!/(q-1)**n * sum_{k<=n} (-n)_k (-z)_k / ((-1-n)_k k!) * (1-q)**k, with (-z)_k
-    expanded symbolically so the result is a Polynomial; each term is carried from the last.
-    """
-    q = problem.q
-    acc, rising, coeff = Polynomial.zero(), Polynomial.constant(1), (1 - q) ** 0
-    for k in range(n + 1):
-        acc = acc + rising.scale(coeff)
-        rising = rising * Polynomial((k, -1))
-        coeff = coeff * (k - n) * (1 - q) / ((k - 1 - n) * (k + 1))
-    return acc.scale(Fraction(factorial(n + 1)) / (q - 1) ** n)
+    """Monic T-hat_n = (n+1)!/(q-1)**n 2F1(-n, -z; -1-n; 1-q), (-z)_k expanded: the 2F1's
+    (-n)_k / (-1-n)_k is (n+1-k)/(n+1), so (p-r)**n T-hat_n is an integer row (see _closed_form)."""
+    return _closed_form(problem.q, n, t_hat=True)
 
 
 def exp_v_alt_eval(problem: ExpGridProblem, n: int, z: Scalar) -> Scalar:
-    """V_n(z) through the transformed 2F1 route.
+    """V_n(z) through the transformed 2F1 route, 1/((1-q)**n z(z-1)) * 2F1(-n, -z; 2-z; q).
 
-    1/((1-q)**n z(z-1)) * 2F1(-n, -z; 2-z; q).  Admissible z excludes the
-    integers 0..n+1 (the poles, and the zeros of (2-z)_k).
+    Admissible z excludes the integers 0..n+1 (the poles, and the zeros of (2-z)_k).  With
+    q = p/r and z = x/y the series is top / bottom on integers, by Horner on its term ratios
+    (k-n) (k y - x) p / (((k+2) y - x) (k+1) r); the one division comes last.
     """
-    for m in range(n + 2):
-        if z == m:
-            raise PoleEvaluation(f"z = {m} is excluded for V_{n}")
-    q = problem.q
-    series = terminating_2f1(n, -z, 2 - z, q)
-    return series / ((1 - q) ** n * z * (z - 1))
+    if z in range(n + 2):
+        raise PoleEvaluation(f"z = {z} is excluded for V_{n}")
+    (p, r), (x, y), top, bottom = problem.q.as_integer_ratio(), z.as_integer_ratio(), 1, 1
+    for k in range(n - 1, -1, -1):
+        step = ((k + 2) * y - x) * (k + 1) * r
+        top, bottom = bottom * step + (k - n) * (k * y - x) * p * top, bottom * step
+    num, den = top * r ** n * y * y, bottom * (r - p) ** n * x * (x - y)
+    return Fraction(num, den) if is_exact(problem.q) and is_exact(z) else num / den

@@ -134,7 +134,7 @@ def recurrence_step(phat_n: Polynomial, phat_nm1: Polynomial, a_n: Scalar,
     ratio_n = alpha_n/alpha_{n+1} and ratio_nm1 = alpha_{n-1}/alpha_n are
     supplied by the caller (0 for the n = 0 step).
     """
-    shifted = Polynomial((-a_n, 1))
+    shifted = Polynomial((-a_n, a_n ** 0))  # the 1 in a_n's arithmetic: 1.0 on a float grid
     first = (shifted + Polynomial.constant(ratio_n)) * phat_n
     second = (shifted * phat_nm1).scale(ratio_nm1)
     return first - second
@@ -191,7 +191,7 @@ def family_from_recurrence(grid: Grid, alphas: Sequence[Scalar],
                 lambda v: [big_d * lo - b[n] * hi for lo, hi in zip([0, *v], v + [0])])))
     else:
         (b, big_d), (c, big_q) = (nodes, 1), (alphas, 1)  # then the sum below is the plain one
-        phats = [Polynomial.constant(1)]
+        phats = [Polynomial.constant(alphas[0] / alphas[0])]  # as monic_family's P-hat_0
         for n in range(n_max):  # P-hat_{n-1} and alpha_{n-1} / alpha_n are 0 at n = 0
             phats.append(recurrence_step(phats[-1], phats[-2] if n else Polynomial.zero(),
                                          grid[n], alphas[n] / alphas[n + 1],

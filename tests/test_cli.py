@@ -453,18 +453,22 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 GOLDEN_PROBLEM = {"nodes": ["0", "1", "3", "-2", "1/2"], "values": ["1", "2", "5", "-3", "7/4"]}
 
 
-@pytest.mark.parametrize("argv", [
-    ["interpolate", "PROBLEM", "--degree", "3"],
-    ["recurrence", "PROBLEM"],
-    ["check-biortho", "PROBLEM", "--n-max", "2"],
-    ["expand", "PROBLEM", "--poly", '["1", "-1/2", "2"]'],
-    ["exp-example", "--q", "2", "--n-max", "2"],
-], ids=lambda argv: argv[0])
-def test_exact_report_matches_golden(argv, tmp_path, capsys):
+GOLDEN_CASES = {  # golden file name -> argv; exp-example-large shows degree 3 and up
+    "interpolate": ["interpolate", "PROBLEM", "--degree", "3"],
+    "recurrence": ["recurrence", "PROBLEM"],
+    "check-biortho": ["check-biortho", "PROBLEM", "--n-max", "2"],
+    "expand": ["expand", "PROBLEM", "--poly", '["1", "-1/2", "2"]'],
+    "exp-example": ["exp-example", "--q", "2", "--n-max", "2"],
+    "exp-example-large": ["exp-example", "--q", "-7/3", "--n-max", "12"],
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_CASES)
+def test_exact_report_matches_golden(name, tmp_path, capsys):
     # the whole text pins key order, every output and the inputs_digest value
     path = write_problem(tmp_path, GOLDEN_PROBLEM)
-    assert main([path if a == "PROBLEM" else a for a in argv]) == 0
-    with open(os.path.join(GOLDEN, argv[0] + ".json")) as handle:
+    assert main([path if a == "PROBLEM" else a for a in GOLDEN_CASES[name]]) == 0
+    with open(os.path.join(GOLDEN, name + ".json")) as handle:
         assert capsys.readouterr().out == handle.read()
 
 

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -168,3 +170,56 @@ def test_diagonal_closed_form():
     family = monic_family(prob.samples, 4)
     system = build_system(family, 3)
     assert system.diagonal == (F(-1, 2), F(-1, 2), F(-1), F(-3))
+
+
+def _random_q(rng, kind):
+    """A random p/r, r > 0, of the kind: negative, 0 < |q| < 1 or |q| > 1 (never 0 or 1)."""
+    while True:
+        p, r = rng.randint(1, 40), rng.randint(1, 12)
+        q = F(-p if kind == "negative" or rng.random() < 0.5 else p, r)
+        if q != 1 and (kind == "negative" and q < 0 or kind == "inside" and abs(q) < 1
+                       or kind == "outside" and abs(q) > 1):
+            return q
+
+
+@pytest.mark.parametrize("kind", ["negative", "inside", "outside"])
+def test_closed_forms_match_their_series_oracles(kind):
+    """At off-grid rational z and n = 0..30, the integer-row closed forms equal their series
+    summed by the generic oracles: P_n(z) = sum_k (-z)_k (1-q)**k / k!, T-hat_n(z) =
+    (n+1)!/(q-1)**n 2F1(-n, -z; -1-n; 1-q) and V_n(z) = 2F1(-n, -z; 2-z; q) / ((1-q)**n z(z-1)).
+    (-1-n)_k has no zero factor for k <= n, so the T-hat series meets no LowerParameterPole."""
+    rng = random.Random(f"closed-{kind}")
+    for n in range(31):
+        q = _random_q(rng, kind)
+        prob = ExpGridProblem(q, n)
+        p_n, t_n = exp_interpolant_closed(prob, n), exp_t_closed(prob, n)
+        for _ in range(3):
+            z = F(rng.randint(-90, 90), rng.randint(2, 9))
+            if z.denominator == 1:
+                z += F(1, 2)
+            series = sum(pochhammer(-z, k) * (1 - q) ** k / factorial(k) for k in range(n + 1))
+            assert p_n(z) == series
+            assert t_n(z) == factorial(n + 1) / (q - 1) ** n * terminating_2f1(n, -z, -1 - n, 1 - q)
+            assert exp_v_alt_eval(prob, n, z) == (terminating_2f1(n, -z, 2 - z, q)
+                                                  / ((1 - q) ** n * z * (z - 1)))
+        assert t_n.degree == n and t_n.leading_coefficient() == 1
+        assert all(type(c) is Fraction for c in p_n.coeffs + t_n.coeffs)
+    prob = ExpGridProblem(_random_q(rng, kind), 0)
+    assert repr(exp_interpolant_closed(prob, 0)) == repr(exp_t_closed(prob, 0)) == (
+        "Polynomial([Fraction(1, 1)])")
+
+
+def test_float_q_closed_forms_match_exact_q():
+    """A float q runs the same integer rows, from its exact binary value: the closed forms of
+    q = 0.5 are floats within a relative 1e-12 of those of q = 1/2."""
+    floats, exact = ExpGridProblem(0.5, 6), ExpGridProblem(F(1, 2), 6)
+    assert repr(exp_interpolant_closed(floats, 0)) == "Polynomial([1.0])"
+    for closed in (exp_interpolant_closed, exp_t_closed):
+        for n in range(7):
+            got, want = closed(floats, n).coeffs, closed(exact, n).coeffs
+            assert len(got) == len(want) == n + 1
+            for g, w in zip(got, want):
+                assert type(g) is float and abs(g - w) <= 1e-12 * abs(w)
+    for z in Z_PROBES:
+        got, want = exp_v_alt_eval(floats, 5, float(z)), exp_v_alt_eval(exact, 5, z)
+        assert type(got) is float and abs(got - want) <= 1e-12 * abs(want)

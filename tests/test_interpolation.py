@@ -276,6 +276,30 @@ def test_recurrence_round_trip_is_exact_by_repr():
     assert checked >= 150
 
 
+@pytest.mark.parametrize("kind", ["float", "exact-nodes", "exact-values"])
+def test_float_recurrence_round_trip_is_monic_familys_by_repr(kind):
+    """Float and mixed data: the rebuilt P-hat_0 is alpha_0 / alpha_0 and each leading coefficient
+    a_n ** 0, 1.0 where monic_family has 1.0, never int 1.  Where the float arithmetic is exact
+    (the first three cases) the round trip equals the family by repr; on random data every
+    coefficient has monic_family's type."""
+    rng = random.Random(401)
+    cases = [([0, 1, 3], [1, 2, 7]), ([0, 1, 2], [1, 2, 4]), ([0, -1, 2], [4, 2, 1])]
+    cases += [(s.grid.nodes, s.values) for s in (nondegenerate_samples(rng, n) for n in range(2, 12))]
+    for i, (nodes, values) in enumerate(cases):
+        nodes = [float(a) if kind != "exact-nodes" else F(a) for a in nodes]
+        values = [float(v) if kind != "exact-values" else F(v) for v in values]
+        fam = monic_family(Samples.from_pairs(nodes, values), len(nodes) - 1)
+        rebuilt = family_from_recurrence(fam.grid, fam.alphas)
+        types = [[type(c) for c in p.coeffs] for p in fam.phats]
+        assert [[type(c) for c in p.coeffs] for p in rebuilt.phats] == types
+        assert all(t[-1] is (Fraction if n == 0 and kind == "exact-values" else float)
+                   for n, t in enumerate(types))
+        if i < 3:  # exact in floats: the values too, where they are floats on both sides
+            assert repr((rebuilt.alphas, rebuilt.phats, rebuilt.rows)) == repr(
+                (fam.alphas, fam.phats, fam.rows))
+            assert kind == "exact-values" or repr(rebuilt.values) == repr(fam.values)
+
+
 def test_family_range_checks():
     s = make_samples([0, 1], [1, 2])
     with pytest.raises(IndexOutOfRange):
@@ -334,8 +358,9 @@ def scalar_table(nodes, values):
 
 
 def scalar_recurrence(nodes, alphas):
-    """recurrence_step from P-hat_0 = 1 and A_n = sum_s alpha_s omega_s(a_n), in scalars."""
-    phats, previous = [Polynomial.constant(1)], Polynomial.zero()
+    """recurrence_step from P-hat_0 = alpha_0 / alpha_0 (1.0 for a float alpha_0, as monic_family
+    has it) and A_n = sum_s alpha_s omega_s(a_n), in scalars."""
+    phats, previous = [Polynomial.constant(alphas[0] / alphas[0])], Polynomial.zero()
     for n in range(len(alphas) - 1):
         ratio_nm1 = 0 if n == 0 else alphas[n - 1] / alphas[n]
         phats.append(recurrence_step(phats[-1], previous, nodes[n], alphas[n] / alphas[n + 1],
