@@ -60,7 +60,6 @@ from .interpolation import (
 from .numerics import (
     EXACT,
     FLOAT,
-    Tolerance,
     approx_equal,
     format_scalar,
     parse_scalar,
@@ -91,7 +90,6 @@ __all__ = [
     "Polynomial",
     "RationalInterpolant",
     "Samples",
-    "Tolerance",
     "ZeroDenominator",
     "ZeroSampleValue",
     "approx_equal",

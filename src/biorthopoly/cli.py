@@ -15,8 +15,8 @@ digest the inputs, list outputs and one verdict per declared check.  Exit codes:
 pass, 1 some check failed; a library error exits with the code its class sets.
 2: unparsable input or bad parameter, also a float scalar, alpha_n, nu_n, P-hat_n(a_s),
 A_s omega'(a_s) or contour sample that overflows, a float omega'(a_s), A_s omega'(a_s),
-nu_n alpha_n or d_n that underflows to 0, an exact value too long to print, a non-finite
-tolerance or --h, a negative --contour-tolerance, a --contour circle through a node or pole,
+nu_n alpha_n or d_n that underflows to 0, an exact value too long to print, a negative or
+non-finite tolerance, a non-finite --h, a --contour circle through a node or pole,
 leaving a node outside or of more than 65536 samples, or an exp-example --with-contour whose q
 or closed-form values leave double range.
 3: index/degree out of range (a negative --n-max or --k, exp-example --n-max > 40, --k > 200).
@@ -43,7 +43,8 @@ from .exponential import (ExpGridProblem, exp_alpha_closed, exp_interpolant_clos
                           exp_v_alt_eval)
 from .interpolation import (family_from_recurrence, lagrange_interpolant, monic_family,
                             recurrence_step)
-from .numerics import EXACT, FLOAT, Tolerance, approx_equal, format_scalar, over_lcm, parse_scalar
+from .numerics import (EXACT, FLOAT, approx_equal, check_tolerance, format_scalar, over_lcm,
+                       parse_scalar)
 from .polynomials import Polynomial
 
 NORMALIZATION_NOTES = [
@@ -113,11 +114,6 @@ def _coeff_residual(a: Polynomial, b: Polynomial):
     return _worst(abs(x - y) for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0))
 
 
-def _polys_equal(a: Polynomial, b: Polynomial, tol: Tolerance) -> bool:
-    """Coefficientwise approx_equal: exact coefficients must match exactly."""
-    return all(approx_equal(x, y, tol) for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0))
-
-
 def _exact_value(v, z: Fraction) -> Fraction:
     """v(z) for an exact V_n, on integers: T-hat_n = c / L, z = x / y and poles b_s / D."""
     (c, big_l), (b, big_d), (x, y) = (over_lcm(v.numerator.coeffs), over_lcm(v.pole_nodes),
@@ -135,7 +131,7 @@ def _double(value, name: str) -> float:
         raise InvalidParameter(f"{name} overflows a double") from None
 
 
-def cmd_interpolate(args, samples: Samples, mode: str, tol: Tolerance) -> tuple:
+def cmd_interpolate(args, samples: Samples) -> tuple:
     degree = args.degree
     newton = newton_interpolant(samples, degree)
     lagrange = lagrange_interpolant(samples, degree)
@@ -145,14 +141,15 @@ def cmd_interpolate(args, samples: Samples, mode: str, tol: Tolerance) -> tuple:
 
     checks = [
         ("newton_lagrange_equal", _coeff_residual(newton, lagrange),
-         _polys_equal(newton, lagrange, tol)),
+         all(approx_equal(x, y, args.tolerance)  # exact coefficients must match exactly
+             for x, y in zip_longest(newton.coeffs, lagrange.coeffs, fillvalue=0))),
         ("interpolation_conditions", condition_residual),
     ]
     outputs = {"newton": _scalars_json(newton.coeffs), "lagrange": _scalars_json(lagrange.coeffs)}
     return {"degree": degree}, outputs, checks, None
 
 
-def cmd_recurrence(args, samples: Samples, mode: str, tol: Tolerance) -> tuple:
+def cmd_recurrence(args, samples: Samples) -> tuple:
     n_max = args.n_max if args.n_max is not None else samples.last_index
     family = monic_family(samples, n_max)
 
@@ -185,7 +182,7 @@ def cmd_recurrence(args, samples: Samples, mode: str, tol: Tolerance) -> tuple:
     return {"n_max": n_max}, outputs, checks, None
 
 
-def cmd_check_biortho(args, samples: Samples, mode: str, tol: Tolerance) -> tuple:
+def cmd_check_biortho(args, samples: Samples) -> tuple:
     n_max = args.n_max
     family = monic_family(samples, n_max + 1)
     system = build_system(family, n_max)
@@ -208,8 +205,8 @@ def cmd_check_biortho(args, samples: Samples, mode: str, tol: Tolerance) -> tupl
     return {"n_max": n_max}, outputs, checks, NORMALIZATION_NOTES
 
 
-def cmd_expand(args, samples: Samples, mode: str, tol: Tolerance) -> tuple:
-    poly = _parse_poly_argument(args.poly, mode)
+def cmd_expand(args, samples: Samples) -> tuple:
+    poly = _parse_poly_argument(args.poly, args.mode)
     degree = max(poly.degree, 0)
     if degree + 1 > samples.last_index:
         raise IndexOutOfRange(
@@ -326,14 +323,14 @@ def build_report(args) -> dict:
     returns (arguments, outputs, checks, notes); a check is (name, residual),
     which passes when approx_equal(residual, 0, tol), or (name, residual,
     verdict) where its rule differs.
-    A problem subcommand loads its file and tolerance first."""
+    A problem subcommand first sets its effective mode and checked tolerance on args."""
+    tol = None  # the other subcommands give a verdict wherever a residual is a float
     if "problem" in args:
-        samples, mode, digest = load_problem(args.problem, args.mode)
-        tol = Tolerance(rel=args.tolerance, abs=args.tolerance)
-        arguments, outputs, checks, notes = args.handler(args, samples, mode, tol)
-        arguments["mode"] = mode
+        samples, args.mode, digest = load_problem(args.problem, args.mode)
+        tol = args.tolerance = check_tolerance(args.tolerance)
+        arguments, outputs, checks, notes = args.handler(args, samples)
+        arguments["mode"] = args.mode
     else:
-        mode, tol = args.mode, None
         arguments, outputs, checks, notes = args.handler(args)
         digest = _digest(arguments)
     verdicts = [{"name": name, "pass": bool(rule[0] if rule else approx_equal(residual, 0, tol)),
@@ -342,7 +339,7 @@ def build_report(args) -> dict:
         "command": args.subcommand,
         "arguments": arguments,
         "inputs_digest": digest,
-        "mode": mode,
+        "mode": args.mode,
         "outputs": outputs,
         "checks": verdicts,
         "passed": all(c["pass"] for c in verdicts),
@@ -395,7 +392,7 @@ def _finite_float(text: str) -> float:
 
 def _tolerance(text: str) -> float:
     try:
-        return Tolerance(abs=float(text)).abs
+        return check_tolerance(float(text))
     except InvalidParameter as exc:
         raise argparse.ArgumentTypeError(str(exc))
 

@@ -30,27 +30,27 @@ class DegenerateInterpolant(BiorthopolyError):
     """A divided difference alpha_n vanished where a monic interpolant needs it."""
     exit_code = 4
 
-    def __init__(self, index, message=None):
+    def __init__(self, index):
         self.index = index
-        super().__init__(message or f"alpha_{index} = 0: monic interpolant of degree {index} undefined")
+        super().__init__(f"alpha_{index} = 0: monic interpolant of degree {index} undefined")
 
 
 class NuVanishes(BiorthopolyError):
     """The auxiliary polynomial T_n lost its degree-n term (nu_n = 0)."""
     exit_code = 4
 
-    def __init__(self, index, message=None):
+    def __init__(self, index):
         self.index = index
-        super().__init__(message or f"nu_{index} = 0: T_{index} degenerates below degree {index}")
+        super().__init__(f"nu_{index} = 0: T_{index} degenerates below degree {index}")
 
 
 class ZeroSampleValue(BiorthopolyError):
     """A sample value A_s = 0 appeared where the pairing divides by it."""
     exit_code = 4
 
-    def __init__(self, index, message=None):
+    def __init__(self, index):
         self.index = index
-        super().__init__(message or f"A_{index} = 0: residue pairing divides by the sample values")
+        super().__init__(f"A_{index} = 0: residue pairing divides by the sample values")
 
 
 class PoleEvaluation(BiorthopolyError):

@@ -25,7 +25,7 @@ from math import factorial
 
 from .divided_differences import Samples
 from .errors import InvalidParameter, LowerParameterPole, PoleEvaluation
-from .numerics import Scalar, exact_if_int, is_exact, slots_repr
+from .numerics import Scalar, is_exact, slots_repr
 from .polynomials import Polynomial
 
 
@@ -35,17 +35,17 @@ class ExpGridProblem:
     __slots__ = ("q", "n_max", "samples")
     __repr__ = slots_repr
 
-    def __init__(self, q: Scalar, n_max: int):
-        q = exact_if_int(q)
+    def __init__(self, q: int | Fraction, n_max: int):
+        if not is_exact(q):
+            raise InvalidParameter(f"q must be an int or a Fraction, got {q!r}")
+        q = Fraction(q)
         if q == 0 or q == 1:
             raise InvalidParameter("q must differ from 0 and 1")
         if n_max < 0:
             raise InvalidParameter("n_max must be nonnegative")
         count = n_max + 3
-        one = q / q
-        nodes = tuple(one * k for k in range(count))
-        values = tuple(q ** k for k in range(count))
-        self.q, self.n_max, self.samples = q, n_max, Samples.from_pairs(nodes, values)
+        samples = Samples.from_pairs(range(count), [q ** k for k in range(count)])
+        self.q, self.n_max, self.samples = q, n_max, samples
 
 
 def pochhammer(b: Scalar, k: int) -> Scalar:
@@ -80,14 +80,14 @@ def _closed_form(q: Scalar, n: int, t_hat: bool) -> Polynomial:
     With q = p/r and w_k = 1 (n+1-k for T-hat_n), C_0 = n! r**n P_n (= (p-r)**n T-hat_n) =
     sum_{k<=n} w_k (n!/k!) r**(n-k) (r-p)**k (-z)_k by Horner, (-z)_{k+1} = (-z)_k (k - z):
     C_n = 1, C_k = w_k (n!/k!) r**(n-k) + (r-p) (k - z) C_{k+1}.  Only the last division
-    makes Fractions (correctly rounded floats for a float q)."""
+    makes Fractions."""
     (p, r), e, row = q.as_integer_ratio(), 1, [1]
     for k in range(n - 1, -1, -1):
         e = e * r * (k + 1)  # (n!/k!) r**(n-k)
         row = [(n + 1 - k if t_hat else 1) * e + (r - p) * k * row[0],
                *((r - p) * (k * c - lower) for c, lower in zip([*row[1:], 0], row))]
     den = (p - r) ** n if t_hat else e
-    return Polynomial([Fraction(c, den) if is_exact(q) else c / den for c in row])
+    return Polynomial([Fraction(c, den) for c in row])
 
 
 def exp_interpolant_closed(problem: ExpGridProblem, n: int) -> Polynomial:
@@ -97,7 +97,7 @@ def exp_interpolant_closed(problem: ExpGridProblem, n: int) -> Polynomial:
 
 def exp_alpha_closed(problem: ExpGridProblem, n: int) -> Scalar:
     """alpha_n = (q - 1)**n / n!."""
-    return (problem.q - 1) ** n / Fraction(factorial(n))
+    return (problem.q - 1) ** n / factorial(n)
 
 
 def exp_t_closed(problem: ExpGridProblem, n: int) -> Polynomial:
@@ -120,4 +120,4 @@ def exp_v_alt_eval(problem: ExpGridProblem, n: int, z: Scalar) -> Scalar:
         step = ((k + 2) * y - x) * (k + 1) * r
         top, bottom = bottom * step + (k - n) * (k * y - x) * p * top, bottom * step
     num, den = top * r ** n * y * y, bottom * (r - p) ** n * x * (x - y)
-    return Fraction(num, den) if is_exact(problem.q) and is_exact(z) else num / den
+    return Fraction(num, den) if is_exact(z) else num / den

@@ -32,19 +32,11 @@ def slots_repr(obj) -> str:
     return f"{type(obj).__qualname__}({fields})"
 
 
-class Tolerance:
-    """Relative/absolute comparison widths used only by float-mode checks."""
-
-    __slots__ = ("rel", "abs")
-    __repr__ = slots_repr
-
-    def __init__(self, rel: float = 1e-9, abs: float = 1e-12):
-        if not all(math.isfinite(x) and x >= 0 for x in (rel, abs)):
-            raise InvalidParameter("tolerance components must be finite and nonnegative")
-        self.rel, self.abs = rel, abs
-
-
-DEFAULT_TOLERANCE = Tolerance()
+def check_tolerance(tol: float) -> float:
+    """tol, the comparison width of a float-mode check; InvalidParameter unless finite and >= 0."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InvalidParameter("tolerance must be finite and nonnegative")
+    return tol
 
 
 def is_exact(x: Scalar) -> bool:
@@ -99,13 +91,13 @@ def format_scalar(x: Scalar) -> str:
     return repr(float(x))
 
 
-def approx_equal(x: Scalar, y: Scalar, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+def approx_equal(x: Scalar, y: Scalar, tol: float) -> bool:
     """Equality test that respects the mode of its arguments.
 
     Exact pairs compare exactly (tol ignored).  As soon as a float is
-    involved the test is |x - y| <= abs + rel * max(|x|, |y|).
+    involved the test is |x - y| <= tol + tol * max(|x|, |y|).
     """
     if is_exact(x) and is_exact(y):
         return x == y
     fx, fy = float(x), float(y)
-    return abs(fx - fy) <= tol.abs + tol.rel * max(abs(fx), abs(fy))
+    return abs(fx - fy) <= tol + tol * max(abs(fx), abs(fy))

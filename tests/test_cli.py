@@ -349,11 +349,13 @@ def test_exp_example_contour_out_of_double_range_is_bad_parameter(argv, capsys):
 
 
 def test_check_biortho_rejects_nan_tolerance(tmp_path, capsys):
+    # -1 and inf too: a typed error from main, not an argparse exit
     path = write_problem(tmp_path, WORKED)
-    code, report = run(capsys, ["check-biortho", path, "--n-max", "1",
-                                "--tolerance", "nan"])
-    assert code == 2
-    assert report is None
+    for width in ("nan", "-1", "inf"):
+        assert main(["check-biortho", path, "--n-max", "1", "--tolerance", width]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: InvalidParameter: tolerance must be finite and nonnegative\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -453,13 +455,17 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 GOLDEN_PROBLEM = {"nodes": ["0", "1", "3", "-2", "1/2"], "values": ["1", "2", "5", "-3", "7/4"]}
 
 
-GOLDEN_CASES = {  # golden file name -> argv; exp-example-large shows degree 3 and up
-    "interpolate": ["interpolate", "PROBLEM", "--degree", "3"],
-    "recurrence": ["recurrence", "PROBLEM"],
-    "check-biortho": ["check-biortho", "PROBLEM", "--n-max", "2"],
-    "expand": ["expand", "PROBLEM", "--poly", '["1", "-1/2", "2"]'],
-    "exp-example": ["exp-example", "--q", "2", "--n-max", "2"],
-    "exp-example-large": ["exp-example", "--q", "-7/3", "--n-max", "12"],
+GOLDEN_CASES = {  # golden file name -> (argv, exit code); exp-example-large shows degree 3 and up
+    "interpolate": (["interpolate", "PROBLEM", "--degree", "3"], 0),
+    "recurrence": (["recurrence", "PROBLEM"], 0),
+    "check-biortho": (["check-biortho", "PROBLEM", "--n-max", "2"], 0),
+    "expand": (["expand", "PROBLEM", "--poly", '["1", "-1/2", "2"]'], 0),
+    "exp-example": (["exp-example", "--q", "2", "--n-max", "2"], 0),
+    "exp-example-large": (["exp-example", "--q", "-7/3", "--n-max", "12"], 0),
+    # float mode pins the verdict rule: at width 0 both rounding residuals fail
+    "interpolate-float": (["interpolate", "PROBLEM", "--degree", "3", "--mode", "float"], 0),
+    "check-biortho-float": (["check-biortho", "PROBLEM", "--n-max", "2", "--mode", "float",
+                             "--tolerance", "0"], 1),
 }
 
 
@@ -467,7 +473,8 @@ GOLDEN_CASES = {  # golden file name -> argv; exp-example-large shows degree 3 a
 def test_exact_report_matches_golden(name, tmp_path, capsys):
     # the whole text pins key order, every output and the inputs_digest value
     path = write_problem(tmp_path, GOLDEN_PROBLEM)
-    assert main([path if a == "PROBLEM" else a for a in GOLDEN_CASES[name]]) == 0
+    argv, code = GOLDEN_CASES[name]
+    assert main([path if a == "PROBLEM" else a for a in argv]) == code
     with open(os.path.join(GOLDEN, name + ".json")) as handle:
         assert capsys.readouterr().out == handle.read()
 

@@ -9,8 +9,8 @@ from biorthopoly.errors import InvalidParameter, ZeroDenominator
 from biorthopoly.numerics import (
     EXACT,
     FLOAT,
-    Tolerance,
     approx_equal,
+    check_tolerance,
     format_scalar,
     is_exact,
     parse_scalar,
@@ -79,33 +79,38 @@ def test_is_exact():
 
 def test_tolerance_rejects_negative():
     with pytest.raises(InvalidParameter):
-        Tolerance(rel=-1e-9)
+        check_tolerance(-1e-9)
     with pytest.raises(InvalidParameter):
-        Tolerance(abs=-1.0)
+        check_tolerance(-1.0)
 
 
 @pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf])
 def test_tolerance_rejects_non_finite(width):
     # nan < 0 is False, so a sign test alone would let nan through
     with pytest.raises(InvalidParameter):
-        Tolerance(rel=width)
-    with pytest.raises(InvalidParameter):
-        Tolerance(abs=width)
+        check_tolerance(width)
+
+
+def test_tolerance_returns_an_admissible_width():
+    for width in (0, 0.0, 1e-17, 1e-9, 1.0):
+        assert check_tolerance(width) is width
 
 
 def test_approx_equal_exact_is_strict():
-    tol = Tolerance(rel=1.0, abs=1.0)
     # a huge tolerance must not blur two distinct exact values
-    assert not approx_equal(Fraction(1), Fraction(2), tol)
-    assert approx_equal(Fraction(1, 3), Fraction(2, 6), tol)
+    assert not approx_equal(Fraction(1), Fraction(2), 1.0)
+    assert approx_equal(Fraction(1, 3), Fraction(2, 6), 1.0)
 
 
 def test_approx_equal_float_widths():
-    tol = Tolerance(rel=1e-9, abs=1e-12)
-    assert approx_equal(1.0, 1.0 + 1e-13, tol)
-    assert not approx_equal(1.0, 1.0 + 1e-6, tol)
+    # one width serves as absolute and as relative: tol + tol * max(|x|, |y|)
+    assert approx_equal(1.0, 1.0 + 1e-13, 1e-12)
+    assert not approx_equal(1.0, 1.0 + 1e-6, 1e-9)
+    assert approx_equal(1e6, 1e6 + 1e-4, 1e-9)  # 1e-4 is within 1e-9 + 1e-9 * 1e6
+    assert not approx_equal(0.0, 1e-8, 1e-9)
+    assert approx_equal(0.0, 0.0, 0.0) and not approx_equal(0.0, 5e-324, 0.0)
     # mixing exact with float falls back to the float test
-    assert approx_equal(Fraction(1, 3), 1 / 3, tol)
+    assert approx_equal(Fraction(1, 3), 1 / 3, 1e-9)
 
 
 # The exact mode must behave as a field: these identities back every
@@ -156,10 +161,9 @@ def test_value_class_reprs_name_every_field():
         "ExpGridProblem(q=Fraction(1, 6), n_max=0, samples=Samples(grid=Grid([Fraction(0, 1), "
         "Fraction(1, 1), Fraction(2, 1)]), values=(Fraction(1, 1), Fraction(1, 6), "
         "Fraction(1, 36))))")
-    assert repr(ExpGridProblem(0.5, 0)) == (
-        "ExpGridProblem(q=0.5, n_max=0, samples=Samples(grid=Grid([0.0, 1.0, 2.0]), "
-        "values=(1.0, 0.5, 0.25)))")
-    assert repr(Tolerance()) == "Tolerance(rel=1e-09, abs=1e-12)"
-    assert repr(Tolerance(rel=0.5, abs=0)) == "Tolerance(rel=0.5, abs=0)"
+    assert repr(ExpGridProblem(2, 0)) == (  # an int q is kept as a Fraction
+        "ExpGridProblem(q=Fraction(2, 1), n_max=0, samples=Samples(grid=Grid([Fraction(0, 1), "
+        "Fraction(1, 1), Fraction(2, 1)]), values=(Fraction(1, 1), Fraction(2, 1), "
+        "Fraction(4, 1))))")
     assert repr(Circle(center=1j, radius=2.0)) == "Circle(center=1j, radius=2.0, sample_count=2048)"
     assert repr(Circle(1 + 0j, 3.0, 16)) == "Circle(center=(1+0j), radius=3.0, sample_count=16)"
