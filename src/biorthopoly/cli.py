@@ -43,8 +43,8 @@ from .exponential import (ExpGridProblem, exp_alpha_closed, exp_interpolant_clos
                           exp_v_alt_eval)
 from .interpolation import (family_from_recurrence, lagrange_interpolant, monic_family,
                             recurrence_step)
-from .numerics import (EXACT, FLOAT, approx_equal, check_tolerance, format_scalar, over_lcm,
-                       parse_scalar)
+from .numerics import (EXACT, FLOAT, approx_equal, check_tolerance, format_scalar, is_exact,
+                       over_lcm, parse_scalar)
 from .polynomials import Polynomial
 
 NORMALIZATION_NOTES = [
@@ -321,7 +321,7 @@ def cmd_hermite(args) -> tuple:
 def build_report(args) -> dict:
     """Run the subcommand's handler and assemble its report.  A handler
     returns (arguments, outputs, checks, notes); a check is (name, residual),
-    which passes when approx_equal(residual, 0, tol), or (name, residual,
+    which passes when |residual| <= tol (== 0 when exact), or (name, residual,
     verdict) where its rule differs.
     A problem subcommand first sets its effective mode and checked tolerance on args."""
     tol = None  # the other subcommands give a verdict wherever a residual is a float
@@ -333,7 +333,8 @@ def build_report(args) -> dict:
     else:
         arguments, outputs, checks, notes = args.handler(args)
         digest = _digest(arguments)
-    verdicts = [{"name": name, "pass": bool(rule[0] if rule else approx_equal(residual, 0, tol)),
+    verdicts = [{"name": name, "pass": bool(rule[0] if rule else
+                                            abs(residual) <= (0 if is_exact(residual) else tol)),
                  "residual": format_scalar(residual)} for name, residual, *rule in checks]
     report = {
         "command": args.subcommand,

@@ -11,8 +11,11 @@ which for integrands analytic in an annulus around the circle converges
 geometrically in M (trapezoid rule on a periodic analytic function).
 The real and imaginary parts are each summed with math.fsum, which is
 correctly rounded in any order, so results are reproducible bit-for-bit for
-a fixed sample count.  This module never runs in exact mode; complex
-arithmetic stays private to it.
+a fixed sample count.  Both library integrands are real on the real axis, so
+f(conj zeta) == conj f(zeta) holds bit for bit (conjugation only flips signs):
+on a real-centred circle their quadratures evaluate samples 0..M/2 and take
+terms M/2+1..M-1 as the conjugates of terms M/2-1..1, the very same terms.
+This module never runs in exact mode; complex arithmetic stays private to it.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ class Circle:
         self.center, self.radius, self.sample_count = center, radius, sample_count
 
     def points(self) -> list[complex]:
-        """Samples in angle order.  One octant is computed and mirrored, so the
-        circle's eightfold symmetry is exact and symmetric terms cancel."""
+        """Samples in angle order, one octant computed and mirrored: the eightfold symmetry
+        is exact, so symmetric terms cancel and a real centre gives zeta_{M-j} == conj zeta_j."""
         m = self.sample_count
         ws = [cmath.rect(self.radius, 2.0 * math.pi * j / m) for j in range(m // 8 + 1)]
         ws += [complex(w.imag, w.real) for w in reversed(ws[:-1])]
@@ -64,16 +67,23 @@ def default_circle(max_node: int) -> Circle:
 def contour_integral(integrand: Callable[[complex], complex], circle: Circle) -> complex:
     """(2 pi i)**-1 times the circle integral; an integrand that overflows,
     divides by zero or is non-finite at a sample raises NonFiniteSample."""
+    return _trapezoid(integrand, circle, mirror=False)
+
+
+def _trapezoid(integrand: Callable[[complex], complex], circle: Circle, mirror: bool) -> complex:
+    """contour_integral; mirror evaluates 0..M/2 on a real centre (module docstring)."""
+    m = circle.sample_count
+    mirror = mirror and circle.center.imag == 0
     terms = []
-    for zeta in circle.points():
+    for zeta in circle.points()[: m // 2 + 1] if mirror else circle.points():
         try:
             term = complex(integrand(zeta)) * (zeta - circle.center)
         except (OverflowError, ZeroDivisionError, ValueError):  # ValueError: exp of a nan
             term = complex(math.inf)
-        if not cmath.isfinite(term):
+        if not cmath.isfinite(term):  # the first one in angle order lies in the upper half
             raise NonFiniteSample(f"integrand non-finite at zeta = {zeta}")
         terms.append(term)
-    m = circle.sample_count
+    terms += [t.conjugate() for t in reversed(terms[1:-1])] if mirror else []
     try:
         return complex(math.fsum(t.real for t in terms) / m, math.fsum(t.imag for t in terms) / m)
     except OverflowError:
@@ -88,6 +98,8 @@ def hermite_divided_difference(h: float, k: int, circle: Circle | None = None) -
     """
     if k < 0:
         raise InvalidParameter("k must be nonnegative")
+    if isinstance(h, complex):  # the conjugate mirror needs an integrand real on the real axis
+        raise InvalidParameter(f"h must be real, got {h!r}")
     if circle is None:
         circle = default_circle(k)
     nodes = [float(i) for i in range(k + 1)]
@@ -98,7 +110,7 @@ def hermite_divided_difference(h: float, k: int, circle: Circle | None = None) -
             omega *= zeta - a
         return cmath.exp(h * zeta) / omega
 
-    return contour_integral(integrand, circle)
+    return _trapezoid(integrand, circle, mirror=True)
 
 
 def contour_biortho_check(h: float, n: int, m: int, circle: Circle | None = None) -> complex:
@@ -111,6 +123,8 @@ def contour_biortho_check(h: float, n: int, m: int, circle: Circle | None = None
     """
     if n < 0 or m < 0:
         raise InvalidParameter("indices must be nonnegative")
+    if isinstance(h, complex):
+        raise InvalidParameter(f"h must be real, got {h!r}")
     top = max(n, m + 1)
     if circle is None:
         circle = default_circle(top)
@@ -129,4 +143,4 @@ def contour_biortho_check(h: float, n: int, m: int, circle: Circle | None = None
     def integrand(zeta: complex) -> complex:
         return phat(zeta) * v_m(zeta) * cmath.exp(-h * zeta)
 
-    return contour_integral(integrand, circle)
+    return _trapezoid(integrand, circle, mirror=True)

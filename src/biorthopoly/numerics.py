@@ -95,9 +95,9 @@ def approx_equal(x: Scalar, y: Scalar, tol: float) -> bool:
     """Equality test that respects the mode of its arguments.
 
     Exact pairs compare exactly (tol ignored).  As soon as a float is
-    involved the test is |x - y| <= tol + tol * max(|x|, |y|).
+    involved the test is |x - y| <= tol + tol * max(|x|, |y|), and x - y finite.
     """
     if is_exact(x) and is_exact(y):
         return x == y
     fx, fy = float(x), float(y)
-    return abs(fx - fy) <= tol + tol * max(abs(fx), abs(fy))
+    return math.isfinite(fx - fy) and abs(fx - fy) <= tol + tol * max(abs(fx), abs(fy))

@@ -151,6 +151,20 @@ def test_float_check_biortho_passes_at_n_12(tmp_path, capsys):
         ("off_diagonal_zero", True), ("diagonal_matches_formula", True)]
 
 
+def test_float_residual_is_judged_by_the_width_alone(tmp_path, capsys):
+    """Float check-biortho at N = 22 on nodes 0..25: both residuals are millions,
+    so they fail at --tolerance 1 as at the default (the width once grew with |r|)."""
+    values = ["2", "8", "5", "1", "1", "3", "8", "6", "6", "1", "5", "8", "4", "7", "9", "9",
+              "2", "4", "9", "5", "2", "7", "6", "2", "6", "7"]
+    payload = {"nodes": [str(s) for s in range(26)], "values": values, "mode": "float"}
+    path = write_problem(tmp_path, payload)
+    for width in ("1e-9", "1", "1000"):
+        code, report = run(capsys, ["check-biortho", path, "--n-max", "22", "--tolerance", width])
+        assert code == 1
+        assert [c["pass"] for c in report["checks"]] == [False, False]
+        assert all(float(c["residual"]) > 1e6 for c in report["checks"])
+
+
 def test_check_biortho_constant_data(tmp_path, capsys):
     path = write_problem(tmp_path, {"nodes": ["0", "1", "2"],
                                     "values": ["3", "3", "3"]})

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from biorthopoly import contour
 from biorthopoly.biorthogonality import build_system
 from biorthopoly.contour import (
     Circle,
@@ -126,3 +127,76 @@ def test_contour_independence():
         va = contour_biortho_check(LN2, n, m, a)
         vb = contour_biortho_check(LN2, n, m, b)
         assert abs(va - vb) < 1e-8
+
+
+@pytest.mark.parametrize("call", [lambda h: hermite_divided_difference(h, 2),
+                                  lambda h: contour_biortho_check(h, 1, 1)],
+                         ids=["hermite", "biortho"])
+def test_complex_h_is_rejected(call):
+    """The quadrature mirrors conjugate samples, which needs an integrand real on the real axis."""
+    with pytest.raises(InvalidParameter, match=r"h must be real, got \(0\.5\+0\.2j\)"):
+        call(0.5 + 0.2j)
+
+
+def outcome(call, *args):
+    """repr of call(*args), or the type and message of the NonFiniteSample it raises."""
+    try:
+        return repr(call(*args))
+    except NonFiniteSample as exc:
+        return f"NonFiniteSample: {exc}"
+
+
+def mirrored_and_full(call, *args):
+    """The library quadrature call(*args), and its own integrand on its own circle
+    through the public, unmirrored contour_integral."""
+    seen, trapezoid = [], contour._trapezoid
+
+    def spy(integrand, circle, mirror):
+        seen.append((integrand, circle))
+        return trapezoid(integrand, circle, mirror)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(contour, "_trapezoid", spy)
+        mirrored = outcome(call, *args)
+    (integrand, circle), = seen
+    return mirrored, outcome(contour_integral, integrand, circle)
+
+
+def oracle_cases(count):
+    """(function, args) of each library quadrature on the oracle grid.  h = 200 and
+    h = 150 overflow the integrand on every circle; 150 keeps e**(h a) finite for a <= 4."""
+    for h in (0.05, LN2, -0.7, 1.3, 200.0):
+        for k in range(5):
+            for center in (default_circle(k).center, 1.0 + 0.2j):
+                yield hermite_divided_difference, (h, k, Circle(center, k + 6.0, count))
+    for h in (0.05, LN2, -0.7, 1.3, 150.0):
+        for n in range(3):
+            for m in range(3):
+                top = max(n, m + 1)
+                for center in (default_circle(top).center, 1.0 + 0.2j):
+                    yield contour_biortho_check, (h, n, m, Circle(center, top + 6.0, count))
+
+
+@pytest.mark.parametrize("count", [16, 64, 2048, 8192])
+def test_mirrored_quadrature_matches_full_circle_by_repr(count):
+    """Evaluating samples 0..M/2 and conjugating the rest gives the full loop's
+    result bit for bit, NonFiniteSample messages included; an off-axis centre
+    runs the full loop."""
+    results = [mirrored_and_full(call, *args) for call, args in oracle_cases(count)]
+    assert all(mirrored == full for mirrored, full in results)
+    assert sum(full.startswith("NonFiniteSample: integrand non-finite at zeta = ")
+               for _, full in results) == 10 + 18  # h = 200 and h = 150, both centres
+
+
+@pytest.mark.parametrize("center, calls", [(1.5 + 0j, 33), (1.5, 33), (1.0 + 0.2j, 64)])
+def test_mirror_evaluates_half_the_samples_on_a_real_centre(center, calls):
+    """M/2+1 integrand calls on a real centre, float or complex; M off the axis."""
+    seen = []
+
+    def integrand(zeta):
+        seen.append(zeta)
+        return 1 / (zeta - 1.5)
+
+    circle = Circle(center, 2.0, 64)
+    assert contour._trapezoid(integrand, circle, mirror=True) == contour_integral(integrand, circle)
+    assert len(seen) == calls + 64

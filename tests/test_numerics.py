@@ -113,6 +113,14 @@ def test_approx_equal_float_widths():
     assert approx_equal(Fraction(1, 3), 1 / 3, 1e-9)
 
 
+@pytest.mark.parametrize("x, y, tol", [
+    (math.inf, 0, 1e-9), (math.inf, 3, 1e-9), (0.0, -math.inf, 1.0),
+    (math.inf, math.inf, 1e-9), (math.nan, 0, 1e-9), (1e308, -1e308, 1.0)])
+def test_approx_equal_fails_a_non_finite_difference(x, y, tol):
+    # the width grows with |x| and |y|, so inf would otherwise lie within tol of anything
+    assert not approx_equal(x, y, tol)
+
+
 # The exact mode must behave as a field: these identities back every
 # "equality holds exactly" claim elsewhere in the suite.
 
