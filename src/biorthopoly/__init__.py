@@ -31,7 +31,6 @@ from .errors import (
     BiorthopolyError,
     DegenerateInterpolant,
     IndexOutOfRange,
-    InsufficientNodes,
     InvalidParameter,
     LowerParameterPole,
     NonFiniteSample,
@@ -67,58 +66,3 @@ from .numerics import (
 from .polynomials import Grid, Polynomial, nodal_derivative_at, nodal_polynomial
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BiorthogonalSystem",
-    "BiorthopolyError",
-    "Circle",
-    "DegenerateInterpolant",
-    "DividedDifferenceTable",
-    "EXACT",
-    "ExpGridProblem",
-    "FLOAT",
-    "Grid",
-    "IndexOutOfRange",
-    "InsufficientNodes",
-    "InvalidParameter",
-    "LowerParameterPole",
-    "MonicInterpolantFamily",
-    "NonFiniteSample",
-    "NuVanishes",
-    "ParseError",
-    "PoleEvaluation",
-    "Polynomial",
-    "RationalInterpolant",
-    "Samples",
-    "ZeroDenominator",
-    "ZeroSampleValue",
-    "approx_equal",
-    "biorthogonality_matrix",
-    "build_system",
-    "contour_biortho_check",
-    "contour_integral",
-    "default_circle",
-    "divided_difference_sum",
-    "divided_differences_recursive",
-    "exp_alpha_closed",
-    "exp_interpolant_closed",
-    "exp_t_closed",
-    "exp_v_alt_eval",
-    "expand_in_interpolants",
-    "family_from_recurrence",
-    "format_scalar",
-    "hermite_divided_difference",
-    "lagrange_interpolant",
-    "leading_nu",
-    "monic_family",
-    "newton_interpolant",
-    "nodal_derivative_at",
-    "nodal_polynomial",
-    "orthogonality_moment",
-    "pairing",
-    "parse_scalar",
-    "pochhammer",
-    "recurrence_step",
-    "t_polynomial",
-    "terminating_2f1",
-]

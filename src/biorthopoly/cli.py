@@ -12,15 +12,8 @@ Subcommands map one-to-one onto library pipelines:
 A problem file is {"nodes": [...], "values": [...], "mode": "exact"|"float"}
 with scalars as strings ("3", "-1/2", "0.25").  Reports echo the command,
 digest the inputs, list outputs and one verdict per declared check.  Exit codes: 0 all checks
-pass, 1 some check failed; a library error exits with the code its class sets.
-2: unparsable input or bad parameter, also a float scalar, alpha_n, nu_n, P-hat_n(a_s),
-A_s omega'(a_s) or contour sample that overflows, a float omega'(a_s), A_s omega'(a_s),
-nu_n alpha_n or d_n that underflows to 0, an exact value too long to print, a negative or
-non-finite tolerance, a non-finite --h, a --contour circle through a node or pole,
-leaving a node outside or of more than 65536 samples, or an exp-example --with-contour whose q
-or closed-form values leave double range.
-3: index/degree out of range (a negative --n-max or --k, exp-example --n-max > 40, --k > 200).
-4: degenerate data (zero alpha/nu/sample value; the index is in the message).
+pass, 1 some check failed; a library error exits with the code its class sets (2, 3 or 4:
+README, "Exit codes", lists what each means).
 """
 
 from __future__ import annotations
@@ -35,7 +28,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 from itertools import zip_longest
 
-from .biorthogonality import biorthogonality_matrix, build_system, expand_in_interpolants
+from .biorthogonality import (biorthogonality_matrix, build_system, expand_in_interpolants,
+                              leading_nu)
 from .contour import Circle, contour_biortho_check, default_circle, hermite_divided_difference
 from .divided_differences import Samples, newton_interpolant
 from .errors import BiorthopolyError, IndexOutOfRange, InvalidParameter, ParseError, ZeroDenominator
@@ -190,7 +184,7 @@ def cmd_check_biortho(args, samples: Samples) -> tuple:
 
     indices = range(n_max + 1)
     off_residual = _worst(abs(matrix[n][m]) for n in indices for m in indices if n != m)
-    products = [system.nus[n] * family.alphas[n] for n in indices]
+    products = [leading_nu(family, n) * family.alphas[n] for n in indices]  # system.nus cancels
     if 0 in products:
         raise InvalidParameter(f"nu_n alpha_n underflows to 0 at n = {products.index(0)}")
     diag_residual = _worst(abs(matrix[n][n] + 1 / p) for n, p in zip(indices, products))
@@ -234,6 +228,13 @@ def cmd_exp_example(args) -> tuple:
     q, n_max = parse_scalar(args.q, EXACT), args.n_max
     if not 0 <= n_max <= EXP_EXAMPLE_MAX_N:
         raise IndexOutOfRange(f"--n-max {n_max} is outside 0..{EXP_EXAMPLE_MAX_N}")
+    if args.with_contour:  # the quadratures of e**(h z) match the closed forms of q**z at h = ln q
+        if q <= 0:
+            raise InvalidParameter(f"--with-contour needs q > 0 for a real h = ln q, got {q}")
+        try:
+            h = math.log(float(q))
+        except (OverflowError, ValueError):
+            raise InvalidParameter("q is out of double range") from None
     problem = ExpGridProblem(q, n_max)
     family = monic_family(problem.samples, n_max + 1)
     system = build_system(family, n_max)
@@ -263,15 +264,8 @@ def cmd_exp_example(args) -> tuple:
         "diagonal": _scalars_json(system.diagonal),
     }
 
-    h = args.h
+    arguments = {"q": args.q, "n_max": n_max, "with_contour": args.with_contour}
     if args.with_contour:
-        if h is None:
-            if q <= 0:
-                raise InvalidParameter("negative q has no real h; pass --h explicitly")
-            try:
-                h = math.log(float(q))
-            except (OverflowError, ValueError):
-                raise InvalidParameter("q is out of double range; pass --h explicitly") from None
         hermite_worst = 0.0
         for k in indices:
             circle = _enclosing(_resolve_circle(args.contour, k), k)
@@ -287,11 +281,7 @@ def cmd_exp_example(args) -> tuple:
                 biortho_worst = max(biortho_worst, abs(estimate - expected))
         checks += [("contour_hermite", hermite_worst, hermite_worst < args.contour_tolerance),
                    ("contour_biortho", biortho_worst, biortho_worst < args.contour_tolerance)]
-        outputs["contour_h"] = repr(h)
-
-    arguments = {"q": args.q, "n_max": n_max, "with_contour": args.with_contour}
-    if h is not None:
-        arguments["h"] = repr(h)
+        outputs["contour_h"] = arguments["h"] = repr(h)
     return arguments, outputs, checks, NORMALIZATION_NOTES
 
 
@@ -400,14 +390,14 @@ def _tolerance(text: str) -> float:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="biorthopoly",
+        prog="biorthopoly", allow_abbrev=False,
         description="Interpolation, three-term recurrences and biorthogonal "
                     "rational functions, verified in exact rational arithmetic.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add(name: str, handler, summary: str, mode: str | None = None):
         """A subcommand run by handler; mode None reads a problem file."""
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p._negative_number_matcher = re.compile(r"^-\.?\d")  # "-1/3", "-1e-3" are values too
         p.set_defaults(handler=handler, mode=mode)
         if mode is None:
@@ -434,9 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("exp-example", cmd_exp_example, "closed forms for q**z on 0,1,2,...", EXACT)
     p.add_argument("--q", required=True, help='rational q as "p/q" or "p"; not 0 or 1')
     p.add_argument("--n-max", type=int, default=4)
-    p.add_argument("--with-contour", action="store_true")
-    p.add_argument("--h", type=_finite_float, default=None,
-                   help="exponent scale for the contour check (default ln q)")
+    p.add_argument("--with-contour", action="store_true", help="also check e**(h z), h = ln q")
     p.add_argument("--contour", default=None, metavar="RADIUS/SAMPLES",
                    help="override the default circle")
     p.add_argument("--contour-tolerance", type=_tolerance, default=1e-8)
@@ -463,7 +451,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         import os  # loaded at interpreter start-up; only this path needs its name
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if report["passed"] else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -55,9 +55,6 @@ class DividedDifferenceTable:
     def __init__(self, samples: Samples, diffs: tuple[Scalar, ...]):
         self.samples, self.diffs = samples, diffs
 
-    def __len__(self) -> int:
-        return len(self.diffs)
-
     def __getitem__(self, k: int) -> Scalar:
         return self.diffs[k]
 

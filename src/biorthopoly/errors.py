@@ -16,11 +16,6 @@ class ZeroDenominator(BiorthopolyError):
     """A ratio p/q was requested with q = 0."""
 
 
-class InsufficientNodes(BiorthopolyError):
-    """A nodal polynomial needs more grid nodes than are available."""
-    exit_code = 3
-
-
 class IndexOutOfRange(BiorthopolyError):
     """An index or degree exceeds what the data supports."""
     exit_code = 3

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .errors import IndexOutOfRange, InsufficientNodes, InvalidParameter
+from .errors import IndexOutOfRange, InvalidParameter
 from .numerics import Scalar, exact_if_int
 
 
@@ -165,7 +165,7 @@ class Grid:
 def nodal_polynomial(grid: Grid, k: int) -> Polynomial:
     """omega_k(z) = (z - a_0)...(z - a_{k-1}); omega_0 = 1.  Monic of degree k."""
     if k < 0 or k > len(grid):
-        raise InsufficientNodes(f"omega_{k} needs {k} nodes, grid has {len(grid)}")
+        raise IndexOutOfRange(f"omega_{k} needs {k} nodes, grid has {len(grid)}")
     poly = Polynomial.constant(1)
     for i in range(k):
         poly = poly * Polynomial((-grid[i], 1))

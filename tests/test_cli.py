@@ -12,10 +12,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from biorthopoly.biorthogonality import BiorthogonalSystem, build_system
 from biorthopoly.cli import main
 from biorthopoly.errors import (BiorthopolyError, DegenerateInterpolant, IndexOutOfRange,
-                                InsufficientNodes, LowerParameterPole, NuVanishes,
-                                ZeroSampleValue)
+                                LowerParameterPole, NuVanishes, ZeroSampleValue)
 
 F = Fraction
 
@@ -135,6 +135,28 @@ def test_check_biortho_worked_example(tmp_path, capsys):
     assert "-1/(nu_n*alpha_n)" in notes
     assert "+1/alpha_n" in notes
     assert "weight" in notes
+
+
+def test_check_biortho_fails_a_doubled_nu(tmp_path, capsys, monkeypatch):
+    """A system whose nu_n are twice the true ones, with its diagonal and columns scaled to
+    match: -1/(nu_n alpha_n) must take nu_n from leading_nu, where the stored nus cancel."""
+    import biorthopoly.cli as cli
+
+    def doubled(family, n_max):
+        system = build_system(family, n_max)
+        return BiorthogonalSystem(family, system.ts, tuple(2 * nu for nu in system.nus),
+                                  system.vs, tuple(d / 2 for d in system.diagonal),
+                                  tuple((c, 2 * l) for c, l in system.columns), system.node_rows)
+
+    monkeypatch.setattr(cli, "build_system", doubled)
+    path = write_problem(tmp_path, {"nodes": ["0", "1", "2", "3"], "values": ["1", "2", "5", "3"]})
+    code, report = run(capsys, ["check-biortho", path, "--n-max", "2"])
+    assert code == 1
+    assert report["outputs"]["nus"] == ["4", "2", "-12/7"]
+    assert report["outputs"]["diagonal"] == ["-1/4", "-1/2", "7/12"]
+    assert report["checks"] == [
+        {"name": "off_diagonal_zero", "pass": True, "residual": "0"},
+        {"name": "diagonal_matches_formula", "pass": False, "residual": "7/12"}]
 
 
 def test_float_check_biortho_passes_at_n_12(tmp_path, capsys):
@@ -350,16 +372,21 @@ def test_exp_example_failed_closed_form_reports_its_residual(capsys, monkeypatch
     # float(q) overflows, and underflows to 0 under ln
     ["exp-example", "--q", "1e400", "--n-max", "1", "--with-contour"],
     ["exp-example", "--q", "1e-400", "--n-max", "1", "--with-contour"],
-    # alpha_2 = (q-1)**2/2 and the diagonal -1/(nu_0 alpha_0) overflow a double
-    ["exp-example", "--q", "1e300", "--n-max", "2", "--with-contour", "--h", "0.1"],
-    ["exp-example", "--q", "1e-310", "--n-max", "0", "--with-contour", "--h", "0.1"],
+    # h = ln q = 690.8 and -713.8: e**(h zeta) overflows on the circle (NonFiniteSample) before
+    # alpha_2 = (q-1)**2/2 or the diagonal -1/(nu_0 alpha_0) would overflow as a reference value
+    ["exp-example", "--q", "1e300", "--n-max", "2", "--with-contour"],
+    ["exp-example", "--q", "1e-310", "--n-max", "0", "--with-contour"],
+    # q <= 0 has no real h = ln q
+    ["exp-example", "--q", "-2", "--with-contour"],
+    ["exp-example", "--q", "0", "--n-max", "1", "--with-contour"],
 ])
 def test_exp_example_contour_out_of_double_range_is_bad_parameter(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: InvalidParameter:")
+    error = "NonFiniteSample" if argv[2] in ("1e300", "1e-310") else "InvalidParameter"
+    assert captured.err.startswith(f"error: {error}:")
 
 
 def test_check_biortho_rejects_nan_tolerance(tmp_path, capsys):
@@ -376,7 +403,7 @@ def test_check_biortho_rejects_nan_tolerance(tmp_path, capsys):
     ["hermite", "--h", "0.1", "--k", "2", "--contour-tolerance", "nan"],
     ["hermite", "--h", "nan", "--k", "2"],
     ["hermite", "--h", "inf", "--k", "2"],
-    ["exp-example", "--q", "2", "--with-contour", "--h", "nan"],
+    ["exp-example", "--q", "2", "--with-contour", "--contour-tolerance", "nan"],
     ["hermite", "--h", "0.5", "--k", "2", "--contour-tolerance", "-1"],
 ])
 def test_non_finite_contour_parameters_rejected(argv, capsys):
@@ -563,8 +590,8 @@ def test_exp_example_past_the_old_sample_point(capsys):
     (("-1 2e-20 1e200 -7/2 1.7e308 5e-324", "2e-20 2 1e-20 -1 1e-300 1", "exact"),
      ["recurrence"], "InvalidParameter: an exact value exceeds"),
     # e**(300 * 3) at the last node of the biorthogonality check overflows
-    (None, ["exp-example", "--q", "1e20", "--n-max", "1", "--with-contour", "--h", "300",
-            "--contour", "1/16"], "NonFiniteSample: e**(h a) overflows"),
+    (None, ["exp-example", "--q", "1e300", "--n-max", "0", "--with-contour", "--contour", "1/16"],
+     "NonFiniteSample: e**(h a) overflows"),
     # a radius-0.5 circle keeps e**(h zeta) finite, but the reference e**h overflows
     (None, ["hermite", "--h", "800", "--k", "0", "--contour", "0.5/16"],
      "InvalidParameter: (e**h - 1)**k / k! overflows"),
@@ -628,9 +655,8 @@ def _error_classes(cls=BiorthopolyError):
 def test_every_error_class_sets_its_exit_code(capsys, monkeypatch):
     import biorthopoly.cli as cli
     classes = list(_error_classes())
-    assert LowerParameterPole in classes and len(classes) >= 11
-    not_two = {IndexOutOfRange: 3, InsufficientNodes: 3, DegenerateInterpolant: 4,
-               NuVanishes: 4, ZeroSampleValue: 4}
+    assert LowerParameterPole in classes and len(classes) >= 10
+    not_two = {IndexOutOfRange: 3, DegenerateInterpolant: 4, NuVanishes: 4, ZeroSampleValue: 4}
     for cls in classes:
         assert cls.exit_code == not_two.get(cls, 2), cls
 
@@ -694,7 +720,6 @@ def contour_calls(draw):
         argv = ["exp-example", "--q=" + draw(st.sampled_from(Q_TEXTS)),
                 "--n-max", str(draw(st.sampled_from([*range(-3, 13), 41])))]
         argv += draw(st.sampled_from([[], [], ["--with-contour"]]))  # a third: contours cost most
-        argv += draw(st.sampled_from([[], ["--h=" + draw(st.sampled_from(H_TEXTS))]]))
     else:
         argv = ["hermite", "--h=" + draw(st.sampled_from(H_TEXTS)),
                 "--k", str(draw(st.sampled_from([*range(-2, 13), 10**12])))]
@@ -733,11 +758,18 @@ def test_negative_option_values_read_in_both_spellings(spaced, joined, capsys):
     ["hermite", "--h", "1", "--k", "2", "-x"],
     ["exp-example", "--q", "-x"],
     ["exp-example", "--q", "--n-max", "2"],
+    # options are spelled in full: exp-example takes h = ln q, and --h is no prefix of --help
+    ["exp-example", "--q", "2", "--h", "0.5"],
+    ["exp-example", "--q", "2", "--h=0.5"],
+    ["exp-example", "--q", "2", "--with"],
+    ["check-biortho", "-", "--n-max", "1", "--tol", "1e-3"],
+    ["check-biortho", "-", "--n", "1"],
 ])
 def test_unknown_options_still_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("argv", [

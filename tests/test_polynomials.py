@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from biorthopoly.errors import IndexOutOfRange, InsufficientNodes, InvalidParameter
+from biorthopoly.errors import IndexOutOfRange, InvalidParameter
 from biorthopoly.polynomials import (
     Grid,
     Polynomial,
@@ -128,7 +128,7 @@ def test_nodal_polynomial_cases():
 
 
 def test_nodal_polynomial_needs_enough_nodes():
-    with pytest.raises(InsufficientNodes):
+    with pytest.raises(IndexOutOfRange):
         nodal_polynomial(Grid([F(0), F(1)]), 3)
 
 
