@@ -13,8 +13,12 @@ The real and imaginary parts are each summed with math.fsum, which is
 correctly rounded in any order, so results are reproducible bit-for-bit for
 a fixed sample count.  Both library integrands are real on the real axis, so
 f(conj zeta) == conj f(zeta) holds bit for bit (conjugation only flips signs):
-on a real-centred circle their quadratures evaluate samples 0..M/2 and take
-terms M/2+1..M-1 as the conjugates of terms M/2-1..1, the very same terms.
+on a real-centred circle their quadratures evaluate samples 0..M/2 and feed
+terms M/2-1..1 to fsum again as conjugates, the full loop's terms in its order.
+Each library integrand is called once per circle, on all its samples; a batch
+that raises or gives a non-finite term is redone one sample at a time by
+contour_integral.  _half_circle caches samples 0..M/2 and offsets zeta - c of
+8 circles: 2 x 32769 complex numbers, about 2.6 MB each at M = 65536.
 This module never runs in exact mode; complex arithmetic stays private to it.
 """
 
@@ -22,13 +26,18 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Sequence
+from functools import lru_cache
+from itertools import chain
+from operator import attrgetter, mul, neg
 
 from .biorthogonality import build_system
 from .divided_differences import Samples
-from .errors import InvalidParameter, NonFiniteSample
+from .errors import InvalidParameter, NonFiniteSample, PoleEvaluation
 from .interpolation import monic_family
 from .numerics import slots_repr
+
+_real, _imag = attrgetter("real"), attrgetter("imag")
 
 
 class Circle:
@@ -49,12 +58,26 @@ class Circle:
     def points(self) -> list[complex]:
         """Samples in angle order, one octant computed and mirrored: the eightfold symmetry
         is exact, so symmetric terms cancel and a real centre gives zeta_{M-j} == conj zeta_j."""
-        m = self.sample_count
-        ws = [cmath.rect(self.radius, 2.0 * math.pi * j / m) for j in range(m // 8 + 1)]
-        ws += [complex(w.imag, w.real) for w in reversed(ws[:-1])]
-        ws += [complex(-w.real, w.imag) for w in reversed(ws[:-1])]
+        ws = _upper_half(self.radius, self.sample_count)
         ws += [w.conjugate() for w in reversed(ws[1:-1])]
         return [self.center + w for w in ws]
+
+
+def _upper_half(radius: float, m: int) -> list[complex]:
+    """zeta_j - c for j = 0..M/2 (angles 0..pi)."""
+    ws = [cmath.rect(radius, 2.0 * math.pi * j / m) for j in range(m // 8 + 1)]
+    ws += [complex(w.imag, w.real) for w in reversed(ws[:-1])]
+    ws += [complex(-w.real, w.imag) for w in reversed(ws[:-1])]
+    return ws
+
+
+@lru_cache(maxsize=8)
+def _half_circle(center: complex, radius: float, m: int, bits: str) -> tuple[tuple, tuple]:
+    """Samples 0..M/2 of a real-centred circle and their offsets zeta - c, as tuples that no
+    caller can change.  bits, the centre's repr, keeps apart centres that compare equal but
+    differ in a bit: 1.5, 1.5+0j and 1.5-0j."""
+    zetas = tuple([center + w for w in _upper_half(radius, m)])
+    return zetas, tuple([zeta - center for zeta in zetas])
 
 
 def default_circle(max_node: int) -> Circle:
@@ -67,27 +90,40 @@ def default_circle(max_node: int) -> Circle:
 def contour_integral(integrand: Callable[[complex], complex], circle: Circle) -> complex:
     """(2 pi i)**-1 times the circle integral; an integrand that overflows,
     divides by zero or is non-finite at a sample raises NonFiniteSample."""
-    return _trapezoid(integrand, circle, mirror=False)
-
-
-def _trapezoid(integrand: Callable[[complex], complex], circle: Circle, mirror: bool) -> complex:
-    """contour_integral; mirror evaluates 0..M/2 on a real centre (module docstring)."""
-    m = circle.sample_count
-    mirror = mirror and circle.center.imag == 0
-    terms = []
-    for zeta in circle.points()[: m // 2 + 1] if mirror else circle.points():
+    m, terms = circle.sample_count, []
+    for zeta in circle.points():
         try:
             term = complex(integrand(zeta)) * (zeta - circle.center)
         except (OverflowError, ZeroDivisionError, ValueError):  # ValueError: exp of a nan
             term = complex(math.inf)
-        if not cmath.isfinite(term):  # the first one in angle order lies in the upper half
+        if not cmath.isfinite(term):
             raise NonFiniteSample(f"integrand non-finite at zeta = {zeta}")
         terms.append(term)
-    terms += [t.conjugate() for t in reversed(terms[1:-1])] if mirror else []
     try:
         return complex(math.fsum(t.real for t in terms) / m, math.fsum(t.imag for t in terms) / m)
     except OverflowError:
         raise NonFiniteSample("integrand samples overflow their sum")
+
+
+def _trapezoid(integrand: Callable[[Sequence[complex]], Iterable[complex]],
+               circle: Circle) -> complex:
+    """contour_integral of an integrand called once, on the samples it needs (module docstring)."""
+    m, center = circle.sample_count, circle.center
+    if mirror := center.imag == 0:
+        zetas, offsets = _half_circle(center, circle.radius, m, repr(center))
+    else:
+        zetas = circle.points()
+        offsets = [zeta - center for zeta in zetas]
+    try:
+        terms = list(map(mul, integrand(zetas), offsets))
+        back = terms[-2:0:-1] if mirror else ()  # terms M/2-1 down to 1, to be conjugated
+        value = complex(math.fsum(chain(map(_real, terms), map(_real, back))) / m,
+                        math.fsum(chain(map(_imag, terms), map(neg, map(_imag, back)))) / m)
+        if cmath.isfinite(value):  # else some term is not: fsum gives inf or nan, or raises
+            return value
+    except (ArithmeticError, ValueError, PoleEvaluation):  # what contour_integral reports
+        pass  # redone below, where the first failing sample (upper half first) decides
+    return contour_integral(lambda zeta: next(iter(integrand([zeta]))), circle)
 
 
 def hermite_divided_difference(h: float, k: int, circle: Circle | None = None) -> complex:
@@ -104,13 +140,14 @@ def hermite_divided_difference(h: float, k: int, circle: Circle | None = None) -
         circle = default_circle(k)
     nodes = [float(i) for i in range(k + 1)]
 
-    def integrand(zeta: complex) -> complex:
-        omega = 1.0 + 0.0j
-        for a in nodes:
-            omega *= zeta - a
-        return cmath.exp(h * zeta) / omega
+    def integrand(zetas: Sequence[complex]) -> Iterable[complex]:
+        for zeta in zetas:
+            omega = 1.0 + 0.0j
+            for a in nodes:
+                omega *= zeta - a
+            yield cmath.exp(h * zeta) / omega
 
-    return _trapezoid(integrand, circle, mirror=True)
+    return _trapezoid(integrand, circle)
 
 
 def contour_biortho_check(h: float, n: int, m: int, circle: Circle | None = None) -> complex:
@@ -137,10 +174,21 @@ def contour_biortho_check(h: float, n: int, m: int, circle: Circle | None = None
     samples = Samples.from_pairs(nodes, values)
     family = monic_family(samples, top)
     system = build_system(family, m)
-    phat = family.phats[n]
-    v_m = system.vs[m]
+    phat, v_m = family.phats[n].coeffs[::-1], system.vs[m]  # Horner order
+    poles, t_hat = v_m.pole_nodes, v_m.numerator.coeffs[::-1]
 
-    def integrand(zeta: complex) -> complex:
-        return phat(zeta) * v_m(zeta) * cmath.exp(-h * zeta)
+    def integrand(zetas: Sequence[complex]) -> Iterable[complex]:
+        for zeta in zetas:  # the operations of phat(zeta) * v_m(zeta) * cmath.exp(-h * zeta)
+            p = t = 0 * zeta
+            for c in phat:
+                p = p * zeta + c
+            for c in t_hat:
+                t = t * zeta + c
+            denom = 1 * zeta ** 0
+            for a in poles:
+                if (factor := zeta - a) == 0:
+                    raise PoleEvaluation(f"z = {zeta} is a pole of V_{m}")
+                denom = denom * factor
+            yield p * (t / denom) * cmath.exp(-h * zeta)
 
-    return _trapezoid(integrand, circle, mirror=True)
+    return _trapezoid(integrand, circle)

@@ -273,6 +273,25 @@ def test_exp_example_with_contour(capsys):
     assert float(by_name["contour_hermite"]["residual"]) < 1e-8
 
 
+def test_exp_example_contour_family_degenerating_in_floats_fails_the_check(capsys):
+    """At q = 1e-308 the exact nu_0 = q/(q-1) is nonzero, but the contour check's float family
+    of e**(h z) cancels it to 0: that check fails with an inf residual and a note; the exact
+    outputs and checks are those of the same call without --with-contour."""
+    argv = ["exp-example", "--q", "1e-308", "--n-max", "0", "--contour", "0.6/16"]
+    code, report = run(capsys, [*argv, "--with-contour"])
+    plain_code, plain = run(capsys, argv)
+    assert (code, plain_code) == (1, 0)
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name.pop("contour_biortho") == {"name": "contour_biortho", "pass": False,
+                                              "residual": "inf"}
+    assert not by_name.pop("contour_hermite")["pass"]
+    assert list(by_name.values()) == plain["checks"]
+    assert {k: v for k, v in report["outputs"].items() if k != "contour_h"} == plain["outputs"]
+    assert report["notes"] == plain["notes"] + [
+        "contour_biortho: the float family of e**(h z) degenerated: "
+        "nu_0 = 0: T_0 degenerates below degree 0"]
+
+
 def test_exp_example_negative_q_needs_explicit_h(capsys):
     code, _ = run(capsys, ["exp-example", "--q", "-1", "--with-contour"])
     assert code == 2
@@ -469,6 +488,30 @@ def test_cli_import_loads_no_reflection_modules():
     proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, src],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_digest_needs_no_hashlib():
+    """The inputs digest is the interpreter's own sha256 (_sha2 from 3.12, _sha256 before),
+    so the CLI import loads neither hashlib nor OpenSSL's _hashlib; the digest is hashlib's."""
+    import hashlib
+    import biorthopoly.cli as cli
+    payload = {"q": "2", "n_max": 2, "with_contour": False}
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    assert cli._digest(payload) == "sha256:" + hashlib.sha256(canonical).hexdigest()
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import biorthopoly.cli; "
+            "from importlib.util import find_spec; "
+            "loaded = {'hashlib', '_hashlib'} & set(sys.modules); "
+            "assert not loaded or not (find_spec('_sha2') or find_spec('_sha256')), loaded")
+    # None in sys.modules makes an import fail: without both modules, hashlib steps in
+    fallback = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+                "import hashlib, biorthopoly.cli as cli; assert cli.sha256 is hashlib.sha256; "
+                f"assert cli._digest({payload!r}) == {cli._digest(payload)!r}")
+    for child in (code, fallback):
+        proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", child, src],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("argv, expected", [
