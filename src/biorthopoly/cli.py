@@ -13,7 +13,8 @@ A problem file is {"nodes": [...], "values": [...], "mode": "exact"|"float"}
 with scalars as strings ("3", "-1/2", "0.25").  Reports echo the command,
 digest the inputs, list outputs and one verdict per declared check.  Exit codes: 0 all checks
 pass, 1 some check failed; a library error exits with the code its class sets (2, 3 or 4:
-README, "Exit codes", lists what each means).
+README, "Exit codes", lists what each means).  Each handler imports the pipeline modules it
+runs, so a call loads only its own subcommand's (README, "Performance", lists them).
 """
 
 from __future__ import annotations
@@ -27,16 +28,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 from itertools import zip_longest
 
-from .biorthogonality import (biorthogonality_matrix, build_system, expand_in_interpolants,
-                              leading_nu)
-from .contour import Circle, contour_biortho_check, default_circle, hermite_divided_difference
-from .divided_differences import Samples, newton_interpolant
 from .errors import (BiorthopolyError, DegenerateInterpolant, IndexOutOfRange, InvalidParameter,
                      NuVanishes, ParseError, ZeroDenominator, ZeroSampleValue)
-from .exponential import (ExpGridProblem, exp_alpha_closed, exp_interpolant_closed, exp_t_closed,
-                          exp_v_alt_eval)
-from .interpolation import (family_from_recurrence, lagrange_interpolant, monic_family,
-                            recurrence_step)
 from .numerics import (EXACT, FLOAT, approx_equal, check_tolerance, format_scalar, is_exact,
                        over_lcm, parse_scalar)
 from .polynomials import Polynomial
@@ -77,6 +70,7 @@ def _read_json(path: str):
 
 def load_problem(path: str, mode_override: str | None):
     """Parse a problem file into (Samples, mode, digest)."""
+    from .divided_differences import Samples
     raw = _read_json(path)
     if not isinstance(raw, dict) or "nodes" not in raw or "values" not in raw:
         raise ParseError("problem must be an object with 'nodes' and 'values'")
@@ -116,6 +110,13 @@ def _coeff_residual(a: Polynomial, b: Polynomial):
     return _worst(abs(x - y) for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0))
 
 
+def _row_residual(row, den: int, pairs):
+    """_coeff_residual of row / den and the coefficients x / y of pairs, on integers: a Fraction
+    only where two coefficients differ."""
+    return _worst(Fraction(abs(c * y - x * den), abs(den * y))
+                  for c, (x, y) in zip(row, pairs, strict=True) if c * y != x * den)
+
+
 def _exact_value(v, z: Fraction) -> Fraction:
     """v(z) for an exact V_n, on integers: T-hat_n = c / L, z = x / y and poles b_s / D."""
     (c, big_l), (b, big_d), (x, y) = (over_lcm(v.numerator.coeffs), over_lcm(v.pole_nodes),
@@ -134,6 +135,8 @@ def _double(value, name: str) -> float:
 
 
 def cmd_interpolate(args, samples: Samples) -> tuple:
+    from .divided_differences import newton_interpolant
+    from .interpolation import lagrange_interpolant
     degree = args.degree
     newton = newton_interpolant(samples, degree)
     lagrange = lagrange_interpolant(samples, degree)
@@ -152,6 +155,7 @@ def cmd_interpolate(args, samples: Samples) -> tuple:
 
 
 def cmd_recurrence(args, samples: Samples) -> tuple:
+    from .interpolation import family_from_recurrence, monic_family, recurrence_step
     n_max = args.n_max if args.n_max is not None else samples.last_index
     family = monic_family(samples, n_max)
 
@@ -185,6 +189,8 @@ def cmd_recurrence(args, samples: Samples) -> tuple:
 
 
 def cmd_check_biortho(args, samples: Samples) -> tuple:
+    from .biorthogonality import biorthogonality_matrix, build_system, leading_nu
+    from .interpolation import monic_family
     n_max = args.n_max
     family = monic_family(samples, n_max + 1)
     system = build_system(family, n_max)
@@ -208,6 +214,8 @@ def cmd_check_biortho(args, samples: Samples) -> tuple:
 
 
 def cmd_expand(args, samples: Samples) -> tuple:
+    from .biorthogonality import build_system, expand_in_interpolants
+    from .interpolation import monic_family
     poly = _parse_poly_argument(args.poly, args.mode)
     degree = max(poly.degree, 0)
     if degree + 1 > samples.last_index:
@@ -233,6 +241,9 @@ HERMITE_MAX_K = 200  # --k 200 already exits 2: omega_{k+1} overflows on the cir
 
 
 def cmd_exp_example(args) -> tuple:
+    from .biorthogonality import build_system
+    from .exponential import ExpGridProblem, exp_alpha_closed, exp_closed_row, exp_v_alt_eval
+    from .interpolation import monic_family
     q, n_max = parse_scalar(args.q, EXACT), args.n_max
     if not 0 <= n_max <= EXP_EXAMPLE_MAX_N:
         raise IndexOutOfRange(f"--n-max {n_max} is outside 0..{EXP_EXAMPLE_MAX_N}")
@@ -247,22 +258,24 @@ def cmd_exp_example(args) -> tuple:
     family = monic_family(problem.samples, n_max + 1)
     system = build_system(family, n_max)
     indices, (p, r) = range(n_max + 1), q.as_integer_ratio()
+    ratios = list(map(Fraction.as_integer_ratio, family.alphas))  # alpha_n = a / b
 
     checks = [
-        ("interpolant_closed_form", max(_coeff_residual(exp_interpolant_closed(problem, n),
-                                                        family.phats[n].scale(family.alphas[n]))
-                                        for n in indices)),
+        ("interpolant_closed_form",  # P_n = a U_n / (b k_n), P-hat_n = U_n / k_n
+         max(_row_residual(*exp_closed_row(problem, n), [(a * u_j, b * k) for u_j in u])
+             for n, (u, k), (a, b) in zip(indices, family.rows, ratios))),
         ("alpha_closed_form",
          max(abs(exp_alpha_closed(problem, n) - family.alphas[n]) for n in range(n_max + 2))),
         ("nu_closed_form", max(abs(nu - q / (q - 1)) for nu in system.nus)),
         ("t_closed_form",
-         max(_coeff_residual(exp_t_closed(problem, n), system.ts[n]) for n in indices)),
+         max(_row_residual(*exp_closed_row(problem, n, t_hat=True),
+                           map(Fraction.as_integer_ratio, system.ts[n].coeffs))
+             for n in indices)),
         ("v_routes_agree", max(abs(exp_v_alt_eval(problem, v.index, z) - _exact_value(v, z))
                                for v in system.vs for z in V_SAMPLE_POINTS)),
         ("grid_power_values",  # P_n(m) - q**m over b k_n r**m: alpha_n = a / b, P-hat_n = U_n / k_n
          max(Fraction(abs(a * Polynomial(u)(m) * r ** m - p ** m * b * k), b * k * r ** m)
-             for (u, k), (a, b) in zip(family.rows[: n_max + 1],
-                                       map(Fraction.as_integer_ratio, family.alphas))
+             for (u, k), (a, b) in zip(family.rows[: n_max + 1], ratios)
              for m in range(len(u)))),
     ]
     outputs = {
@@ -275,6 +288,7 @@ def cmd_exp_example(args) -> tuple:
     arguments = {"q": args.q, "n_max": n_max, "with_contour": args.with_contour}
     notes = NORMALIZATION_NOTES
     if args.with_contour:
+        from .contour import contour_biortho_check, hermite_divided_difference
         hermite_worst = 0.0
         for k in indices:
             circle = _enclosing(_resolve_circle(args.contour, k), k)
@@ -299,6 +313,7 @@ def cmd_exp_example(args) -> tuple:
 
 
 def cmd_hermite(args) -> tuple:
+    from .contour import hermite_divided_difference
     h, k, tol = args.h, args.k, args.contour_tolerance
     if not 0 <= k <= HERMITE_MAX_K:  # before the k + 1 nodes are built
         raise IndexOutOfRange(f"--k {k} is outside 0..{HERMITE_MAX_K}")
@@ -355,6 +370,7 @@ def build_report(args) -> dict:
 
 def _resolve_circle(spec: str | None, max_node: int) -> Circle:
     """Turn an optional "radius/samples" override into a Circle for 0..max_node."""
+    from .contour import Circle, default_circle
     base = default_circle(max_node)
     if spec is None:
         return base

@@ -31,10 +31,7 @@ from functools import lru_cache
 from itertools import chain
 from operator import attrgetter, mul, neg
 
-from .biorthogonality import build_system
-from .divided_differences import Samples
 from .errors import InvalidParameter, NonFiniteSample, PoleEvaluation
-from .interpolation import monic_family
 from .numerics import slots_repr
 
 _real, _imag = attrgetter("real"), attrgetter("imag")
@@ -156,8 +153,12 @@ def contour_biortho_check(h: float, n: int, m: int, circle: Circle | None = None
     The float-mode family for F = e**(h z) on nodes 0..max(n, m+1) is built
     through the same code paths as the exact one; the result approximates
     the exact residue pairing: 0 off the diagonal, d_n = -1/(nu_n alpha_n)
-    on it.
+    on it.  The family modules load here, so that hermite_divided_difference needs none of them.
     """
+    from .biorthogonality import build_system
+    from .divided_differences import Samples
+    from .interpolation import monic_family
+
     if n < 0 or m < 0:
         raise InvalidParameter("indices must be nonnegative")
     if isinstance(h, complex):

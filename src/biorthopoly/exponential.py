@@ -74,25 +74,28 @@ def terminating_2f1(n: int, b: Scalar, c: Scalar, x: Scalar) -> Scalar:
     return total
 
 
-def _closed_form(q: Scalar, n: int, t_hat: bool) -> Polynomial:
-    """P_n, or T-hat_n if t_hat, as one integer row over a known denominator.
+def exp_closed_row(problem: ExpGridProblem, n: int, t_hat: bool = False) -> tuple[list, int]:
+    """P_n, or T-hat_n if t_hat, as (row, den): integer coefficients over a known denominator.
 
     With q = p/r and w_k = 1 (n+1-k for T-hat_n), C_0 = n! r**n P_n (= (p-r)**n T-hat_n) =
     sum_{k<=n} w_k (n!/k!) r**(n-k) (r-p)**k (-z)_k by Horner, (-z)_{k+1} = (-z)_k (k - z):
-    C_n = 1, C_k = w_k (n!/k!) r**(n-k) + (r-p) (k - z) C_{k+1}.  Only the last division
-    makes Fractions."""
-    (p, r), e, row = q.as_integer_ratio(), 1, [1]
+    C_n = 1, C_k = w_k (n!/k!) r**(n-k) + (r-p) (k - z) C_{k+1}."""
+    (p, r), e, row = problem.q.as_integer_ratio(), 1, [1]
     for k in range(n - 1, -1, -1):
         e = e * r * (k + 1)  # (n!/k!) r**(n-k)
         row = [(n + 1 - k if t_hat else 1) * e + (r - p) * k * row[0],
                *((r - p) * (k * c - lower) for c, lower in zip([*row[1:], 0], row))]
-    den = (p - r) ** n if t_hat else e
+    return row, (p - r) ** n if t_hat else e
+
+
+def _closed_form(problem: ExpGridProblem, n: int, t_hat: bool) -> Polynomial:
+    row, den = exp_closed_row(problem, n, t_hat)
     return Polynomial([Fraction(c, den) for c in row])
 
 
 def exp_interpolant_closed(problem: ExpGridProblem, n: int) -> Polynomial:
     """P_n in closed form; equals the Newton interpolant on the derived samples."""
-    return _closed_form(problem.q, n, t_hat=False)
+    return _closed_form(problem, n, t_hat=False)
 
 
 def exp_alpha_closed(problem: ExpGridProblem, n: int) -> Scalar:
@@ -102,8 +105,8 @@ def exp_alpha_closed(problem: ExpGridProblem, n: int) -> Scalar:
 
 def exp_t_closed(problem: ExpGridProblem, n: int) -> Polynomial:
     """Monic T-hat_n = (n+1)!/(q-1)**n 2F1(-n, -z; -1-n; 1-q), (-z)_k expanded: the 2F1's
-    (-n)_k / (-1-n)_k is (n+1-k)/(n+1), so (p-r)**n T-hat_n is an integer row (see _closed_form)."""
-    return _closed_form(problem.q, n, t_hat=True)
+    (-n)_k / (-1-n)_k is (n+1-k)/(n+1), so (p-r)**n T-hat_n is an integer row (exp_closed_row)."""
+    return _closed_form(problem, n, t_hat=True)
 
 
 def exp_v_alt_eval(problem: ExpGridProblem, n: int, z: Scalar) -> Scalar:

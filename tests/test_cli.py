@@ -140,7 +140,7 @@ def test_check_biortho_worked_example(tmp_path, capsys):
 def test_check_biortho_fails_a_doubled_nu(tmp_path, capsys, monkeypatch):
     """A system whose nu_n are twice the true ones, with its diagonal and columns scaled to
     match: -1/(nu_n alpha_n) must take nu_n from leading_nu, where the stored nus cancel."""
-    import biorthopoly.cli as cli
+    import biorthopoly.biorthogonality as biorthogonality
 
     def doubled(family, n_max):
         system = build_system(family, n_max)
@@ -148,7 +148,7 @@ def test_check_biortho_fails_a_doubled_nu(tmp_path, capsys, monkeypatch):
                                   system.vs, tuple(d / 2 for d in system.diagonal),
                                   tuple((c, 2 * l) for c, l in system.columns), system.node_rows)
 
-    monkeypatch.setattr(cli, "build_system", doubled)
+    monkeypatch.setattr(biorthogonality, "build_system", doubled)
     path = write_problem(tmp_path, {"nodes": ["0", "1", "2", "3"], "values": ["1", "2", "5", "3"]})
     code, report = run(capsys, ["check-biortho", path, "--n-max", "2"])
     assert code == 1
@@ -353,13 +353,14 @@ def test_huge_contour_sizes_are_rejected_before_allocation(argv, code, capsys, m
     samples exits 2, before any node list or sample is built (the quadrature here refuses to run
     at all)."""
     import biorthopoly.cli as cli
+    import biorthopoly.contour as contour
 
     def refuse(*args, **kwargs):
         raise AssertionError("quadrature reached")
 
     for name in ("hermite_divided_difference", "contour_biortho_check"):
-        monkeypatch.setattr(cli, name, refuse)
-    monkeypatch.setattr(cli.Circle, "points", refuse)
+        monkeypatch.setattr(contour, name, refuse)
+    monkeypatch.setattr(contour.Circle, "points", refuse)
     assert cli.HERMITE_MAX_K == 200
     assert main(argv) == code
     captured = capsys.readouterr()
@@ -376,9 +377,10 @@ def test_hermite_k_up_to_the_bound_keeps_its_exit_code(k, capsys):
 
 
 def test_exp_example_failed_closed_form_reports_its_residual(capsys, monkeypatch):
-    import biorthopoly.cli as cli
-    closed = cli.exp_alpha_closed
-    monkeypatch.setattr(cli, "exp_alpha_closed", lambda problem, n: closed(problem, n) + F(1, 2))
+    import biorthopoly.exponential as exponential
+    closed = exponential.exp_alpha_closed
+    monkeypatch.setattr(exponential, "exp_alpha_closed",
+                        lambda problem, n: closed(problem, n) + F(1, 2))
     code, report = run(capsys, ["exp-example", "--q", "2", "--n-max", "2"])
     assert code == 1
     by_name = {c["name"]: c for c in report["checks"]}
@@ -561,6 +563,41 @@ def test_exact_report_matches_golden(name, tmp_path, capsys):
     assert main([path if a == "PROBLEM" else a for a in argv]) == code
     with open(os.path.join(GOLDEN, name + ".json")) as handle:
         assert capsys.readouterr().out == handle.read()
+
+
+_BASE = {"biorthopoly", "biorthopoly.cli", "biorthopoly.errors", "biorthopoly.numerics",
+         "biorthopoly.polynomials"}
+_FAMILY = _BASE | {"biorthopoly.divided_differences", "biorthopoly.interpolation"}
+_PAIRING = _FAMILY | {"biorthopoly.biorthogonality"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (GOLDEN_CASES["interpolate"][0], _FAMILY),
+    (GOLDEN_CASES["recurrence"][0], _FAMILY),
+    (GOLDEN_CASES["check-biortho"][0], _PAIRING),
+    (GOLDEN_CASES["expand"][0], _PAIRING),
+    (GOLDEN_CASES["exp-example"][0], _PAIRING | {"biorthopoly.exponential"}),
+    ([*GOLDEN_CASES["exp-example"][0], "--with-contour"],
+     _PAIRING | {"biorthopoly.exponential", "biorthopoly.contour"}),
+    (["hermite", "--h", "1", "--k", "3"], _BASE | {"biorthopoly.contour"}),
+    (None, {"biorthopoly"}),  # a bare `import biorthopoly`
+])
+def test_a_call_loads_only_its_subcommands_modules(argv, loaded, tmp_path):
+    """A fresh interpreter running one subcommand through cli.main imports exactly these
+    biorthopoly modules: hermite runs no family code.  -I -S -B as in
+    test_cli_import_loads_no_reflection_modules."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = write_problem(tmp_path, GOLDEN_PROBLEM)
+    run_main = ("import biorthopoly.cli; assert biorthopoly.cli.main(json.loads(sys.argv[2])) == 0"
+                if argv else "import biorthopoly")
+    code = (f"import json, sys; sys.path.insert(0, sys.argv[1]); {run_main}; print(json.dumps("
+            "sorted(m for m in sys.modules if m.partition('.')[0] == 'biorthopoly')), "
+            "file=sys.stderr)")
+    argv = [path if a == "PROBLEM" else a for a in argv or ()]
+    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, src, json.dumps(argv)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr) == sorted(loaded)
 
 
 def test_reports_echo_command_and_digest(tmp_path, capsys):
