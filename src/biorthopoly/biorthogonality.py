@@ -4,10 +4,9 @@ From a monic interpolant family build the auxiliary polynomials
 
     T_n = P-hat_{n+1} - (z - a_{n+1}) P-hat_n,      deg T_n <= n,
 
-whose degree-n coefficient is nu_n = a_{n+1} - a_n + alpha_n/alpha_{n+1}
-- alpha_{n-1}/alpha_n.  When nu_n != 0, the monic T-hat_n = T_n/nu_n and
-the rational functions V_n = T-hat_n / omega_{n+2} (simple poles exactly at
-a_0..a_{n+1}) pair with the interpolants through the residue sum
+whose degree-n coefficient is nu_n = a_{n+1} - a_n + alpha_n/alpha_{n+1} - alpha_{n-1}/alpha_n.
+When nu_n != 0, the monic T-hat_n = T_n/nu_n and the rational functions V_n = T-hat_n / omega_{n+2}
+(simple poles exactly at a_0..a_{n+1}) pair with the interpolants through the residue sum
 
     <p, V_m> = sum_{s=0}^{m+1} p(a_s) T-hat_m(a_s) / (A_s omega'_{m+2}(a_s)),
 
@@ -18,10 +17,9 @@ kernel sums d_n, the matrix and the expansion over them.  On exact data T-hat_n,
 the columns and q(a_s) are integer rows over one denominator each.  `pairing` (Horner,
 nodal_derivative_at, Fraction loop) and `t_polynomial` are the oracles that they match bit for bit.
 
-Normalization note: the diagonal is -1/(nu_n alpha_n), not the +1/alpha_n
-sometimes quoted for this construction; exact rational arithmetic on nodes
-(0, 1, 2) with values (1, 2, 5) settles the constant (see README,
-"Normalization notes").
+Normalization note: the diagonal is -1/(nu_n alpha_n), not the +1/alpha_n sometimes quoted for
+this construction; exact rational arithmetic on nodes (0, 1, 2) with values (1, 2, 5) settles
+the constant (see README, "Normalization notes").
 """
 
 from __future__ import annotations
@@ -37,10 +35,11 @@ from .interpolation import MonicInterpolantFamily, integer_step
 from .numerics import Scalar, is_exact, over_lcm, reduced, slots_repr
 from .polynomials import Polynomial, nodal_derivative_at, nodal_weights
 
+ZERO = Fraction(0)  # every zero residue sum on integers: the same value with no gcd to take
+
 
 class RationalInterpolant:
-    """V_n = T-hat_n / omega_{n+2}: monic degree-n numerator over the poles
-    a_0..a_{n+1}."""
+    """V_n = T-hat_n / omega_{n+2}: monic degree-n numerator over the poles a_0..a_{n+1}."""
 
     __slots__ = ("index", "numerator", "pole_nodes")
 
@@ -74,17 +73,32 @@ class BiorthogonalSystem:
     pairings d_n (not compared with -1/(nu_n alpha_n) here), each V_m's residue column, built and
     checked once: integers (c, L), c_s / L = T-hat_m(a_s) / (A_s omega'_{m+2}(a_s)), on exact data,
     else (pairs (T-hat_m(a_s), A_s omega'_{m+2}(a_s)), None), s = 0..m+1; node_rows[n] likewise,
-    P-hat_n(a_s) = u_s / M_n for s = 0..n_max+1."""
+    P-hat_n(a_s) = u_s / M_n for s = 0..n_max+1, and t_rows[n] = (t, t_n), T-hat_n = t / t_n, or
+    (T-hat_n's coefficients, None).  The first read of ts or vs builds them from t_rows, once."""
 
-    __slots__ = ("family", "ts", "nus", "vs", "diagonal", "columns", "node_rows")
+    __slots__ = ("family", "_ts", "nus", "_vs", "diagonal", "columns", "node_rows", "t_rows")
     __repr__ = slots_repr
 
-    def __init__(self, family: MonicInterpolantFamily, ts: tuple[Polynomial, ...],
-                 nus: tuple[Scalar, ...], vs: tuple[RationalInterpolant, ...],
-                 diagonal: tuple[Scalar, ...], columns: tuple[tuple[tuple, int | None], ...],
+    def __init__(self, family: MonicInterpolantFamily, t_rows: tuple[tuple[tuple, int | None], ...],
+                 nus: tuple[Scalar, ...], diagonal: tuple[Scalar, ...],
+                 columns: tuple[tuple[tuple, int | None], ...],
                  node_rows: tuple[tuple[tuple, int | None], ...]):
-        self.family, self.ts, self.nus, self.vs = family, ts, nus, vs
+        self.family, self.t_rows, self.nus, self._ts, self._vs = family, t_rows, nus, None, None
         self.diagonal, self.columns, self.node_rows = diagonal, columns, node_rows
+
+    @property
+    def ts(self) -> tuple[Polynomial, ...]:
+        if self._ts is None:
+            self._ts = tuple(Polynomial(t if t_n is None else [Fraction(t_j, t_n) for t_j in t])
+                             for t, t_n in self.t_rows)
+        return self._ts
+
+    @property
+    def vs(self) -> tuple[RationalInterpolant, ...]:
+        if self._vs is None:
+            self._vs = tuple(RationalInterpolant(n, t, self.family.grid.nodes[: n + 2])
+                             for n, t in enumerate(self.ts))
+        return self._vs
 
     @property
     def node_values(self) -> tuple[tuple[Scalar, ...], ...]:
@@ -94,7 +108,7 @@ class BiorthogonalSystem:
 
     @property
     def n_max(self) -> int:
-        return len(self.vs) - 1
+        return len(self.nus) - 1
 
 
 def t_polynomial(family: MonicInterpolantFamily, n: int) -> Polynomial:
@@ -110,9 +124,8 @@ def t_polynomial(family: MonicInterpolantFamily, n: int) -> Polynomial:
 def leading_nu(family: MonicInterpolantFamily, n: int) -> Scalar:
     """Closed formula for the degree-n coefficient of T_n.
 
-    nu_n = a_{n+1} - a_n + alpha_n/alpha_{n+1} - alpha_{n-1}/alpha_n, with
-    alpha_{-1} = 0 at n = 0.  Cross-checked against the subtraction route
-    in the tests.
+    nu_n = a_{n+1} - a_n + alpha_n/alpha_{n+1} - alpha_{n-1}/alpha_n, with alpha_{-1} = 0 at
+    n = 0.  Cross-checked against the subtraction route in the tests.
     """
     if n + 1 > family.n_max:
         raise IndexOutOfRange(f"nu_{n} needs alpha_{n + 1}; family stops at {family.n_max}")
@@ -132,15 +145,16 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
     the family's: when it has integer rows P-hat_n = U_n / k_n (a_s = b_s / D, A_s = e_s / E), T_n
     is t = D k_n k_{n+1} T_n from them, the node values u_s / M_n step by integer_step,
     T-hat_n(a_s) and the column c_s / L are integer rows over one denominator, the column and d_n =
-    sum_s u_s c_s / (M_n L) in lowest terms: only nu_n, T-hat_n and d_n become Fractions.  Without
-    rows (float or mixed data, or built by hand) the same steps run on scalars.
+    sum_s u_s c_s / (M_n L) in lowest terms: only nu_n and d_n become Fractions, and T_n's row t
+    is kept for the system's first read of ts and vs.  Without rows (float or mixed data, or built
+    by hand) the same steps run on scalars.
     """
     if n_max < 0:
         raise IndexOutOfRange(f"system size n_max = {n_max} is negative")
     if n_max + 1 > family.n_max:
         raise IndexOutOfRange(f"system to {n_max} needs family to {n_max + 1}")
     nodes, alphas, samples = family.grid.nodes[: n_max + 2], family.alphas, family.samples
-    rows = []  # (T-hat_n, nu_n, V_n, d_n, column of V_n)
+    rows = []  # (T_n's row, nu_n, d_n, column of V_n)
     weights: tuple[Scalar, ...] = ()
     exact = family.rows is not None
     table = [((1,) * len(nodes), 1) if exact else ((family.phats[0].coeffs[0],) * len(nodes), None)]
@@ -155,9 +169,7 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
             t = [x * c1 - y * c + z * c0 for c1, c0, c in zip(coeffs_next, coeffs, [0, *coeffs])]
             if t[n] == 0:
                 raise NuVanishes(n)
-            nu_n = Fraction(t[n], big_d * k * k_next)
-            t_hat = Polynomial([Fraction(t_j, t[n]) for t_j in t])  # monic: t_n / t_n = Fraction(1)
-            v_n = RationalInterpolant(n, t_hat, nodes[: n + 2])
+            nu_n, t_row = Fraction(t[n], big_d * k * k_next), (tuple(t), t[n])
             (u_prev, m_prev), (u, m) = table[n], integer_step(
                 table[n], table[n - 1], ratios[n + 1], ratios[n], big_d,
                 lambda v: [(b_s - b[n]) * v_s for b_s, v_s in zip(b, v)])
@@ -190,8 +202,8 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
             data = [((p_next - (a - nodes[n + 1]) * p) / nu_n, weight) for a, p, p_next, weight
                     in zip(v_n.pole_nodes, table[n][0], table[n + 1][0], weights)]
             column = (tuple(_residue_terms(v_n, data, samples)), None)
-            d_n = _residue_sum(table[n][0], column[0])
-        rows.append((v_n.numerator, nu_n, v_n, d_n, column))
+            d_n, t_row = _residue_sum(table[n][0], column[0]), (v_n.numerator.coeffs, None)
+        rows.append((t_row, nu_n, d_n, column))
     return BiorthogonalSystem(family, *zip(*rows), tuple(table))
 
 
@@ -225,10 +237,11 @@ def _residue_sum(p_values: Sequence[Scalar], terms: list[tuple[Scalar, Scalar]])
 
 def _residue_sums(rows: Sequence[tuple], columns: Sequence[tuple]) -> list[list[Scalar]]:
     """[[<row, V_m> for V_m's stored column] for row in rows], ascending in s, rows shaped like the
-    columns: (u, M), p(a_s) = u_s / M, or (values, None).  Fraction(sum_s u_s c_s, M L) on integer
-    rows, which come with integer columns, else the _residue_sum loop, on Fraction(c_s, L)."""
+    columns: (u, M), p(a_s) = u_s / M, or (values, None).  Fraction(sum_s u_s c_s, M L) or ZERO on
+    integer rows, which come with integer columns, else the _residue_sum loop (Fraction(c_s, L))."""
     if all(m is not None for _, m in rows):
-        return [[Fraction(sum(map(mul, u, c)), m * l) for c, l in columns] for u, m in rows]
+        return [[Fraction(total, m * l) if (total := sum(map(mul, u, c))) else ZERO
+                 for c, l in columns] for u, m in rows]
     columns = [c if l is None else [(Fraction(c_s, l), 1) for c_s in c] for c, l in columns]
     return [[_residue_sum(row, terms) for terms in columns] for row, _ in rows]
 
@@ -263,8 +276,8 @@ def pairing(p: Polynomial, v: RationalInterpolant, samples: Samples) -> Scalar:
 def orthogonality_moment(family: MonicInterpolantFamily, n: int, j: int) -> Scalar:
     """I_{nj} = sum_{s<=n} a_s^j P-hat_n(a_s) / (A_s omega'_{n+1}(a_s)).
 
-    For j <= n this equals delta_{nj} / alpha_n: the monic interpolants are
-    orthogonal to all lower powers under the 1/F residue weight.
+    For j <= n this equals delta_{nj} / alpha_n: the monic interpolants are orthogonal to all
+    lower powers under the 1/F residue weight.
     """
     if n > family.n_max:
         raise IndexOutOfRange(f"moment needs P-hat_{n}; family stops at {family.n_max}")

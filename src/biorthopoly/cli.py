@@ -78,8 +78,7 @@ def load_problem(path: str, mode_override: str | None):
     if not isinstance(nodes_text, list) or not isinstance(values_text, list):
         raise ParseError("'nodes' and 'values' must be arrays of scalar strings")
     if len(nodes_text) != len(values_text):
-        raise ParseError(
-            f"{len(nodes_text)} nodes but {len(values_text)} values")
+        raise ParseError(f"{len(nodes_text)} nodes but {len(values_text)} values")
     if not nodes_text:
         raise ParseError("problem needs at least one sample")
     mode = mode_override or raw.get("mode", EXACT)
@@ -117,13 +116,15 @@ def _row_residual(row, den: int, pairs):
                   for c, (x, y) in zip(row, pairs, strict=True) if c * y != x * den)
 
 
-def _exact_value(v, z: Fraction) -> Fraction:
-    """v(z) for an exact V_n, on integers: T-hat_n = c / L, z = x / y and poles b_s / D."""
-    (c, big_l), (b, big_d), (x, y) = (over_lcm(v.numerator.coeffs), over_lcm(v.pole_nodes),
-                                      z.as_integer_ratio())
-    top = Polynomial([c_k * y ** (v.index - k) for k, c_k in enumerate(c)])(x)  # L y**n T-hat(z)
-    return Fraction(top * (big_d * y) ** len(b),  # (D y)**(n+2) omega_{n+2}(z) = prod (D x - b_s y)
-                    big_l * y ** v.index * math.prod(big_d * x - b_s * y for b_s in b))
+def _exact_values(v) -> list[Fraction]:
+    """v(z) for an exact V_n at each z of V_SAMPLE_POINTS, on integers: T-hat_n = c / L, z = x / y
+    and poles b_s / D."""
+    (c, big_l), (b, big_d), values = over_lcm(v.numerator.coeffs), over_lcm(v.pole_nodes), []
+    for x, y in map(Fraction.as_integer_ratio, V_SAMPLE_POINTS):
+        top = Polynomial([c_k * y ** (v.index - k) for k, c_k in enumerate(c)])(x)  # L y**n T-hat
+        values.append(Fraction(top * (big_d * y) ** len(b),  # (D y)**(n+2) omega_{n+2}(z)
+                               big_l * y ** v.index * math.prod(big_d * x - b_s * y for b_s in b)))
+    return values
 
 
 def _double(value, name: str) -> float:
@@ -197,7 +198,7 @@ def cmd_check_biortho(args, samples: Samples) -> tuple:
     matrix = biorthogonality_matrix(system, samples, n_max)
 
     indices = range(n_max + 1)
-    off_residual = _worst(abs(matrix[n][m]) for n in indices for m in indices if n != m)
+    off_residual = _worst(abs(x) for n in indices for m, x in enumerate(matrix[n]) if m != n and x)
     products = [leading_nu(family, n) * family.alphas[n] for n in indices]  # system.nus cancels
     if 0 in products:
         raise InvalidParameter(f"nu_n alpha_n underflows to 0 at n = {products.index(0)}")
@@ -271,8 +272,8 @@ def cmd_exp_example(args) -> tuple:
          max(_row_residual(*exp_closed_row(problem, n, t_hat=True),
                            map(Fraction.as_integer_ratio, system.ts[n].coeffs))
              for n in indices)),
-        ("v_routes_agree", max(abs(exp_v_alt_eval(problem, v.index, z) - _exact_value(v, z))
-                               for v in system.vs for z in V_SAMPLE_POINTS)),
+        ("v_routes_agree", max(abs(exp_v_alt_eval(problem, v.index, z) - value) for v in system.vs
+                               for z, value in zip(V_SAMPLE_POINTS, _exact_values(v)))),
         ("grid_power_values",  # P_n(m) - q**m over b k_n r**m: alpha_n = a / b, P-hat_n = U_n / k_n
          max(Fraction(abs(a * Polynomial(u)(m) * r ** m - p ** m * b * k), b * k * r ** m)
              for (u, k), (a, b) in zip(family.rows[: n_max + 1], ratios)
@@ -322,10 +323,8 @@ def cmd_hermite(args) -> tuple:
     expected = _double(lambda: (math.exp(h) - 1.0) ** k / math.factorial(k), "(e**h - 1)**k / k!")
     _enclosing(circle, k)  # after the integrand's and the reference's own typed errors
     error = abs(estimate - expected)
-    checks = [
-        ("hermite_matches_difference", error, error < tol),
-        ("imaginary_part_small", abs(estimate.imag), abs(estimate.imag) < tol),
-    ]
+    checks = [("hermite_matches_difference", error, error < tol),
+              ("imaginary_part_small", abs(estimate.imag), abs(estimate.imag) < tol)]
     outputs = {
         "estimate_real": repr(estimate.real),
         "estimate_imag": repr(estimate.imag),

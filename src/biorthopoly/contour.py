@@ -1,9 +1,8 @@
 """Floating-point contour quadrature on circles.
 
-Connects the residue-sum definitions to their contour-integral forms for
-exponential data F(zeta) = e**(h zeta) on the integer grid.  All integrals
-are reported with the (2 pi i)**-1 normalization: for a circle of center c
-and radius r sampled at M equispaced points zeta_j,
+Connects the residue-sum definitions to their contour-integral forms for exponential data
+F(zeta) = e**(h zeta) on the integer grid.  All integrals are reported with the (2 pi i)**-1
+normalization: for a circle of center c and radius r sampled at M equispaced points zeta_j,
 
     (2 pi i)**-1 contour-integral f  ~=  (1/M) sum_j f(zeta_j) (zeta_j - c),
 
@@ -38,8 +37,7 @@ _real, _imag = attrgetter("real"), attrgetter("imag")
 
 
 class Circle:
-    """Quadrature contour: |zeta - center| = radius, sampled at a power of
-    two points."""
+    """Quadrature contour: |zeta - center| = radius, sampled at a power of two points."""
 
     __slots__ = ("center", "radius", "sample_count")
     __repr__ = slots_repr
@@ -78,8 +76,7 @@ def _half_circle(center: complex, radius: float, m: int, bits: str) -> tuple[tup
 
 
 def default_circle(max_node: int) -> Circle:
-    """Circle centered on the midpoint of the real node span 0..max_node,
-    radius span + 5: all poles comfortably inside."""
+    """Circle centred mid-span of the nodes 0..max_node, radius span + 5: poles well inside."""
     span = float(max_node)
     return Circle(center=complex(span / 2.0, 0.0), radius=span + 5.0)
 
@@ -126,8 +123,8 @@ def _trapezoid(integrand: Callable[[Sequence[complex]], Iterable[complex]],
 def hermite_divided_difference(h: float, k: int, circle: Circle | None = None) -> complex:
     """Divided difference [0, 1, ..., k] of e**(h z) as a contour integral.
 
-    (2 pi i)**-1 contour-integral e**(h zeta) / omega_{k+1}(zeta): the
-    real part approximates (e**h - 1)**k / k!, the imaginary part vanishes.
+    (2 pi i)**-1 contour-integral e**(h zeta) / omega_{k+1}(zeta): the real part approximates
+    (e**h - 1)**k / k!, the imaginary part vanishes.
     """
     if k < 0:
         raise InvalidParameter("k must be nonnegative")

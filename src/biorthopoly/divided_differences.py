@@ -1,9 +1,8 @@
 """Newtonian divided differences, by two independent routes.
 
-The recursive triangle is the numerically calmer route and feeds the monic
-interpolant family; the residue-style sum over omega' is the route the
-residue pairings reuse.  Both are exposed and must agree exactly on exact
-input, which the tests enforce.
+The recursive triangle is the numerically calmer route and feeds the monic interpolant family;
+the residue-style sum over omega' is the route the residue pairings reuse.  Both are exposed and
+must agree exactly on exact input, which the tests enforce.
 """
 
 from __future__ import annotations
@@ -69,8 +68,7 @@ def divided_differences_recursive(samples: Samples) -> DividedDifferenceTable:
     """
     if len(samples) == 0:
         raise IndexOutOfRange("divided differences need at least one sample")
-    nodes = samples.grid
-    column = list(samples.values)
+    nodes, column = samples.grid, list(samples.values)
     top = [column[0]]
     if all(map(is_exact, chain(nodes.nodes, column))):
         (b, big_d), (c, common) = over_lcm(nodes.nodes), over_lcm(column)
@@ -82,10 +80,8 @@ def divided_differences_recursive(samples: Samples) -> DividedDifferenceTable:
             top.append(Fraction(c[0], common))
         return DividedDifferenceTable(samples, tuple(top))
     for j in range(1, len(column)):
-        column = [
-            (column[i + 1] - column[i]) / (nodes[i + j] - nodes[i])
-            for i in range(len(column) - 1)
-        ]
+        column = [(column[i + 1] - column[i]) / (nodes[i + j] - nodes[i])
+                  for i in range(len(column) - 1)]
         top.append(column[0])
     return DividedDifferenceTable(samples, tuple(top))
 
@@ -101,15 +97,11 @@ def divided_difference_sum(samples: Samples, k: int) -> Scalar:
 
 
 def newton_interpolant(samples: Samples, n: int) -> Polynomial:
-    """Degree-<=n interpolant sum_k [a_0..a_k] omega_k(z), in the monomial basis.
-
-    Satisfies P_n(a_k) = A_k for k <= n.
-    """
+    """Degree-<=n interpolant sum_k [a_0..a_k] omega_k(z) as monomials: P_n(a_k) = A_k, k <= n."""
     if n < 0 or n > samples.last_index:
         raise IndexOutOfRange(f"degree {n} outside 0..{samples.last_index}")
     table = divided_differences_recursive(samples)
-    acc = Polynomial.zero()
-    omega = Polynomial.constant(1)
+    acc, omega = Polynomial.zero(), Polynomial.constant(1)
     for k in range(n + 1):
         acc = acc + omega.scale(table[k])
         omega = omega * Polynomial((-samples.grid[k], 1))

@@ -1,18 +1,16 @@
-"""Lagrange-form interpolants, monic interpolant families, and their
-three-term recurrence.
+"""Lagrange-form interpolants, monic interpolant families, and their three-term recurrence.
 
-The monic interpolants P-hat_n = P_n / alpha_n (alpha_n the n-th divided
-difference) satisfy
+The monic interpolants P-hat_n = P_n / alpha_n (alpha_n the n-th divided difference) satisfy
 
     P-hat_{n+1} = (z - a_n + alpha_n/alpha_{n+1}) P-hat_n
                   - (alpha_{n-1}/alpha_n) (z - a_n) P-hat_{n-1}
 
-with P-hat_{-1} = 0, P-hat_0 = 1 and the convention alpha_{-1} = 0.  The
-recurrence runs in both directions here: `monic_family` derives the family
-from data, `family_from_recurrence` rebuilds data from coefficients, and
-the two are exact inverses (which the tests pin down).  On exact data both
-run on integer rows over one common denominator; `newton_interpolant` and
-`recurrence_step` keep the Fraction arithmetic that the tests compare with.
+with P-hat_{-1} = 0, P-hat_0 = 1 and the convention alpha_{-1} = 0.  The recurrence runs in both
+directions here: `monic_family` derives the family from data, `family_from_recurrence` rebuilds
+data from coefficients, and the two are exact inverses (which the tests pin down).  On exact data
+both run on integer rows over one common denominator, and the family makes its Fraction P-hats
+when they are first read; `newton_interpolant` and `recurrence_step` keep the Fraction arithmetic
+that the tests compare with.
 """
 
 from __future__ import annotations
@@ -31,10 +29,9 @@ from .polynomials import Grid, Polynomial, nodal_polynomial, nodal_weights
 def lagrange_interpolant(samples: Samples, n: int) -> Polynomial:
     """Interpolant assembled Lagrange-style, as an exact coefficient sequence.
 
-    omega_{n+1}(z) * sum_k A_k / ((z - a_k) omega'_{n+1}(a_k)), with each
-    quotient omega_{n+1}/(z - a_k) produced by synthetic division (remainder
-    zero by construction).  Equals the Newton route coefficient-for-
-    coefficient in exact arithmetic.
+    omega_{n+1}(z) * sum_k A_k / ((z - a_k) omega'_{n+1}(a_k)), with each quotient
+    omega_{n+1}/(z - a_k) produced by synthetic division (remainder zero by construction).
+    Equals the Newton route coefficient-for-coefficient in exact arithmetic.
     """
     if n < 0 or n > samples.last_index:
         raise IndexOutOfRange(f"degree {n} outside 0..{samples.last_index}")
@@ -53,11 +50,11 @@ class MonicInterpolantFamily:
     Invariants: every alpha is nonzero, P-hat_n is monic of degree exactly n,
     and alpha_n * P-hat_n(a_k) = A_k for k <= n.  Give exactly one of phats (float, mixed or built
     by hand; rows is None) and rows, the builders' integer rows on exact data: rows[n] = (U_n, k_n)
-    in lowest terms with k_n = U_n[-1] > 0, and the family makes P-hat_n = U_n / k_n in Fractions.
-    Int alphas are held as Fractions.
+    in lowest terms with k_n = U_n[-1] > 0, and the first read of phats makes P-hat_n = U_n / k_n
+    in Fractions and keeps them.  Int alphas are held as Fractions.
     """
 
-    __slots__ = ("grid", "values", "alphas", "phats", "rows")
+    __slots__ = ("grid", "values", "alphas", "_phats", "rows")
 
     def __init__(self, grid: Grid, values: tuple[Scalar, ...], alphas: tuple[Scalar, ...],
                  phats: Sequence[Polynomial] | None = None, *, rows: Sequence | None = None):
@@ -67,16 +64,21 @@ class MonicInterpolantFamily:
         self.values = tuple(values)
         self.alphas = tuple(map(exact_if_int, alphas))
         self.rows = None if rows is None else tuple((tuple(u), k) for u, k in rows)
-        self.phats = tuple(phats) if rows is None else tuple(
-            Polynomial([Fraction(c, k) for c in u]) for u, k in self.rows)
-        if len(self.alphas) != len(self.phats):
+        self._phats = None if phats is None else tuple(phats)
+        if len(self.alphas) != len(self._phats if rows is None else self.rows):
             raise ValueError("alphas and phats must align")
         if len(self.alphas) > len(self.values) or len(self.values) != len(grid):
             raise ValueError("family data lengths inconsistent")
 
     @property
+    def phats(self) -> tuple[Polynomial, ...]:
+        if self._phats is None:
+            self._phats = tuple(Polynomial([Fraction(c, k) for c in u]) for u, k in self.rows)
+        return self._phats
+
+    @property
     def n_max(self) -> int:
-        return len(self.phats) - 1
+        return len(self.alphas) - 1
 
     @property
     def samples(self) -> Samples:

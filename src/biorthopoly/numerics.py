@@ -1,12 +1,11 @@
 """Scalar field plumbing: one exact instantiation, one floating one.
 
-Every algorithm in this library is generic over a scalar "field" in the
-duck-typed sense: coefficients are either `fractions.Fraction` (exact mode,
-canonical reduced p/q with arbitrary-precision integers) or `float` (fast
-mode).  Both support +, -, *, / with Python raising ZeroDivisionError on
-division by zero, so no silent non-finite values appear in either mode.
-Complex numbers are deliberately not part of this contract; only the
-contour module uses them, privately.
+Every algorithm in this library is generic over a scalar "field" in the duck-typed sense:
+coefficients are either `fractions.Fraction` (exact mode, canonical reduced p/q with
+arbitrary-precision integers) or `float` (fast mode).  Both support +, -, *, / with Python
+raising ZeroDivisionError on division by zero, so no silent non-finite values appear in either
+mode.  Complex numbers are deliberately not part of this contract; only the contour module uses
+them, privately.
 """
 
 from __future__ import annotations
@@ -27,8 +26,9 @@ FLOAT = "float"
 
 
 def slots_repr(obj) -> str:
-    """Name(slot=value!r, ...) over the class's __slots__, in slot order."""
-    fields = ", ".join(f"{name}={getattr(obj, name)!r}" for name in type(obj).__slots__)
+    """Name(field=value!r, ...) over the class's __slots__ in slot order, a slot _x read as x."""
+    fields = ", ".join(f"{name}={getattr(obj, name)!r}"
+                       for name in (slot.lstrip("_") for slot in type(obj).__slots__))
     return f"{type(obj).__qualname__}({fields})"
 
 
@@ -84,7 +84,7 @@ def format_scalar(x: Scalar) -> str:
     """Canonical text form: "p/q" (or "p") when exact, shortest repr for floats."""
     if is_exact(x):
         try:
-            return str(Fraction(x))
+            return str(x)  # an int prints as its Fraction does
         except ValueError:  # the interpreter's cap on int-to-string conversion
             raise InvalidParameter(f"an exact value exceeds {sys.get_int_max_str_digits()} "
                                    "digits, the limit for printing an integer") from None

@@ -100,24 +100,19 @@ class Polynomial:
         return Polynomial(tuple(c * a for a in self.coeffs))
 
     def divide(self, c: Scalar) -> "Polynomial":
-        # Divide rather than scale by 1/c: x/x is exactly 1 in floating
-        # point, x*(1/x) need not be, and the monic invariants downstream
-        # depend on the leading coefficient coming out exact.
+        # Divide rather than scale by 1/c: x/x is exactly 1 in floating point, x*(1/x) need
+        # not be, and the monic invariants downstream need an exact leading coefficient.
         return Polynomial(tuple(a / c for a in self.coeffs))
 
     def derivative(self) -> "Polynomial":
         return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
     def deflate(self, root: Scalar) -> tuple["Polynomial", Scalar]:
-        """Synthetic division by (z - root): returns (quotient, remainder).
-
-        The remainder equals self(root); it is exactly zero whenever root
-        really is a root in exact arithmetic.
-        """
+        """Synthetic division by (z - root): (quotient, remainder), the remainder self(root),
+        exactly zero whenever root really is a root in exact arithmetic."""
         if not self.coeffs:
             return Polynomial.zero(), 0
-        quotient = [0] * (len(self.coeffs) - 1)
-        acc = self.coeffs[-1]
+        quotient, acc = [0] * (len(self.coeffs) - 1), self.coeffs[-1]
         for i in range(len(self.coeffs) - 2, -1, -1):
             quotient[i] = acc
             acc = self.coeffs[i] + root * acc
@@ -156,7 +151,9 @@ class Grid:
         return hash(self.nodes)
 
     def prefix(self, count: int) -> "Grid":
-        return Grid(self.nodes[:count])
+        grid = object.__new__(Grid)  # Grid(nodes[:count]): distinct nodes need no second check
+        object.__setattr__(grid, "nodes", self.nodes[:count])
+        return grid
 
     def __repr__(self):
         return f"Grid({list(self.nodes)!r})"

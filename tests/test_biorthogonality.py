@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import biorthopoly.biorthogonality as biorthogonality
+import biorthopoly.divided_differences as divided_differences
+import biorthopoly.interpolation as interpolation
 from biorthopoly.biorthogonality import (
     BiorthogonalSystem,
     RationalInterpolant,
@@ -746,6 +748,40 @@ def test_exact_pipeline_sums_residues_on_integers(monkeypatch):
     biorthogonality_matrix(system, float_s, 10)
     expand_in_interpolants(q_poly, system, float_s)
     assert len(calls) == 1 + 11 + 11 * 11 + 11
+
+
+@pytest.mark.parametrize("size", [20, 40])
+def test_exact_check_pipeline_builds_no_coefficient_fraction(monkeypatch, size):
+    """Exact monic_family, build_system and the matrix at N = size construct N + 1 Fractions each
+    for the alphas, the alpha ratios, the nus, the d_n and the matrix diagonal, and none for a
+    P-hat or T-hat coefficient, nor for a zero entry.  The first read of phats, ts and vs builds
+    them, equal by repr to the Fraction oracles; a second read returns the same objects."""
+    rng = random.Random(7)
+    while True:
+        values = [F(rng.choice([v for v in range(-9, 10) if v]), rng.randint(1, 9))
+                  for _ in range(size + 2)]
+        s = Samples.from_pairs(range(size + 2), values)
+        try:
+            build_system(monic_family(s, size + 1), size)
+        except (DegenerateInterpolant, NuVanishes):
+            continue
+        break
+    built = []
+    with monkeypatch.context() as m:
+        for module in (divided_differences, interpolation, biorthogonality):
+            m.setattr(module, "Fraction", lambda *args: built.append(args) or F(*args))
+        family = monic_family(s, size + 1)
+        system = build_system(family, size)
+        matrix = biorthogonality_matrix(system, s, size)
+    assert len(built) == 5 * (size + 1)
+    assert [matrix[n][n] for n in range(size + 1)] == list(system.diagonal)
+    assert repr(family.phats) == repr(tuple(newton_interpolant(s, n).divide(alpha)
+                                            for n, alpha in enumerate(family.alphas)))
+    assert repr(system.ts) == repr(tuple(t_polynomial(family, n).divide(nu)
+                                         for n, nu in enumerate(system.nus)))
+    assert [(v.index, v.numerator, v.pole_nodes) for v in system.vs] == [
+        (n, t, s.grid.nodes[: n + 2]) for n, t in enumerate(system.ts)]
+    assert family.phats is family.phats and system.ts is system.ts and system.vs is system.vs
 
 
 def test_exact_matrix_and_expand_read_the_stored_integer_node_rows(monkeypatch):

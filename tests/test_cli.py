@@ -144,8 +144,8 @@ def test_check_biortho_fails_a_doubled_nu(tmp_path, capsys, monkeypatch):
 
     def doubled(family, n_max):
         system = build_system(family, n_max)
-        return BiorthogonalSystem(family, system.ts, tuple(2 * nu for nu in system.nus),
-                                  system.vs, tuple(d / 2 for d in system.diagonal),
+        return BiorthogonalSystem(family, system.t_rows, tuple(2 * nu for nu in system.nus),
+                                  tuple(d / 2 for d in system.diagonal),
                                   tuple((c, 2 * l) for c, l in system.columns), system.node_rows)
 
     monkeypatch.setattr(biorthogonality, "build_system", doubled)

@@ -115,9 +115,18 @@ def test_grid_rejects_duplicates():
         Grid([F(0), F(1), F(0)])
 
 
-def test_grid_prefix():
-    g = Grid([F(0), F(1), F(2)])
-    assert g.prefix(2).nodes == (0, 1)
+def test_grid_prefix(monkeypatch):
+    """A prefix is Grid(nodes[:k]) with no second distinctness check: no Fraction comparison."""
+    g = Grid([F(0), F(1), F(2), F(1, 2)])
+    compared = []
+    with monkeypatch.context() as m:
+        m.setattr(F, "__eq__", lambda x, y, eq=F.__eq__: compared.append((x, y)) or eq(x, y))
+        prefixes = [g.prefix(k) for k in range(len(g) + 1)]
+    assert compared == []
+    assert prefixes == [Grid(g.nodes[:k]) for k in range(len(g) + 1)]
+    assert g.prefix(2).nodes == (0, 1) and type(g.prefix(2)) is Grid
+    with pytest.raises(AttributeError):
+        g.prefix(2).nodes = ()
 
 
 def test_nodal_polynomial_cases():
