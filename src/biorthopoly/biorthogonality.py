@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 
 from .divided_differences import Samples
 from .errors import IndexOutOfRange, InvalidParameter, NuVanishes, PoleEvaluation, ZeroSampleValue
@@ -147,7 +147,7 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
     T-hat_n(a_s) and the column c_s / L are integer rows over one denominator, the column and d_n =
     sum_s u_s c_s / (M_n L) in lowest terms: only nu_n and d_n become Fractions, and T_n's row t
     is kept for the system's first read of ts and vs.  Without rows (float or mixed data, or built
-    by hand) the same steps run on scalars.
+    by hand) the same steps run on scalars and keep T-hat_n's coefficients for that first read.
     """
     if n_max < 0:
         raise IndexOutOfRange(f"system size n_max = {n_max} is negative")
@@ -189,41 +189,44 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
             nu_n = t_n.coefficient(n)
             if nu_n == 0:
                 raise NuVanishes(n)
-            if not (is_exact(nu_n) or math.isfinite(nu_n)):
+            if nu_n - nu_n:  # x - x: nan for an inf or nan float, else 0
                 raise InvalidParameter(f"nu_{n} = {nu_n} is not finite")
-            v_n = RationalInterpolant(n, t_n.divide(nu_n), nodes[: n + 2])
+            if t_n.degree != n:  # only a family built by hand: RationalInterpolant's check
+                raise ValueError(f"numerator must have degree {n}, got {t_n.degree}")
+            t_row, poles = (t_n.divide(nu_n).coeffs, None), nodes[: n + 2]
             a_n, ratio_n, ratio_nm1 = nodes[n], family.alpha_ratio(n + 1), family.alpha_ratio(n)
             table.append((tuple(((shift := x - a_n) + ratio_n) * p - ratio_nm1 * shift * q
                                 for x, p, q in zip(nodes, table[n][0], table[n - 1][0])), None))
-            for s, value in enumerate(table[n + 1][0]):
-                if not (is_exact(value) or math.isfinite(value)):
-                    raise InvalidParameter(f"P-hat_{n + 1}(a_{s}) = {value} is not finite")
-            weights = nodal_weights(v_n.pole_nodes, weights)
-            data = [((p_next - (a - nodes[n + 1]) * p) / nu_n, weight) for a, p, p_next, weight
-                    in zip(v_n.pole_nodes, table[n][0], table[n + 1][0], weights)]
-            column = (tuple(_residue_terms(v_n, data, samples)), None)
-            d_n, t_row = _residue_sum(table[n][0], column[0]), (v_n.numerator.coeffs, None)
+            (p_values, _), (p_next, _) = table[n:]
+            if any(map(sub, p_next, p_next)):
+                s = next(s for s, x in enumerate(p_next) if x - x)
+                raise InvalidParameter(f"P-hat_{n + 1}(a_{s}) = {p_next[s]} is not finite")
+            weights = nodal_weights(poles, weights)
+            data = [((p1 - (a - nodes[n + 1]) * p0) / nu_n, weight) for a, p0, p1, weight
+                    in zip(poles, p_values, p_next, weights)]
+            column = (tuple(_residue_terms(n, poles, data, samples)), None)
+            d_n = _residue_sum(p_values, column[0])
         rows.append((t_row, nu_n, d_n, column))
     return BiorthogonalSystem(family, *zip(*rows), tuple(table))
 
 
-def _residue_terms(v: RationalInterpolant, data: Sequence[tuple[Scalar, Scalar]],
+def _residue_terms(index: int, poles: tuple[Scalar, ...], data: Sequence[tuple[Scalar, Scalar]],
                    samples: Samples) -> list[tuple[Scalar, Scalar]]:
-    """(T-hat_m(a_s), A_s omega'_{m+2}(a_s)) for the poles s = 0..m+1 of V_m, from its
+    """(T-hat_m(a_s), A_s omega'_{m+2}(a_s)) for the poles s = 0..m+1 of V_m, m = index, from its
     residue data and samples on its poles; ZeroSampleValue(s) names the smallest zero A_s."""
-    count = v.index + 2
+    count = index + 2
     if count > len(samples):
-        raise IndexOutOfRange(f"pairing with V_{v.index} needs samples up to index {v.index + 1}")
-    if samples.grid.nodes[:count] != v.pole_nodes:
-        raise InvalidParameter(f"sample nodes differ from the poles of V_{v.index}")
+        raise IndexOutOfRange(f"pairing with V_{index} needs samples up to index {index + 1}")
+    if samples.grid.nodes[:count] != poles:
+        raise InvalidParameter(f"sample nodes differ from the poles of V_{index}")
     if 0 in samples.values[:count]:
         raise ZeroSampleValue(samples.values.index(0))
     scaled = [a_s * weight for (_, weight), a_s in zip(data, samples.values)]
     if 0 in scaled:
         raise InvalidParameter(f"A_s omega'(a_s) underflows to 0 at s = {scaled.index(0)}")
-    for s, value in enumerate(scaled):
-        if not (is_exact(value) or math.isfinite(value)):
-            raise InvalidParameter(f"A_s omega'(a_s) = {value} is not finite at s = {s}")
+    if any(map(sub, scaled, scaled)):  # one pass; the entries are scanned only to name the first
+        s = next(s for s, x in enumerate(scaled) if x - x)
+        raise InvalidParameter(f"A_s omega'(a_s) = {scaled[s]} is not finite at s = {s}")
     return [(t_value, d) for (t_value, _), d in zip(data, scaled)]
 
 
@@ -269,7 +272,7 @@ def pairing(p: Polynomial, v: RationalInterpolant, samples: Samples) -> Scalar:
     """
     data = [(v.numerator(a), nodal_derivative_at(v.pole_nodes, len(v.pole_nodes), s))
             for s, a in enumerate(v.pole_nodes)]
-    terms = _residue_terms(v, data, samples)
+    terms = _residue_terms(v.index, v.pole_nodes, data, samples)
     return _residue_sum([p(a) for a in v.pole_nodes], terms)
 
 

@@ -12,11 +12,13 @@ The real and imaginary parts are each summed with math.fsum, which is
 correctly rounded in any order, so results are reproducible bit-for-bit for
 a fixed sample count.  Both library integrands are real on the real axis, so
 f(conj zeta) == conj f(zeta) holds bit for bit (conjugation only flips signs):
-on a real-centred circle their quadratures evaluate samples 0..M/2 and feed
-terms M/2-1..1 to fsum again as conjugates, the full loop's terms in its order.
+on a real-centred circle their quadratures evaluate samples 0..M/2.  Once a sum
+of |t_j| below 2**1000 shows that no sum overflows, terms 1..M/2-1 count twice
+in the real sum, and their imaginary parts cancel their conjugates' exactly.
 Each library integrand is called once per circle, on all its samples; a batch
-that raises or gives a non-finite term is redone one sample at a time by
-contour_integral.  _half_circle caches samples 0..M/2 and offsets zeta - c of
+that raises, gives a non-finite sum or (half circle) fails that bound is redone
+one sample at a time by contour_integral, whose full-circle fsum gives the same
+value or error.  _half_circle caches samples 0..M/2 and offsets zeta - c of
 8 circles: 2 x 32769 complex numbers, about 2.6 MB each at M = 65536.
 This module never runs in exact mode; complex arithmetic stays private to it.
 """
@@ -28,7 +30,7 @@ import math
 from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
 from itertools import chain
-from operator import attrgetter, mul, neg
+from operator import add, attrgetter, mul
 
 from .errors import InvalidParameter, NonFiniteSample, PoleEvaluation
 from .numerics import slots_repr
@@ -110,11 +112,14 @@ def _trapezoid(integrand: Callable[[Sequence[complex]], Iterable[complex]],
         offsets = [zeta - center for zeta in zetas]
     try:
         terms = list(map(mul, integrand(zetas), offsets))
-        back = terms[-2:0:-1] if mirror else ()  # terms M/2-1 down to 1, to be conjugated
-        value = complex(math.fsum(chain(map(_real, terms), map(_real, back))) / m,
-                        math.fsum(chain(map(_imag, terms), map(neg, map(_imag, back)))) / m)
-        if cmath.isfinite(value):  # else some term is not: fsum gives inf or nan, or raises
-            return value
+        if not mirror:
+            value = complex(math.fsum(map(_real, terms)) / m, math.fsum(map(_imag, terms)) / m)
+            if cmath.isfinite(value):  # else some term is not: fsum gives inf or nan, or raises
+                return value
+        elif sum(map(abs, terms)) < 2.0 ** 1000:  # all finite, and no sum overflows
+            ends, inner = (terms[0], terms[-1]), list(map(_real, terms[1:-1]))
+            return complex(math.fsum(chain(map(_real, ends), map(add, inner, inner))) / m,
+                           math.fsum(map(_imag, ends)) / m)
     except (ArithmeticError, ValueError, PoleEvaluation):  # what contour_integral reports
         pass  # redone below, where the first failing sample (upper half first) decides
     return contour_integral(lambda zeta: next(iter(integrand([zeta]))), circle)

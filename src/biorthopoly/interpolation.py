@@ -119,13 +119,14 @@ def monic_family(samples: Samples, n_max: int) -> MonicInterpolantFamily:
             u, m = reduced([x * c + y * w for c, w in zip(u + [0], omega)], common)
             rows.append(reduced(u, u[-1]) if u[-1] > 0 else reduced([-c for c in u], -u[-1]))
         return MonicInterpolantFamily(samples.grid, samples.values, alphas, rows=rows)
-    phats, interpolant, omega = [], Polynomial.zero(), Polynomial.constant(1)
+    phats, interpolant, omega = [], [], [1]  # P_n and omega_n as Polynomial's coefficient lists
     for n, alpha in enumerate(alphas):
         if not (is_exact(alpha) or math.isfinite(alpha)):
             raise InvalidParameter(f"alpha_{n} = {alpha} is not finite")
-        interpolant = interpolant + omega.scale(alpha)  # P_n
-        phats.append(interpolant.divide(alpha))
-        omega = omega * Polynomial((-samples.grid[n], 1))
+        interpolant = [alpha * c + p for c, p in zip(omega, interpolant)] + [alpha]  # + alpha * 1
+        phats.append(Polynomial([c / alpha for c in interpolant]))
+        neg = -samples.grid[n]  # omega_n (z - a_n) by Polynomial.__mul__'s sums, 0 + x included
+        omega = [0 + omega[0] * neg, *(0 + lo + hi * neg for lo, hi in zip(omega, omega[1:])), 1]
     return MonicInterpolantFamily(samples.grid, samples.values, alphas, tuple(phats))
 
 

@@ -8,6 +8,7 @@ coefficient tuple and reports degree -1.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import combinations
 
 from .errors import IndexOutOfRange, InvalidParameter
 from .numerics import Scalar, exact_if_int
@@ -129,8 +130,8 @@ class Grid:
 
     def __init__(self, nodes: Iterable[Scalar]):
         nodes = tuple(map(exact_if_int, nodes))
-        for i in range(len(nodes)):
-            for j in range(i + 1, len(nodes)):
+        if len(set(nodes)) < len(nodes):  # equal numbers hash alike: name the first equal pair
+            for i, j in combinations(range(len(nodes)), 2):
                 if nodes[i] == nodes[j]:
                     raise ValueError(f"grid nodes must be distinct: a_{i} == a_{j} == {nodes[i]}")
         object.__setattr__(self, "nodes", nodes)

@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import math
 import random
 import sys
@@ -26,6 +28,7 @@ from biorthopoly.biorthogonality import (
 from biorthopoly.divided_differences import (Samples, divided_differences_recursive,
                                              newton_interpolant)
 from biorthopoly.errors import (
+    BiorthopolyError,
     DegenerateInterpolant,
     IndexOutOfRange,
     InvalidParameter,
@@ -784,6 +787,35 @@ def test_exact_check_pipeline_builds_no_coefficient_fraction(monkeypatch, size):
     assert family.phats is family.phats and system.ts is system.ts and system.vs is system.vs
 
 
+@pytest.mark.parametrize("size", [1, 12])
+def test_float_pipeline_builds_each_v_n_once_on_first_read(monkeypatch, size):
+    """Float monic_family, build_system, the matrix and expand construct no RationalInterpolant.
+    The first read of vs builds one per index, V_n = T-hat_n / omega_{n+2} as the oracle
+    route t_polynomial(family, n).divide(nu_n) gives it; a second read returns the same."""
+    s = Samples.from_pairs([k / 4 for k in range(size + 2)],
+                           [2.0 ** k / (k + 3) for k in range(size + 2)])
+    built = []
+
+    class Counted(RationalInterpolant):
+        def __init__(self, index, numerator, pole_nodes):
+            built.append(index)
+            super().__init__(index, numerator, pole_nodes)
+
+    with monkeypatch.context() as m:
+        m.setattr(biorthogonality, "RationalInterpolant", Counted)
+        family = monic_family(s, size + 1)
+        system = build_system(family, size)
+        biorthogonality_matrix(system, s, size)
+        expand_in_interpolants(Polynomial([0.5] * (size + 1)), system, s)
+        assert built == []
+        vs = system.vs
+        assert built == list(range(size + 1))
+        assert system.vs is vs and built == list(range(size + 1))
+    oracle = [RationalInterpolant(n, t_polynomial(family, n).divide(nu), s.grid.nodes[: n + 2])
+              for n, nu in enumerate(system.nus)]
+    assert [(repr(v), v.pole_nodes) for v in vs] == [(repr(v), v.pole_nodes) for v in oracle]
+
+
 def test_exact_matrix_and_expand_read_the_stored_integer_node_rows(monkeypatch):
     """Exact N = 10: build_system takes the family's integer P-hat rows as they are, so it calls
     no is_exact and over_lcm only on the nodes and the sample values.  It stores each row of node
@@ -849,6 +881,37 @@ def test_a_family_built_by_hand_takes_the_scalar_route_with_the_same_results():
             assert [v for v in scalars(outputs[1]) if type(v) not in (int, Fraction)] == []
             checked += 1
     assert checked >= 24
+
+
+def test_a_family_built_by_hand_beyond_float_range_keeps_its_exact_values():
+    """Exact node values and weights beyond float range, which math.isfinite cannot convert,
+    pass the scalar route's finiteness checks: the system equals the integer route's by repr."""
+    big = 10 ** 400
+    s = Samples.from_pairs([0, big, 3 * big, -7 * big, F(big, 3)], [1, 2, 5, 3, -4])
+    family = monic_family(s, 4)
+    copy = MonicInterpolantFamily(family.grid, family.values, family.alphas, family.phats)
+    systems = [build_system(f, 3) for f in (family, copy)]
+    assert copy.rows is None and all(common is None for _, common in systems[1].columns)
+    assert len({repr((x.ts, x.nus, x.diagonal, x.node_values, [(v.numerator, v.pole_nodes)
+                                                               for v in x.vs]))
+                for x in systems}) == 1
+    assert abs(systems[1].node_values[3][4]) > big
+
+
+@pytest.mark.parametrize("to_scalar", [F, float], ids=["exact", "float"])
+def test_a_family_built_by_hand_with_a_p_hat_above_its_degree_fails_in_build_system(to_scalar):
+    """P-hat_3 in place of P-hat_2 gives T_2 of degree 3.  build_system builds no V_n until vs is
+    read, yet it raises the ValueError of RationalInterpolant's degree check at n = 2."""
+    s = Samples.from_pairs([to_scalar(k) / 4 for k in range(5)],
+                           [to_scalar(v) for v in (1, 2, 5, 3, -4)])
+    family = monic_family(s, 4)
+    copy = MonicInterpolantFamily(family.grid, family.values, family.alphas,
+                                  [*family.phats[:2], family.phats[3], *family.phats[3:]])
+    assert build_system(copy, 1).n_max == 1
+    for build in (lambda: build_system(copy, 3),
+                  lambda: RationalInterpolant(2, t_polynomial(copy, 2), s.grid.nodes[:4])):
+        with pytest.raises(ValueError, match="numerator must have degree 2, got 3"):
+            build()
 
 
 @pytest.mark.parametrize("kind", ["float", "mixed"])
@@ -1132,3 +1195,61 @@ def test_zero_and_constant_q_expand_on_exact_and_float_systems(worked):
                         (Polynomial([1, -2]), (F(3), F(-2)))):
         xi = expand_in_interpolants(q, system, samples)
         assert xi == expected and [type(x) for x in xi] == [Fraction] * len(xi)
+
+
+SCALES = ((0, 0), (-300, 0), (300, 0), (0, -300), (0, 300), (-150, 150), (150, -150),
+          (-20, 20), (100, 100), (-100, -100), (250, -40), (-250, 40))
+
+
+def float_corpus():
+    """(nodes, values, q) at n = 0..30, n + 2 nodes each: random-order rationals and the
+    grid k/4, each times 10**e and with values times 10**f for every (e, f) in SCALES, and
+    mixed data (the rationals as Fractions, float values), and k/4 with a zero value A_1
+    and at a random s.  From Random(2501)."""
+    rng = random.Random(2501)
+    for n in range(31):
+        rationals = rng.sample([F(p, q) for q in range(1, 8) for p in range(-40, 41)
+                                if math.gcd(p, q) == 1], n + 2)
+        values = [F(rng.choice([v for v in range(-30, 31) if v]), rng.randint(1, 9))
+                  for _ in range(n + 2)]
+        q = [float(F(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(rng.randint(0, n + 1))]
+        for exact_nodes in (rationals, [F(k, 4) for k in range(n + 2)]):
+            for e, f in SCALES:
+                yield ([float(a) * 10.0 ** e for a in exact_nodes],
+                       [float(v) * 10.0 ** f for v in values], q)
+        yield rationals, list(map(float, values)), q
+        for s in sorted({1, rng.randrange(1, n + 2)}):  # on k/4, A_1 = 0 makes nu_0 = 0
+            zeroed = [float(v) for v in values[:s]] + [-0.0] + [float(v) for v in values[s + 1:]]
+            yield [k / 4 for k in range(n + 2)], zeroed, q
+
+
+def float_outcome(nodes, values, q_coeffs) -> str:
+    """repr of each float pipeline layer's output, and the typed error that ends it."""
+    n, out = len(nodes) - 2, []
+    try:
+        samples = Samples.from_pairs(nodes, values)
+        family = monic_family(samples, n + 1)
+        out.append(repr((family.alphas, family.phats)))
+        system = build_system(family, n)
+        out.append(repr((system.nus, system.ts, system.diagonal, system.columns,
+                         system.node_rows, system.vs)))
+        out.append(repr(biorthogonality_matrix(system, samples, n)))
+        out.append(repr(expand_in_interpolants(Polynomial(q_coeffs), system, samples)))
+    except BiorthopolyError as exc:
+        out.append(f"{type(exc).__name__}: {exc}")
+    return "\n".join(out)
+
+
+def test_float_pipeline_outputs_are_pinned():
+    """sha256 over the float corpus's outcomes, captured before the float route was rewritten
+    for speed: every family, system, matrix and xi, and every typed error, stays the same."""
+    digest = hashlib.sha256()
+    kinds = collections.Counter()
+    for case in float_corpus():
+        text = float_outcome(*case)
+        digest.update(text.encode() + b"\0")
+        kinds[text.rpartition("\n")[2].partition(":")[0] if ":" in text else "ok"] += 1
+    assert kinds == {"ok": 231, "InvalidParameter": 310, "DegenerateInterpolant": 234,
+                     "NuVanishes": 31, "ZeroSampleValue": 29}
+    assert digest.hexdigest() == \
+        "45987a5f5b19199e4f9f7c4108e87ceae3977720ab30e49e889f6c81826b593e"

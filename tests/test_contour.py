@@ -14,7 +14,8 @@ from biorthopoly.contour import (
     default_circle,
     hermite_divided_difference,
 )
-from biorthopoly.errors import InvalidParameter, NonFiniteSample, PoleEvaluation
+from biorthopoly.errors import (BiorthopolyError, InvalidParameter, NonFiniteSample,
+                               PoleEvaluation)
 from biorthopoly.exponential import ExpGridProblem, exp_alpha_closed
 from biorthopoly.interpolation import monic_family
 
@@ -328,3 +329,45 @@ def test_half_circle_cache_has_a_fixed_bound():
     info = contour._half_circle.cache_info()
     assert info.maxsize == 8
     assert info.currsize == 8
+
+
+def overflow_edge_cases():
+    """(function, args) whose exponential is e**(709.78 + d), d from -30 to 0.7, at the far
+    edge of the circle, so that its terms pass 2**1000 and the end of double range: hermite's
+    e**(h zeta) with the edge at 1.1 or -1.1, and the biortho check's e**(-h zeta) with the edge
+    at -2.2 (h > 0: at h < 0 its float nu_0 is 0).  Radii 0.5 to 2, each circle 0.1 away from
+    the nearest node; M = 16 to 2048; the centre a float, +0j or -0j in turn."""
+    count = 0
+    for d in (-30.0, -22.0, -18.0, -15.0, -10.0, -6.0, -4.0, -3.0, -2.5, -2.0, -1.5, -1.0, -0.5,
+              -0.2, -0.05, -0.005, 0.002, 0.7):
+        for radius in (0.5, 1.0, 1.5, 2.0):
+            for m in (16, 64, 256, 2048):
+                for call, edge, args in ((hermite_divided_difference, 1.1, (0,)),
+                                         (hermite_divided_difference, 1.1, (1,)),
+                                         (hermite_divided_difference, 1.1, (2,)),
+                                         (hermite_divided_difference, -1.1, (0,)),
+                                         (hermite_divided_difference, -1.1, (1,)),
+                                         (hermite_divided_difference, -1.1, (2,)),
+                                         (contour_biortho_check, -2.2, (0, 0)),
+                                         (contour_biortho_check, -2.2, (1, 0))):
+                    count += 1
+                    h = (709.78 + d) / edge * (1.0 if call is hermite_divided_difference else -1.0)
+                    c = edge - math.copysign(radius, edge)
+                    c = (c, complex(c, 0.0), complex(c, -0.0))[count % 3]
+                    yield call, (h, *args, Circle(c, radius, m))
+
+
+def test_quadrature_outcomes_at_the_overflow_edge_are_pinned():
+    """sha256 over the outcomes of overflow_edge_cases, captured before the mirrored sums were
+    halved: every value and every typed error stays the same."""
+    digest, kinds = hashlib.sha256(), collections.Counter()
+    for call, args in overflow_edge_cases():
+        try:
+            text = repr(call(*args))
+        except BiorthopolyError as exc:
+            text = f"{type(exc).__name__}: {exc}"
+        digest.update(text.encode() + b"\0")
+        kinds[text.partition(":")[0] if ":" in text else "value"] += 1
+    assert kinds == {"value": 1815, "NonFiniteSample": 489}
+    assert digest.hexdigest() == \
+        "32da5698cfee1837bf99dc6c7956e0a692fa40131127b05f2ab103c105ca79e3"

@@ -77,6 +77,23 @@ def test_is_exact():
     assert not is_exact(True)
 
 
+class IntSubclass(int):
+    pass
+
+
+class FloatSubclass(float):
+    pass
+
+
+@pytest.mark.parametrize("x, exact", [
+    (3, True), (True, False), (Fraction(1, 2), True), (0.5, False), (IntSubclass(3), True),
+    (FloatSubclass(0.5), False), (1 + 2j, False)],
+    ids=["int", "bool", "Fraction", "float", "int subclass", "float subclass", "complex"])
+def test_is_exact_type_table(x, exact):
+    """The exact-type test first (float, int, Fraction), then isinstance for other types."""
+    assert is_exact(x) is exact
+
+
 def test_tolerance_rejects_negative():
     with pytest.raises(InvalidParameter):
         check_tolerance(-1e-9)

@@ -115,6 +115,30 @@ def test_grid_rejects_duplicates():
         Grid([F(0), F(1), F(0)])
 
 
+def test_grid_names_the_first_equal_pair_of_nodes(monkeypatch):
+    """Distinct nodes cost one set and no Fraction comparison; after a collision the pairwise
+    scan names the first equal pair in (i, j) order, across Fraction and float alike."""
+    with pytest.raises(ValueError, match=r"distinct: a_0 == a_3 == 1$"):
+        Grid([1, 2, 2, 1])
+    with pytest.raises(ValueError, match=r"distinct: a_1 == a_3 == 1/2$"):
+        Grid([0, F(1, 2), 3, 0.5, 3])
+    with pytest.raises(ValueError, match=r"distinct: a_0 == a_2 == 0$"):
+        Grid([0, 1, -0.0])
+    compared = []
+    with monkeypatch.context() as m:
+        m.setattr(F, "__eq__", lambda x, y, eq=F.__eq__: compared.append((x, y)) or eq(x, y))
+        assert len(Grid([F(k, 7) for k in range(62)])) == 62
+    assert compared == []
+
+
+def test_grid_accepts_nan_nodes():
+    """nan equals no node, itself included, so it passes the distinctness check: twice as one
+    object too, which the set counts once and the pairwise scan then clears."""
+    nan = float("nan")
+    for nodes in ([0.0, nan, 1.0, float("nan")], [nan, 2.0, nan]):
+        assert Grid(nodes).nodes == tuple(nodes)
+
+
 def test_grid_prefix(monkeypatch):
     """A prefix is Grid(nodes[:k]) with no second distinctness check: no Fraction comparison."""
     g = Grid([F(0), F(1), F(2), F(1, 2)])
