@@ -209,7 +209,7 @@ def cmd_check_biortho(args, samples: Samples) -> tuple:
         "matrix": [_scalars_json(row) for row in matrix],
         "alphas": _scalars_json(family.alphas[: n_max + 1]),
         "nus": _scalars_json(system.nus),
-        "diagonal": _scalars_json(system.diagonal),
+        "diagonal": _scalars_json([matrix[n][n] for n in indices]),  # the d_n judged above
     }
     return {"n_max": n_max}, outputs, checks, NORMALIZATION_NOTES
 

@@ -15,11 +15,12 @@ f(conj zeta) == conj f(zeta) holds bit for bit (conjugation only flips signs):
 on a real-centred circle their quadratures evaluate samples 0..M/2.  Once a sum
 of |t_j| below 2**1000 shows that no sum overflows, terms 1..M/2-1 count twice
 in the real sum, and their imaginary parts cancel their conjugates' exactly.
-Each library integrand is called once per circle, on all its samples; a batch
-that raises, gives a non-finite sum or (half circle) fails that bound is redone
-one sample at a time by contour_integral, whose full-circle fsum gives the same
-value or error.  _half_circle caches samples 0..M/2 and offsets zeta - c of
-8 circles: 2 x 32769 complex numbers, about 2.6 MB each at M = 65536.
+Each library integrand is called once per real-centred circle, on samples
+0..M/2; a batch that raises or fails that bound is redone one sample at a time
+by contour_integral, whose full-circle fsum gives the same value or error.  Any
+other circle goes to contour_integral directly.  _half_circle caches samples
+0..M/2 and offsets zeta - c of 8 circles: 2 x 32769 complex numbers, about
+2.6 MB each at M = 65536.
 This module never runs in exact mode; complex arithmetic stays private to it.
 """
 
@@ -103,25 +104,19 @@ def contour_integral(integrand: Callable[[complex], complex], circle: Circle) ->
 
 def _trapezoid(integrand: Callable[[Sequence[complex]], Iterable[complex]],
                circle: Circle) -> complex:
-    """contour_integral of an integrand called once, on the samples it needs (module docstring)."""
+    """contour_integral of an integrand called once on a real-centred circle's half (module
+    docstring), or sample by sample on any other circle."""
     m, center = circle.sample_count, circle.center
-    if mirror := center.imag == 0:
+    if center.imag == 0:
         zetas, offsets = _half_circle(center, circle.radius, m, repr(center))
-    else:
-        zetas = circle.points()
-        offsets = [zeta - center for zeta in zetas]
-    try:
-        terms = list(map(mul, integrand(zetas), offsets))
-        if not mirror:
-            value = complex(math.fsum(map(_real, terms)) / m, math.fsum(map(_imag, terms)) / m)
-            if cmath.isfinite(value):  # else some term is not: fsum gives inf or nan, or raises
-                return value
-        elif sum(map(abs, terms)) < 2.0 ** 1000:  # all finite, and no sum overflows
-            ends, inner = (terms[0], terms[-1]), list(map(_real, terms[1:-1]))
-            return complex(math.fsum(chain(map(_real, ends), map(add, inner, inner))) / m,
-                           math.fsum(map(_imag, ends)) / m)
-    except (ArithmeticError, ValueError, PoleEvaluation):  # what contour_integral reports
-        pass  # redone below, where the first failing sample (upper half first) decides
+        try:
+            terms = list(map(mul, integrand(zetas), offsets))
+            if sum(map(abs, terms)) < 2.0 ** 1000:  # all finite, and no sum overflows
+                ends, inner = (terms[0], terms[-1]), list(map(_real, terms[1:-1]))
+                return complex(math.fsum(chain(map(_real, ends), map(add, inner, inner))) / m,
+                               math.fsum(map(_imag, ends)) / m)
+        except (ArithmeticError, ValueError, PoleEvaluation):  # what contour_integral reports
+            pass  # redone below, where the first failing sample (upper half first) decides
     return contour_integral(lambda zeta: next(iter(integrand([zeta]))), circle)
 
 

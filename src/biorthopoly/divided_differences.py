@@ -10,9 +10,9 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 
-from .errors import IndexOutOfRange
+from .errors import IndexOutOfRange, InvalidParameter
 from .numerics import Scalar, exact_if_int, is_exact, over_lcm, reduced, slots_repr
 from .polynomials import Grid, Polynomial, nodal_weights
 
@@ -79,10 +79,16 @@ def divided_differences_recursive(samples: Samples) -> DividedDifferenceTable:
                                  in zip(c, c[1:], gaps)], common * lcm)
             top.append(Fraction(c[0], common))
         return DividedDifferenceTable(samples, tuple(top))
-    for j in range(1, len(column)):
-        column = [(column[i + 1] - column[i]) / (nodes[i + j] - nodes[i])
-                  for i in range(len(column) - 1)]
-        top.append(column[0])
+    try:
+        for j in range(1, len(column)):
+            column = [(column[i + 1] - column[i]) / (nodes[i + j] - nodes[i])
+                      for i in range(len(column) - 1)]
+            top.append(column[0])
+    except ZeroDivisionError:  # distinct numbers, such as Fraction(3, 7) and 3/7, equal as floats
+        i, j = next((i, j) for i, j in combinations(range(len(nodes)), 2)
+                    if nodes[j] - nodes[i] == 0)
+        raise InvalidParameter(f"nodes a_{i} = {nodes[i]} and a_{j} = {nodes[j]} are equal as "
+                               "floats") from None
     return DividedDifferenceTable(samples, tuple(top))
 
 

@@ -152,9 +152,7 @@ class Grid:
         return hash(self.nodes)
 
     def prefix(self, count: int) -> "Grid":
-        grid = object.__new__(Grid)  # Grid(nodes[:count]): distinct nodes need no second check
-        object.__setattr__(grid, "nodes", self.nodes[:count])
-        return grid
+        return Grid(self.nodes[:count])
 
     def __repr__(self):
         return f"Grid({list(self.nodes)!r})"

@@ -342,6 +342,46 @@ def test_scale_equivariance():
         break
 
 
+NODE_POOL = sorted({F(a, d) for a in range(-40, 41) for d in range(1, 10)})
+
+
+@st.composite
+def affine_node_maps(draw):
+    """(samples, c, b): N + 1 <= 11 nodes, distinct rationals in random order, 0..N or k/4;
+    nonzero rational values, a nonzero c and any b."""
+    count = draw(st.integers(2, 11))
+    rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 9))
+    step = draw(st.sampled_from(["random", 1, F(1, 4)]))
+    nodes = (draw(st.randoms()).sample(NODE_POOL, count) if step == "random"
+             else [k * step for k in range(count)])
+    values = draw(st.lists(rationals.filter(bool), min_size=count, max_size=count))
+    c = draw(rationals.filter(bool))
+    return Samples.from_pairs(nodes, values), c, draw(rationals)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(affine_node_maps())
+def test_affine_node_map(problem):
+    """Nodes a -> c a + b, values kept: alpha_n -> c^-n alpha_n, nu_n -> c nu_n and
+    d_n -> c^(n-1) d_n, exactly; a degenerate alpha_n or nu_n stays degenerate."""
+    samples, c, b = problem
+    mapped = Samples.from_pairs([c * a + b for a in samples.grid.nodes], samples.values)
+    n_max = samples.last_index - 1
+    try:
+        family = monic_family(samples, n_max + 1)
+        system = build_system(family, n_max)
+    except (DegenerateInterpolant, NuVanishes) as err:
+        with pytest.raises(type(err)) as mapped_err:
+            build_system(monic_family(mapped, n_max + 1), n_max)
+        assert mapped_err.value.index == err.index
+        return
+    family_c = monic_family(mapped, n_max + 1)
+    system_c = build_system(family_c, n_max)
+    assert family_c.alphas == tuple(a / c ** n for n, a in enumerate(family.alphas))
+    assert system_c.nus == tuple(c * nu for nu in system.nus)
+    assert system_c.diagonal == tuple(c ** (n - 1) * d for n, d in enumerate(system.diagonal))
+
+
 def test_expand_basis_element(worked):
     samples, family = worked
     s4 = samples.extended(F(3), F(11))

@@ -159,6 +159,25 @@ def test_check_biortho_fails_a_doubled_nu(tmp_path, capsys, monkeypatch):
         {"name": "diagonal_matches_formula", "pass": False, "residual": "7/12"}]
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_check_biortho_prints_the_diagonal_it_judges(mode, tmp_path, capsys, monkeypatch):
+    """A doubled stored d_1 leaves the report byte-identical: its diagonal is the matrix's."""
+    import biorthopoly.biorthogonality as biorthogonality
+
+    def doubled_d1(family, n_max):
+        system = build_system(family, n_max)
+        system.diagonal = (system.diagonal[0], 2 * system.diagonal[1], *system.diagonal[2:])
+        return system
+
+    path = write_problem(tmp_path, GOLDEN_PROBLEM)
+    argv = ["check-biortho", path, "--n-max", "2", "--mode", mode]
+    code = main(argv)
+    report = capsys.readouterr().out
+    monkeypatch.setattr(biorthogonality, "build_system", doubled_d1)
+    assert main(argv) == code == 0
+    assert capsys.readouterr().out == report
+
+
 def test_float_check_biortho_passes_at_n_12(tmp_path, capsys):
     """Nodes k/4 and random rational values at N = 12: the node values from the
     three-term recurrence keep both float checks within the default 1e-9

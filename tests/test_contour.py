@@ -245,8 +245,8 @@ def test_quadrature_outcomes_are_pinned(call, args, expected):
 
 @pytest.mark.parametrize("center, calls", [(1.5 + 0j, 33), (1.5, 33), (1.0 + 0.2j, 64)])
 def test_mirror_evaluates_half_the_samples_on_a_real_centre(center, calls):
-    """One integrand call per circle: on M/2+1 samples on a real centre, float or complex;
-    on all M off the axis.  The oracle then takes the M samples one at a time."""
+    """One integrand call on the M/2+1 samples of a real centre, float or complex; off the
+    axis, no batch: the M samples one at a time, as the oracle takes them."""
     seen = []
 
     def integrand(zetas):
@@ -254,8 +254,9 @@ def test_mirror_evaluates_half_the_samples_on_a_real_centre(center, calls):
         return [1 / (zeta - 1.5) for zeta in zetas]
 
     circle = Circle(center, 2.0, 64)
-    assert contour._trapezoid(integrand, circle) == contour_integral(one_sample(integrand), circle)
-    assert seen == [calls] + [1] * 64
+    value = contour._trapezoid(integrand, circle)
+    assert seen == ([calls] if center.imag == 0 else [1] * calls)
+    assert value == contour_integral(one_sample(integrand), circle)
 
 
 def test_failing_batch_is_redone_one_sample_at_a_time():

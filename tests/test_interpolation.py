@@ -79,6 +79,17 @@ def test_monic_family_constant_data_degenerates():
     assert err.value.index == 1
 
 
+@pytest.mark.parametrize("build", [monic_family, newton_interpolant])
+def test_nodes_equal_as_floats_are_named(build):
+    """Distinct numbers that round to one float pass Grid's check; the float triangle then
+    names them in a typed error, not a bare ZeroDivisionError."""
+    with pytest.raises(InvalidParameter, match=r"^nodes a_0 = 3/7 and a_1 = 0.42857142857142855 "
+                                               r"are equal as floats$"):
+        build(Samples.from_pairs([F(3, 7), 3 / 7, 1.0], [1.0, 2.0, 3.0]), 2)
+    with pytest.raises(InvalidParameter, match=r"^nodes a_1 = 3/7 and a_3 = 0.42857142857142855 "):
+        build(Samples.from_pairs([1.0, F(3, 7), 2.0, 3 / 7], [1.0, 2.0, 3.0, 4.0]), 2)
+
+
 def test_monic_family_doubling_data():
     s = make_samples([0, 1, 2, 3], [1, 2, 4, 8])
     fam = monic_family(s, 3)

@@ -140,7 +140,8 @@ def test_grid_accepts_nan_nodes():
 
 
 def test_grid_prefix(monkeypatch):
-    """A prefix is Grid(nodes[:k]) with no second distinctness check: no Fraction comparison."""
+    """A prefix is Grid(nodes[:k]), checked again: the set of distinct nodes hashes them apart,
+    so no Fraction comparison is made."""
     g = Grid([F(0), F(1), F(2), F(1, 2)])
     compared = []
     with monkeypatch.context() as m:
