@@ -145,9 +145,11 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
     the family's: when it has integer rows P-hat_n = U_n / k_n (a_s = b_s / D, A_s = e_s / E), T_n
     is t = D k_n k_{n+1} T_n from them, the node values u_s / M_n step by integer_step,
     T-hat_n(a_s) and the column c_s / L are integer rows over one denominator, the column and d_n =
-    sum_s u_s c_s / (M_n L) in lowest terms: only nu_n and d_n become Fractions, and T_n's row t
-    is kept for the system's first read of ts and vs.  Without rows (float or mixed data, or built
-    by hand) the same steps run on scalars and keep T-hat_n's coefficients for that first read.
+    sum_s u_s c_s / (M_n L) in lowest terms: the column's scalar factors stay out of its row, which
+    is reduced by its own gcd before one scalar gcd.  Only nu_n and d_n become Fractions, and T_n's
+    row t is kept for the system's first read of ts and vs.  Without rows (float or mixed data, or
+    built by hand) the same steps run on scalars and keep T-hat_n's coefficients for that first
+    read.
     """
     if n_max < 0:
         raise IndexOutOfRange(f"system size n_max = {n_max} is negative")
@@ -171,18 +173,20 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
                 raise NuVanishes(n)
             nu_n, t_row = Fraction(t[n], big_d * k * k_next), (tuple(t), t[n])
             (u_prev, m_prev), (u, m) = table[n], integer_step(
-                table[n], table[n - 1], ratios[n + 1], ratios[n], big_d,
-                lambda v: [(b_s - b[n]) * v_s for b_s, v_s in zip(b, v)])
+                table[n], table[n - 1], ratios[n + 1], ratios[n], big_d, b[n],
+                lambda u, v: zip(b, u, v, u, v))
             table.append((tuple(u), m))
-            weights, t_den = nodal_weights(b[: n + 2], weights), big_d * m_prev * m * nu_n.numerator
-            t = [(p1 * big_d * m_prev - (b_s - b[n + 1]) * p0 * m) * nu_n.denominator
-                 for b_s, p0, p1 in zip(b[: n + 2], u_prev, u)]  # T-hat_n(a_s) = t_s / t_den
-            if 0 in e[: n + 2]:
+            weights, dm = nodal_weights(b[: n + 2], weights), big_d * m_prev
+            t = [p1 * dm - (b_s - b[n + 1]) * m * p0 for b_s, p0, p1 in zip(b[: n + 2], u_prev, u)]
+            if 0 in e[: n + 2]:  # T-hat_n(a_s) = t_s nu_den / (D M_{n-1} M_n nu_num)
                 raise ZeroSampleValue(e.index(0))
             scaled = [e_s * w_s for e_s, w_s in zip(e, weights)]  # A_s omega'(a_s) E D^(n+1)
-            common, power = math.lcm(*scaled), big_d ** (n + 1)
-            c, l = reduced([big_e * power * t_s * (common // d) for t_s, d in zip(t, scaled)],
-                           t_den * common)
+            common = math.lcm(*scaled)  # c_s / L = r_s (E D^(n+1) nu_den) / (D M M nu_num common)
+            r = [t_s * (common // d) for t_s, d in zip(t, scaled)]
+            g = math.gcd(*r)  # the row's content; then one gcd puts the scalars in lowest terms
+            (factor,), l = reduced([g * big_e * big_d ** (n + 1) * nu_n.denominator],
+                                   dm * m * nu_n.numerator * common)
+            c = [r_s // g * factor for r_s in r]
             column, d_n = (tuple(c), l), Fraction(sum(map(mul, u_prev, c)), m_prev * l)
         else:
             t_n = t_polynomial(family, n)

@@ -199,12 +199,15 @@ def cmd_check_biortho(args, samples: Samples) -> tuple:
 
     indices = range(n_max + 1)
     off_residual = _worst(abs(x) for n in indices for m, x in enumerate(matrix[n]) if m != n and x)
-    products = [leading_nu(family, n) * family.alphas[n] for n in indices]  # system.nus cancels
+    nus = [leading_nu(family, n) for n in indices]  # the formula's, where system.nus cancels
+    products = [nu * alpha for nu, alpha in zip(nus, family.alphas)]
     if 0 in products:
         raise InvalidParameter(f"nu_n alpha_n underflows to 0 at n = {products.index(0)}")
     diag_residual = _worst(abs(matrix[n][n] + 1 / p) for n, p in zip(indices, products))
 
-    checks = [("off_diagonal_zero", off_residual), ("diagonal_matches_formula", diag_residual)]
+    checks = [("off_diagonal_zero", off_residual), ("diagonal_matches_formula", diag_residual),
+              ("nus_match_formula", _worst(abs(x - y) for x, y in zip(system.nus, nus)),
+               all(approx_equal(x, y, args.tolerance) for x, y in zip(system.nus, nus)))]
     outputs = {
         "matrix": [_scalars_json(row) for row in matrix],
         "alphas": _scalars_json(family.alphas[: n_max + 1]),
@@ -278,6 +281,9 @@ def cmd_exp_example(args) -> tuple:
          max(Fraction(abs(a * Polynomial(u)(m) * r ** m - p ** m * b * k), b * k * r ** m)
              for (u, k), (a, b) in zip(family.rows[: n_max + 1], ratios)
              for m in range(len(u)))),
+        ("diagonal_closed_form",  # d_n = -1/(nu alpha_n), nu = q/(q-1) and alpha_n closed
+         max(abs(d + (q - 1) / (q * exp_alpha_closed(problem, n)))
+             for n, d in zip(indices, system.diagonal))),
     ]
     outputs = {
         "alphas": _scalars_json(family.alphas),

@@ -16,9 +16,9 @@ that the tests compare with.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from itertools import chain, zip_longest
+from itertools import chain, repeat
 
 from .divided_differences import Samples, divided_differences_recursive
 from .errors import DegenerateInterpolant, IndexOutOfRange, InvalidParameter
@@ -97,7 +97,8 @@ def monic_family(samples: Samples, n_max: int) -> MonicInterpolantFamily:
     One table and one Newton pass (P_n = P_{n-1} + alpha_n omega_n) cost O(N^2).
     On float data each P-hat_n repeats newton_interpolant(samples, n).divide(alpha_n)
     operation for operation; on exact data, a_s = b_s / D, the pass runs on the
-    integer rows D^n omega_n and P_n = u / M_n, and P-hat_n = u / u[-1] is kept as a family row.
+    integer rows D^n omega_n and P_n = s U_n / M_n: one content gcd of each new row gives the
+    family row U_n, P-hat_n = U_n / U_n[-1], and a scalar gcd gives s / M_n in lowest terms.
     DegenerateInterpolant(n) names the first zero alpha_n = p_n / q_n (alpha_0 = A_0
     too: the residue pairing divides by the values), and InvalidParameter the first
     float alpha_n that is inf or nan.
@@ -109,15 +110,17 @@ def monic_family(samples: Samples, n_max: int) -> MonicInterpolantFamily:
     if 0 in alphas:
         raise DegenerateInterpolant(alphas.index(0))
     if all(map(is_exact, chain(nodes, alphas))):
-        (b, big_d), u, m, omega, rows = over_lcm(nodes), [], 1, [1], []
-        for n, alpha in enumerate(alphas):
+        (b, big_d), u, s, m, omega, rows = over_lcm(nodes), [], 1, 1, [1], []
+        for n, alpha in enumerate(alphas):  # P_{n-1} = s u / m, P-hat_{n-1} = u / u[-1]
             if n:  # D^n omega_n = D^(n-1) omega_{n-1} (D z - b_{n-1})
                 omega = [big_d * lo - b[n - 1] * hi for lo, hi in zip([0, *omega], omega + [0])]
-            p, q = alpha.numerator, alpha.denominator
-            common = math.lcm(m, q * big_d ** n)  # P_n = P_{n-1} + p (D^n omega_n) / (q D^n)
-            x, y = common // m, p * (common // (q * big_d ** n))
-            u, m = reduced([x * c + y * w for c, w in zip(u + [0], omega)], common)
-            rows.append(reduced(u, u[-1]) if u[-1] > 0 else reduced([-c for c in u], -u[-1]))
+            p, q = alpha.numerator, alpha.denominator  # P_n = P_{n-1} + p D^n omega_n / (q D^n)
+            common, sign = math.lcm(m, q * big_d ** n), 1 if p > 0 else -1
+            x, y = common // m * s * sign, abs(p) * (common // (q * big_d ** n))
+            v = [x * c + y * w for c, w in zip(u + [0], omega)]  # sign(alpha_n) common P_n
+            u, k = reduced(v, v[-1])  # P-hat_n = v / v[-1], with v's content gcd(v) = v[-1] / k
+            (s,), m = reduced([sign * v[-1] // k], common)  # P_n = s u / m in lowest terms
+            rows.append((u, k))
         return MonicInterpolantFamily(samples.grid, samples.values, alphas, rows=rows)
     phats, interpolant, omega = [], [], [1]  # P_n and omega_n as Polynomial's coefficient lists
     for n, alpha in enumerate(alphas):
@@ -144,21 +147,28 @@ def recurrence_step(phat_n: Polynomial, phat_nm1: Polynomial, a_n: Scalar,
 
 
 def integer_step(row: tuple, prev: tuple, ratio: Fraction, ratio_prev: Scalar, big_d: int,
-                 shift: Callable[[list[int]], list[int]]) -> tuple[list[int], int]:
+                 b_n: int, lanes: Callable[[Sequence[int], Sequence[int]], Iterable[tuple]]
+                 ) -> tuple[list[int], int]:
     """recurrence_step on integer rows (u, m), P-hat = u / m: P-hat_{n+1}'s row in lowest terms.
 
-    row and prev are P-hat_n's and P-hat_{n-1}'s rows (a shorter one is zero-padded), ratio and
-    ratio_prev are alpha_n/alpha_{n+1} and alpha_{n-1}/alpha_n (0 at n = 0), and shift(v) is
-    (D z - b_n) v, a_n = b_n / D, on the rows' kind: coefficients move up one power, node values
-    v_s take the factor b_s - b_n.  With common = lcm(m ratio.denominator, m_prev
-    ratio_prev.denominator), D common P-hat_{n+1} = shift(x u - z u_prev) + y u on integers.
+    row and prev are P-hat_n's and P-hat_{n-1}'s rows, ratio and ratio_prev are alpha_n/alpha_{n+1}
+    and alpha_{n-1}/alpha_n (0 at n = 0), and a_n = b_n / D.  With common = lcm(m
+    ratio.denominator, m_prev ratio_prev.denominator), on integers
+
+        D common P-hat_{n+1} = (D z - b_n) (x u - w u_prev) + y u
+                             = D z (x u - w u_prev) + (y - b_n x) u + b_n w u_prev,
+
+    built in one pass and reduced once.  lanes(u, u_prev) gives that pass one tuple (g, p, q, r,
+    t) per entry, on the rows' kind: D z (x u - w u_prev) is g (x p - w q), and (r, t) are the
+    entries of (u, u_prev).  Coefficient rows take g = D and (p, q) one power down, all
+    zero-padded; node values at a_s = b_s / D take g = b_s and (p, q) = (r, t) = (u_s, u_prev_s).
     """
     (u, m), (u_prev, m_prev) = row, prev
     common = math.lcm(ratio.denominator * m, ratio_prev.denominator * m_prev)
-    x, z = common // m, ratio_prev.numerator * (common // (ratio_prev.denominator * m_prev))
-    y = ratio.numerator * big_d * (x // ratio.denominator)
-    v = shift([x * p - z * q for p, q in zip_longest(u, u_prev, fillvalue=0)])
-    return reduced([w + y * p for w, p in zip_longest(v, u, fillvalue=0)], big_d * common)
+    x, w = common // m, ratio_prev.numerator * (common // (ratio_prev.denominator * m_prev))
+    y, bw = ratio.numerator * big_d * (x // ratio.denominator) - b_n * x, b_n * w
+    return reduced([g * (x * p - w * q) + y * r + bw * t for g, p, q, r, t in lanes(u, u_prev)],
+                   big_d * common)
 
 
 def family_from_recurrence(grid: Grid, alphas: Sequence[Scalar],
@@ -190,8 +200,8 @@ def family_from_recurrence(grid: Grid, alphas: Sequence[Scalar],
         (b, big_d), (c, big_q) = over_lcm(nodes), over_lcm(alphas)
         rows, ratios = [((), 1), ((1,), 1)], [0, *map(Fraction, alphas, alphas[1:])]  # P-hat_-1 = 0
         for n in range(n_max):
-            rows.append(integer_step(rows[-1], rows[-2], ratios[n + 1], ratios[n], big_d, (
-                lambda v: [big_d * lo - b[n] * hi for lo, hi in zip([0, *v], v + [0])])))
+            rows.append(integer_step(rows[-1], rows[-2], ratios[n + 1], ratios[n], big_d, b[n], (
+                lambda u, v: zip(repeat(big_d), [0, *u], [0, *v, 0], [*u, 0], [*v, 0, 0]))))
     else:
         (b, big_d), (c, big_q) = (nodes, 1), (alphas, 1)  # then the sum below is the plain one
         phats = [Polynomial.constant(alphas[0] / alphas[0])]  # as monic_family's P-hat_0

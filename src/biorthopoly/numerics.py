@@ -57,9 +57,10 @@ def over_lcm(values: Sequence[Scalar]) -> tuple[list[int], int]:
 
 
 def reduced(row: Sequence[int], den: int) -> tuple[list[int], int]:
-    """(row, den) divided by gcd(den, *row): row[s] / den in lowest terms, den keeping its sign."""
+    """(row, den) divided by gcd(den, *row): row[s] / den in lowest terms, den keeping its sign.
+    The row comes back as a new list, with no division pass when the gcd is 1."""
     g = math.gcd(den, *row)
-    return [x // g for x in row], den // g
+    return ([x // g for x in row], den // g) if g != 1 else (list(row), den)
 
 
 def parse_scalar(text: str, mode: str = EXACT) -> Scalar:

@@ -1293,3 +1293,78 @@ def test_float_pipeline_outputs_are_pinned():
                      "NuVanishes": 31, "ZeroSampleValue": 29}
     assert digest.hexdigest() == \
         "45987a5f5b19199e4f9f7c4108e87ceae3977720ab30e49e889f6c81826b593e"
+
+
+def exact_corpus():
+    """(nodes, values, q) at n = 0..24, n + 2 nodes each: random-order rationals, the grids
+    k/4 and 0..n + 1 under random values, the grid 0..n + 1 under q**k, and the rationals with
+    a planted zero alpha_j (A_j = P_{j-1}(a_j)), a planted zero nu_j (A_{j+1} set from
+    alpha_{j+1} = alpha_j / (alpha_{j-1}/alpha_j - (a_{j+1} - a_j))) and a zero value.
+    From Random(2701)."""
+    rng = random.Random(2701)
+    for n in range(25):
+        rationals = rng.sample([F(p, q) for q in range(1, 8) for p in range(-40, 41)
+                                if math.gcd(p, q) == 1], n + 2)
+        values = [F(rng.choice([v for v in range(-30, 31) if v]), rng.randint(1, 9))
+                  for _ in range(n + 2)]
+        q = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(0, n + 1))]
+        for nodes in (rationals, [F(k, 4) for k in range(n + 2)], list(range(n + 2))):
+            yield nodes, values, q
+        base = rng.choice([F(2), F(1, 6), F(-3), F(3, 2), F(-5, 7)])
+        yield list(range(n + 2)), [base ** k for k in range(n + 2)], q
+        j = rng.randint(1, n + 1)  # alpha_j = 0
+        planted = values[:j] + [newton_interpolant(make_samples(rationals[:j], values[:j]),
+                                                   j - 1)(rationals[j])] + values[j + 1:]
+        yield rationals, planted, q
+        j = rng.randint(0, n)  # nu_j = 0, where the planted alpha_{j+1} is finite
+        prefix = make_samples(rationals[: j + 1], values[: j + 1])
+        alphas = divided_differences_recursive(prefix).diffs
+        gap = (alphas[j - 1] / alphas[j] if j else 0) - (rationals[j + 1] - rationals[j])
+        if 0 not in alphas and gap:
+            omega = math.prod(rationals[j + 1] - a for a in rationals[: j + 1])
+            a_next = newton_interpolant(prefix, j)(rationals[j + 1]) + alphas[j] / gap * omega
+            yield rationals, values[: j + 1] + [a_next] + values[j + 2:], q
+        s = rng.randrange(n + 2)
+        yield rationals, values[:s] + [F(0)] + values[s + 1:], q
+
+
+def exact_outcome(nodes, values, q_coeffs) -> str:
+    """repr of each exact pipeline layer's output (the family's integer rows, the family
+    family_from_recurrence rebuilds from its alphas, the system's stored rows, the matrix and
+    expand's xi), and the typed error that ends it.  Asserts the rows' lowest-terms forms."""
+    n, out = len(nodes) - 2, []
+    try:
+        samples = make_samples(nodes, values)
+        family = monic_family(samples, n + 1)
+        out.append(repr((family.alphas, family.rows)))
+        assert all(k == u[-1] > 0 and math.gcd(*u) == 1 for u, k in family.rows)
+        rebuilt = family_from_recurrence(samples.grid, family.alphas)
+        out.append(repr((rebuilt.values, rebuilt.rows)))
+        system = build_system(family, n)
+        out.append(repr((system.nus, system.t_rows, system.diagonal, system.columns,
+                         system.node_rows)))
+        for (c, l), nu in zip(system.columns, system.nus):
+            assert math.gcd(l, *c) == 1 and (l > 0) == (nu > 0)
+        assert all(m > 0 and math.gcd(m, *u) == 1 for u, m in system.node_rows)
+        out.append(repr(biorthogonality_matrix(system, samples, n)))
+        out.append(repr(expand_in_interpolants(Polynomial(q_coeffs), system, samples)))
+    except BiorthopolyError as exc:
+        out.append(f"{type(exc).__name__}: {exc}")
+    return "\n".join(out)
+
+
+def test_exact_pipeline_outputs_are_pinned():
+    """sha256 over the exact corpus's outcomes, captured before the integer-row kernels were
+    rewritten for speed: every family row, rebuilt family, system row, matrix and xi, and every
+    typed error, stays the same; each column c / L, node row u / M and family row U / k is in
+    lowest terms, with L of nu_m's sign, M > 0 and k = U[-1] > 0 (exact_outcome)."""
+    digest = hashlib.sha256()
+    kinds = collections.Counter()
+    for case in exact_corpus():
+        text = exact_outcome(*case)
+        digest.update(text.encode() + b"\0")
+        kinds[text.rpartition("\n")[2].partition(":")[0] if ":" in text else "ok"] += 1
+    assert kinds == {"ok": 100, "DegenerateInterpolant": 27, "NuVanishes": 29,
+                     "ZeroSampleValue": 19}
+    assert digest.hexdigest() == \
+        "70fea1a3d6a461128d833dca3a2a70b29d4c16086f3df3c16c9c73fa5a6d454e"

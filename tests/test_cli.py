@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -156,7 +157,29 @@ def test_check_biortho_fails_a_doubled_nu(tmp_path, capsys, monkeypatch):
     assert report["outputs"]["diagonal"] == ["-1/4", "-1/2", "7/12"]
     assert report["checks"] == [
         {"name": "off_diagonal_zero", "pass": True, "residual": "0"},
-        {"name": "diagonal_matches_formula", "pass": False, "residual": "7/12"}]
+        {"name": "diagonal_matches_formula", "pass": False, "residual": "7/12"},
+        {"name": "nus_match_formula", "pass": False, "residual": "2"}]
+
+
+def test_check_biortho_fails_a_doubled_stored_nu_1(tmp_path, capsys, monkeypatch):
+    """The nus a report prints are the ones it judges: a stored nu_1 doubled, and nothing else
+    changed, fails nus_match_formula, which compares each stored nu_n with leading_nu exactly."""
+    import biorthopoly.biorthogonality as biorthogonality
+
+    def doubled_nu_1(family, n_max):
+        system = build_system(family, n_max)
+        system.nus = (system.nus[0], 2 * system.nus[1], *system.nus[2:])
+        return system
+
+    monkeypatch.setattr(biorthogonality, "build_system", doubled_nu_1)
+    path = write_problem(tmp_path, {"nodes": ["0", "1", "2", "3"], "values": ["1", "2", "5", "3"]})
+    code, report = run(capsys, ["check-biortho", path, "--n-max", "2"])
+    assert code == 1
+    assert report["outputs"]["nus"] == ["2", "2", "-6/7"]
+    assert report["checks"] == [
+        {"name": "off_diagonal_zero", "pass": True, "residual": "0"},
+        {"name": "diagonal_matches_formula", "pass": True, "residual": "0"},
+        {"name": "nus_match_formula", "pass": False, "residual": "1"}]
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -189,7 +212,8 @@ def test_float_check_biortho_passes_at_n_12(tmp_path, capsys):
                                 "--n-max", "12"])
     assert code == 0
     assert [(c["name"], c["pass"]) for c in report["checks"]] == [
-        ("off_diagonal_zero", True), ("diagonal_matches_formula", True)]
+        ("off_diagonal_zero", True), ("diagonal_matches_formula", True),
+        ("nus_match_formula", True)]
 
 
 def test_float_residual_is_judged_by_the_width_alone(tmp_path, capsys):
@@ -202,8 +226,8 @@ def test_float_residual_is_judged_by_the_width_alone(tmp_path, capsys):
     for width in ("1e-9", "1", "1000"):
         code, report = run(capsys, ["check-biortho", path, "--n-max", "22", "--tolerance", width])
         assert code == 1
-        assert [c["pass"] for c in report["checks"]] == [False, False]
-        assert all(float(c["residual"]) > 1e6 for c in report["checks"])
+        assert [c["pass"] for c in report["checks"]] == [False, False, True]  # nus agree
+        assert all(float(c["residual"]) > 1e6 for c in report["checks"][:2])
 
 
 def test_check_biortho_constant_data(tmp_path, capsys):
@@ -405,7 +429,38 @@ def test_exp_example_failed_closed_form_reports_its_residual(capsys, monkeypatch
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["alpha_closed_form"] == {"name": "alpha_closed_form", "pass": False,
                                             "residual": "1/2"}
-    assert all(c["pass"] for c in report["checks"] if c["name"] != "alpha_closed_form")
+    # the diagonal's closed form -1/(nu alpha_n) reads the same alpha_n
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == [
+        "alpha_closed_form", "diagonal_closed_form"]
+
+
+def _doubled_d_1(system):
+    system.diagonal = (system.diagonal[0], 2 * system.diagonal[1], *system.diagonal[2:])
+    return system
+
+
+def _a_2_plus_1(family):
+    values = (*family.values[:2], family.values[2] + 1, *family.values[3:])
+    return type(family)(family.grid, values, family.alphas, rows=family.rows)
+
+
+@pytest.mark.parametrize("module, name, mutant", [
+    ("biorthogonality", "build_system", _doubled_d_1),  # stored d_1 doubled
+    ("interpolation", "monic_family", _a_2_plus_1),  # family value A_2 + 1
+])
+def test_exp_example_fails_a_wrong_printed_diagonal(module, name, mutant, capsys, monkeypatch):
+    """exp-example judges the diagonal it prints: each planted defect, applied to what the
+    library function returns, changes the printed d_n, and diagonal_closed_form (d_n against
+    -1/(nu alpha_n), nu = q/(q-1)) is the one check that fails."""
+    argv = ["exp-example", "--q", "2", "--n-max", "2"]
+    _, clean = run(capsys, argv)
+    target = importlib.import_module(f"biorthopoly.{module}")
+    original = getattr(target, name)
+    monkeypatch.setattr(target, name, lambda *args: mutant(original(*args)))
+    code, report = run(capsys, argv)
+    assert code == 1
+    assert report["outputs"]["diagonal"] != clean["outputs"]["diagonal"]
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == ["diagonal_closed_form"]
 
 
 @pytest.mark.parametrize("argv", [

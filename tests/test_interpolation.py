@@ -236,15 +236,15 @@ def test_integer_step_matches_recurrence_step_on_both_row_kinds():
         value_rows = [([0] * size, 1)] + [over_lcm([p(a) for a in nodes]) for p in fam.phats]
         for n in range(size - 1):
             ratio, ratio_prev = F(fam.alphas[n], fam.alphas[n + 1]), fam.alpha_ratio(n)
-            u, m = integer_step(coeff_rows[n + 1], coeff_rows[n], ratio, ratio_prev, big_d,
-                                lambda v: [big_d * lo - b[n] * hi
-                                           for lo, hi in zip([0, *v], v + [0])])
+            u, m = integer_step(coeff_rows[n + 1], coeff_rows[n], ratio, ratio_prev, big_d, b[n],
+                                lambda u, v: zip([big_d] * (n + 2), [0, *u], [0, *v, 0],
+                                                 [*u, 0], [*v, 0, 0]))
             prev = fam.phats[n - 1] if n else Polynomial.zero()
             expected = recurrence_step(fam.phats[n], prev, nodes[n], ratio, ratio_prev)
             assert [F(x, m) for x in u] == list(expected.coeffs) == list(fam.phats[n + 1].coeffs)
             assert m > 0 and math.gcd(m, *u) == 1
-            u, m = integer_step(value_rows[n + 1], value_rows[n], ratio, ratio_prev, big_d,
-                                lambda v: [(b_s - b[n]) * v_s for b_s, v_s in zip(b, v)])
+            u, m = integer_step(value_rows[n + 1], value_rows[n], ratio, ratio_prev, big_d, b[n],
+                                lambda u, v: zip(b, u, v, u, v))
             assert [F(x, m) for x in u] == [fam.phats[n + 1](a) for a in nodes]
             assert m > 0 and math.gcd(m, *u) == 1
 
