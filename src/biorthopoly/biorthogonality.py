@@ -27,12 +27,12 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
-from operator import mul, sub
+from operator import mul
 
 from .divided_differences import Samples
 from .errors import IndexOutOfRange, InvalidParameter, NuVanishes, PoleEvaluation, ZeroSampleValue
 from .interpolation import MonicInterpolantFamily, integer_step
-from .numerics import Scalar, is_exact, over_lcm, reduced, slots_repr
+from .numerics import Scalar, check_finite, is_exact, over_lcm, reduced, slots_repr
 from .polynomials import Polynomial, nodal_derivative_at, nodal_weights
 
 ZERO = Fraction(0)  # every zero residue sum on integers: the same value with no gcd to take
@@ -155,14 +155,14 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
         raise IndexOutOfRange(f"system size n_max = {n_max} is negative")
     if n_max + 1 > family.n_max:
         raise IndexOutOfRange(f"system to {n_max} needs family to {n_max + 1}")
-    nodes, alphas, samples = family.grid.nodes[: n_max + 2], family.alphas, family.samples
+    nodes, alphas, values = family.grid.nodes[: n_max + 2], family.alphas, family.values
     rows = []  # (T_n's row, nu_n, d_n, column of V_n)
     weights: tuple[Scalar, ...] = ()
     exact = family.rows is not None
     table = [((1,) * len(nodes), 1) if exact else ((family.phats[0].coeffs[0],) * len(nodes), None)]
     # at n = 0, table[n - 1] is P-hat_0 in place of P-hat_{-1}, but alpha_{-1} / alpha_0 = 0
     if exact:  # P-hat_{n+1}(a_s) = u[s] / m and P-hat_n(a_s) = u_prev[s] / m_prev on integers
-        (b, big_d), (e, big_e) = over_lcm(nodes), over_lcm(samples.values[: n_max + 2])
+        (b, big_d), (e, big_e) = over_lcm(nodes), over_lcm(values[: n_max + 2])
         ratios = [0, *map(Fraction, alphas, alphas[1: n_max + 2])]
     for n in range(n_max + 1):
         if exact:  # D k k_next T_n = D k U_{n+1} - k_next (D z - b_{n+1}) U_n, P-hat_n = U_n / k
@@ -193,8 +193,7 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
             nu_n = t_n.coefficient(n)
             if nu_n == 0:
                 raise NuVanishes(n)
-            if nu_n - nu_n:  # x - x: nan for an inf or nan float, else 0
-                raise InvalidParameter(f"nu_{n} = {nu_n} is not finite")
+            check_finite((nu_n,), lambda _, x: f"nu_{n} = {x} is not finite")
             if t_n.degree != n:  # only a family built by hand: RationalInterpolant's check
                 raise ValueError(f"numerator must have degree {n}, got {t_n.degree}")
             t_row, poles = (t_n.divide(nu_n).coeffs, None), nodes[: n + 2]
@@ -202,35 +201,27 @@ def build_system(family: MonicInterpolantFamily, n_max: int) -> BiorthogonalSyst
             table.append((tuple(((shift := x - a_n) + ratio_n) * p - ratio_nm1 * shift * q
                                 for x, p, q in zip(nodes, table[n][0], table[n - 1][0])), None))
             (p_values, _), (p_next, _) = table[n:]
-            if any(map(sub, p_next, p_next)):
-                s = next(s for s, x in enumerate(p_next) if x - x)
-                raise InvalidParameter(f"P-hat_{n + 1}(a_{s}) = {p_next[s]} is not finite")
+            check_finite(p_next, lambda s, x: f"P-hat_{n + 1}(a_{s}) = {x} is not finite")
             weights = nodal_weights(poles, weights)
             data = [((p1 - (a - nodes[n + 1]) * p0) / nu_n, weight) for a, p0, p1, weight
                     in zip(poles, p_values, p_next, weights)]
-            column = (tuple(_residue_terms(n, poles, data, samples)), None)
+            column = (tuple(_residue_terms(data, values[: n + 2])), None)
             d_n = _residue_sum(p_values, column[0])
         rows.append((t_row, nu_n, d_n, column))
     return BiorthogonalSystem(family, *zip(*rows), tuple(table))
 
 
-def _residue_terms(index: int, poles: tuple[Scalar, ...], data: Sequence[tuple[Scalar, Scalar]],
-                   samples: Samples) -> list[tuple[Scalar, Scalar]]:
-    """(T-hat_m(a_s), A_s omega'_{m+2}(a_s)) for the poles s = 0..m+1 of V_m, m = index, from its
-    residue data and samples on its poles; ZeroSampleValue(s) names the smallest zero A_s."""
-    count = index + 2
-    if count > len(samples):
-        raise IndexOutOfRange(f"pairing with V_{index} needs samples up to index {index + 1}")
-    if samples.grid.nodes[:count] != poles:
-        raise InvalidParameter(f"sample nodes differ from the poles of V_{index}")
-    if 0 in samples.values[:count]:
-        raise ZeroSampleValue(samples.values.index(0))
-    scaled = [a_s * weight for (_, weight), a_s in zip(data, samples.values)]
+def _residue_terms(data: Sequence[tuple[Scalar, Scalar]],
+                   values: Sequence[Scalar]) -> list[tuple[Scalar, Scalar]]:
+    """(T-hat_m(a_s), A_s omega'_{m+2}(a_s)) for the poles s = 0..m+1 of V_m from its residue data
+    and values A_0..A_{m+1}; ZeroSampleValue(s) names the smallest zero A_s, InvalidParameter an
+    A_s omega'(a_s) that is 0 or not finite."""
+    if 0 in values:
+        raise ZeroSampleValue(values.index(0))
+    scaled = [a_s * weight for (_, weight), a_s in zip(data, values)]
     if 0 in scaled:
         raise InvalidParameter(f"A_s omega'(a_s) underflows to 0 at s = {scaled.index(0)}")
-    if any(map(sub, scaled, scaled)):  # one pass; the entries are scanned only to name the first
-        s = next(s for s, x in enumerate(scaled) if x - x)
-        raise InvalidParameter(f"A_s omega'(a_s) = {scaled[s]} is not finite at s = {s}")
+    check_finite(scaled, lambda s, x: f"A_s omega'(a_s) = {x} is not finite at s = {s}")
     return [(t_value, d) for (t_value, _), d in zip(data, scaled)]
 
 
@@ -253,17 +244,19 @@ def _residue_sums(rows: Sequence[tuple], columns: Sequence[tuple]) -> list[list[
     return [[_residue_sum(row, terms) for terms in columns] for row, _ in rows]
 
 
-def _columns(system: BiorthogonalSystem, samples: Samples, count: int) -> tuple:
-    """V_0..V_{count-2}'s stored columns, once samples at s < count are the system's: else, in this
-    order, IndexOutOfRange, ZeroSampleValue(smallest s with A_s = 0) or InvalidParameter."""
+def _check_samples(samples: Samples, poles: tuple[Scalar, ...],
+                   values: tuple[Scalar, ...] | None = None) -> None:
+    """Samples fit to pair with V_m, m = len(poles) - 2: else, in this order, IndexOutOfRange,
+    ZeroSampleValue(smallest s with A_s = 0) or InvalidParameter, when their nodes on the poles,
+    or their values there where values are given, differ."""
+    count = len(poles)
     if count > len(samples):
         raise IndexOutOfRange(f"pairing with V_{count - 2} needs samples up to index {count - 1}")
     if 0 in samples.values[:count]:
         raise ZeroSampleValue(samples.values.index(0))
-    theirs, own = (tuple(zip(x.grid.nodes, x.values))[:count] for x in (samples, system.family))
-    if theirs != own:
-        raise InvalidParameter(f"samples differ from the system's on the poles of V_{count - 2}")
-    return system.columns[: count - 1]
+    if samples.grid.nodes[:count] != poles or (values is not None
+                                               and samples.values[:count] != values):
+        raise InvalidParameter(f"samples differ from V_{count - 2}'s data on its poles")
 
 
 def pairing(p: Polynomial, v: RationalInterpolant, samples: Samples) -> Scalar:
@@ -274,9 +267,10 @@ def pairing(p: Polynomial, v: RationalInterpolant, samples: Samples) -> Scalar:
     contribute, so extending the samples beyond index m+1 never changes the
     value.  It builds V_m's residue data with nodal_derivative_at, apart from build_system.
     """
+    _check_samples(samples, v.pole_nodes)
     data = [(v.numerator(a), nodal_derivative_at(v.pole_nodes, len(v.pole_nodes), s))
             for s, a in enumerate(v.pole_nodes)]
-    terms = _residue_terms(v.index, v.pole_nodes, data, samples)
+    terms = _residue_terms(data, samples.values[: len(v.pole_nodes)])
     return _residue_sum([p(a) for a in v.pole_nodes], terms)
 
 
@@ -306,11 +300,13 @@ def biorthogonality_matrix(system: BiorthogonalSystem, samples: Samples,
     Diagonal with entries -1/(nu_n alpha_n); every off-diagonal entry is
     exactly zero in exact arithmetic.  Every entry is still a computed residue sum in ascending
     s over P-hat_n's node values and V_m's stored column, O(N^3) in all, bit-identical to
-    pairing's Fraction loop.  samples must be the system's on a_0..a_{n_max+1} (see _columns).
+    pairing's Fraction loop.  samples must be the system's on a_0..a_{n_max+1} (_check_samples).
     """
     if not 0 <= n_max <= system.n_max:  # n_max + 1 < 0 would slice the rows from the end
         raise IndexOutOfRange(f"matrix size {n_max} is outside 0..{system.n_max}")
-    return _residue_sums(system.node_rows[: n_max + 1], _columns(system, samples, n_max + 2))
+    _check_samples(samples, system.family.grid.nodes[: n_max + 2],
+                   system.family.values[: n_max + 2])
+    return _residue_sums(system.node_rows[: n_max + 1], system.columns[: n_max + 1])
 
 
 def expand_in_interpolants(q_poly: Polynomial, system: BiorthogonalSystem,
@@ -321,14 +317,15 @@ def expand_in_interpolants(q_poly: Polynomial, system: BiorthogonalSystem,
     diagonal (not compared here with -1/(nu_k alpha_k)).  Exact reconstruction holds because the
     pairing annihilates every P-hat_j with j != k.  Each is summed as in the matrix, with q_poly
     read at the nodes once (Horner on integers over Q D^deg on a family with rows) and samples the
-    system's on a_0..a_{deg+1} (see _columns); a float q_poly there reads Fraction(c_s, L).
+    system's on a_0..a_{deg+1} (_check_samples); a float q_poly there reads Fraction(c_s, L).
     """
     n = q_poly.degree
     if n > system.n_max:
         raise IndexOutOfRange(f"degree {n} exceeds system size {system.n_max}")
     if 0 in system.diagonal[: n + 1]:
         raise InvalidParameter(f"d_{system.diagonal.index(0)} rounds to 0 in floating point")
-    columns, nodes = _columns(system, samples, n + 2), system.family.grid.nodes[: n + 2]
+    nodes = system.family.grid.nodes[: n + 2]
+    _check_samples(samples, nodes, system.family.values[: n + 2])
     exact = system.family.rows is not None and all(map(is_exact, q_poly.coeffs))
     if exact:  # q = sum_k c_k z^k / Q, a_s = b_s / D
         (c, big_q), (b, big_d) = over_lcm(q_poly.coeffs), over_lcm(nodes)
@@ -337,6 +334,6 @@ def expand_in_interpolants(q_poly: Polynomial, system: BiorthogonalSystem,
         row = ([h(b_s) for b_s in b], den)  # Horner on integers
     else:
         row = ([q_poly(a) for a in nodes], None)
-    sums = _residue_sums([row], columns)[0]
+    sums = _residue_sums([row], system.columns[: n + 1])[0]
     return tuple(Fraction(p.numerator * d.denominator, p.denominator * d.numerator)
                  if exact else p / d for p, d in zip(sums, system.diagonal))

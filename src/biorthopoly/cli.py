@@ -251,6 +251,7 @@ def cmd_exp_example(args) -> tuple:
     q, n_max = parse_scalar(args.q, EXACT), args.n_max
     if not 0 <= n_max <= EXP_EXAMPLE_MAX_N:
         raise IndexOutOfRange(f"--n-max {n_max} is outside 0..{EXP_EXAMPLE_MAX_N}")
+    override = _parse_contour(args.contour)
     if args.with_contour:  # the quadratures of e**(h z) match the closed forms of q**z at h = ln q
         if q <= 0:
             raise InvalidParameter(f"--with-contour needs q > 0 for a real h = ln q, got {q}")
@@ -298,14 +299,14 @@ def cmd_exp_example(args) -> tuple:
         from .contour import contour_biortho_check, hermite_divided_difference
         hermite_worst = 0.0
         for k in indices:
-            circle = _enclosing(_resolve_circle(args.contour, k), k)
+            circle = _enclosing(_resolve_circle(override, k), k)
             estimate = hermite_divided_difference(h, k, circle)
             expected = _double(lambda: exp_alpha_closed(problem, k), f"alpha_{k}")
             hermite_worst = max(hermite_worst, abs(estimate - expected))
         biortho_worst = 0.0
         for n in range(min(n_max, 3) + 1):
             for m in range(min(n_max, 3) + 1):
-                circle = _enclosing(_resolve_circle(args.contour, top := max(n, m + 1)), top)
+                circle = _enclosing(_resolve_circle(override, top := max(n, m + 1)), top)
                 try:
                     estimate = contour_biortho_check(h, n, m, circle)
                 except (DegenerateInterpolant, NuVanishes, ZeroSampleValue) as exc:  # float only
@@ -324,7 +325,7 @@ def cmd_hermite(args) -> tuple:
     h, k, tol = args.h, args.k, args.contour_tolerance
     if not 0 <= k <= HERMITE_MAX_K:  # before the k + 1 nodes are built
         raise IndexOutOfRange(f"--k {k} is outside 0..{HERMITE_MAX_K}")
-    circle = _resolve_circle(args.contour, k)
+    circle = _resolve_circle(_parse_contour(args.contour), k)
     estimate = hermite_divided_difference(h, k, circle)
     expected = _double(lambda: (math.exp(h) - 1.0) ** k / math.factorial(k), "(e**h - 1)**k / k!")
     _enclosing(circle, k)  # after the integrand's and the reference's own typed errors
@@ -373,19 +374,24 @@ def build_report(args) -> dict:
     return report
 
 
-def _resolve_circle(spec: str | None, max_node: int) -> Circle:
-    """Turn an optional "radius/samples" override into a Circle for 0..max_node."""
+def _parse_contour(spec: str | None) -> Circle | None:
+    """An optional "radius/samples" override, parsed and checked once, as a Circle about 0."""
+    if spec is None:
+        return None
+    from .contour import Circle, default_circle
+    radius_text, _, count_text = spec.partition("/")
+    try:
+        return Circle(0j, float(radius_text),
+                      int(count_text) if count_text else default_circle(0).sample_count)
+    except ValueError:
+        raise InvalidParameter(f"--contour expects RADIUS/SAMPLES, got {spec!r}") from None
+
+
+def _resolve_circle(override: Circle | None, max_node: int) -> Circle:
+    """The default circle for 0..max_node, or the override's radius and samples about its centre."""
     from .contour import Circle, default_circle
     base = default_circle(max_node)
-    if spec is None:
-        return base
-    try:
-        radius_text, _, count_text = spec.partition("/")
-        radius = float(radius_text)
-        count = int(count_text) if count_text else base.sample_count
-    except ValueError:
-        raise InvalidParameter(f"--contour expects RADIUS/SAMPLES, got {spec!r}")
-    return Circle(center=base.center, radius=radius, sample_count=count)
+    return base if override is None else Circle(base.center, override.radius, override.sample_count)
 
 
 def _enclosing(circle: Circle, max_node: int) -> Circle:

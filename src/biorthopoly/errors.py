@@ -21,31 +21,30 @@ class IndexOutOfRange(BiorthopolyError):
     exit_code = 3
 
 
-class DegenerateInterpolant(BiorthopolyError):
+class _Degeneracy(BiorthopolyError):
+    """A quantity that a construction divides by vanished at index; a subclass names it in its
+    message template, which is formatted with the index."""
+    exit_code = 4
+    template = "a divisor vanished at index {0}"
+
+    def __init__(self, index):
+        self.index = index
+        super().__init__(self.template.format(index))
+
+
+class DegenerateInterpolant(_Degeneracy):
     """A divided difference alpha_n vanished where a monic interpolant needs it."""
-    exit_code = 4
-
-    def __init__(self, index):
-        self.index = index
-        super().__init__(f"alpha_{index} = 0: monic interpolant of degree {index} undefined")
+    template = "alpha_{0} = 0: monic interpolant of degree {0} undefined"
 
 
-class NuVanishes(BiorthopolyError):
+class NuVanishes(_Degeneracy):
     """The auxiliary polynomial T_n lost its degree-n term (nu_n = 0)."""
-    exit_code = 4
-
-    def __init__(self, index):
-        self.index = index
-        super().__init__(f"nu_{index} = 0: T_{index} degenerates below degree {index}")
+    template = "nu_{0} = 0: T_{0} degenerates below degree {0}"
 
 
-class ZeroSampleValue(BiorthopolyError):
+class ZeroSampleValue(_Degeneracy):
     """A sample value A_s = 0 appeared where the pairing divides by it."""
-    exit_code = 4
-
-    def __init__(self, index):
-        self.index = index
-        super().__init__(f"A_{index} = 0: residue pairing divides by the sample values")
+    template = "A_{0} = 0: residue pairing divides by the sample values"
 
 
 class PoleEvaluation(BiorthopolyError):

@@ -22,7 +22,7 @@ from itertools import chain, repeat
 
 from .divided_differences import Samples, divided_differences_recursive
 from .errors import DegenerateInterpolant, IndexOutOfRange, InvalidParameter
-from .numerics import Scalar, exact_if_int, is_exact, over_lcm, reduced
+from .numerics import Scalar, check_finite, exact_if_int, is_exact, over_lcm, reduced
 from .polynomials import Grid, Polynomial, nodal_polynomial, nodal_weights
 
 
@@ -51,7 +51,8 @@ class MonicInterpolantFamily:
     and alpha_n * P-hat_n(a_k) = A_k for k <= n.  Give exactly one of phats (float, mixed or built
     by hand; rows is None) and rows, the builders' integer rows on exact data: rows[n] = (U_n, k_n)
     in lowest terms with k_n = U_n[-1] > 0, and the first read of phats makes P-hat_n = U_n / k_n
-    in Fractions and keeps them.  Int alphas are held as Fractions.
+    in Fractions and keeps them.  Int alphas are held as Fractions.  The constructor checks the
+    lengths and the rows' shape, in O(N), not their gcds.
     """
 
     __slots__ = ("grid", "values", "alphas", "_phats", "rows")
@@ -69,6 +70,9 @@ class MonicInterpolantFamily:
             raise ValueError("alphas and phats must align")
         if len(self.alphas) > len(self.values) or len(self.values) != len(grid):
             raise ValueError("family data lengths inconsistent")
+        if rows is not None and any(len(u) != n + 1 or u[-1] != k or k <= 0
+                                    for n, (u, k) in enumerate(self.rows)):
+            raise ValueError("rows[n] must be (U_n, k_n) with n + 1 entries and k_n = U_n[-1] > 0")
 
     @property
     def phats(self) -> tuple[Polynomial, ...]:
@@ -91,6 +95,16 @@ class MonicInterpolantFamily:
         return self.alphas[n - 1] / self.alphas[n]
 
 
+def _check_alphas(alphas: Sequence[Scalar]) -> None:
+    """DegenerateInterpolant(n) or InvalidParameter for the first alpha_n that is 0, or a float
+    inf or nan."""
+    for n, alpha in enumerate(alphas):
+        if alpha == 0:
+            raise DegenerateInterpolant(n)
+        if not (is_exact(alpha) or math.isfinite(alpha)):
+            raise InvalidParameter(f"alpha_{n} = {alpha} is not finite")
+
+
 def monic_family(samples: Samples, n_max: int) -> MonicInterpolantFamily:
     """Divided differences plus monic interpolants up to degree n_max.
 
@@ -99,16 +113,14 @@ def monic_family(samples: Samples, n_max: int) -> MonicInterpolantFamily:
     operation for operation; on exact data, a_s = b_s / D, the pass runs on the
     integer rows D^n omega_n and P_n = s U_n / M_n: one content gcd of each new row gives the
     family row U_n, P-hat_n = U_n / U_n[-1], and a scalar gcd gives s / M_n in lowest terms.
-    DegenerateInterpolant(n) names the first zero alpha_n = p_n / q_n (alpha_0 = A_0
-    too: the residue pairing divides by the values), and InvalidParameter the first
-    float alpha_n that is inf or nan.
+    _check_alphas names the first alpha_n = p_n / q_n that is zero (alpha_0 = A_0 too: the
+    residue pairing divides by the values) or a float inf or nan.
     """
     if n_max < 0 or n_max > samples.last_index:
         raise IndexOutOfRange(f"n_max = {n_max} outside 0..{samples.last_index}")
     table = divided_differences_recursive(samples)
     alphas, nodes = table.diffs[: n_max + 1], samples.grid.nodes[:n_max]
-    if 0 in alphas:
-        raise DegenerateInterpolant(alphas.index(0))
+    _check_alphas(alphas)
     if all(map(is_exact, chain(nodes, alphas))):
         (b, big_d), u, s, m, omega, rows = over_lcm(nodes), [], 1, 1, [1], []
         for n, alpha in enumerate(alphas):  # P_{n-1} = s u / m, P-hat_{n-1} = u / u[-1]
@@ -124,8 +136,6 @@ def monic_family(samples: Samples, n_max: int) -> MonicInterpolantFamily:
         return MonicInterpolantFamily(samples.grid, samples.values, alphas, rows=rows)
     phats, interpolant, omega = [], [], [1]  # P_n and omega_n as Polynomial's coefficient lists
     for n, alpha in enumerate(alphas):
-        if not (is_exact(alpha) or math.isfinite(alpha)):
-            raise InvalidParameter(f"alpha_{n} = {alpha} is not finite")
         interpolant = [alpha * c + p for c, p in zip(omega, interpolant)] + [alpha]  # + alpha * 1
         phats.append(Polynomial([c / alpha for c in interpolant]))
         neg = -samples.grid[n]  # omega_n (z - a_n) by Polynomial.__mul__'s sums, 0 + x included
@@ -178,7 +188,8 @@ def family_from_recurrence(grid: Grid, alphas: Sequence[Scalar],
     Iterates the recurrence from P-hat_{-1} = 0, P-hat_0 = 1, then recovers
     the implied values A_n = sum_{s<=n} alpha_s omega_s(a_n).  The returned
     family's grid and values are truncated to indices 0..n_max, which is all
-    the given alphas determine.
+    the given alphas determine.  _check_alphas names the first bad alpha, and InvalidParameter
+    a float P-hat coefficient or implied value that overflowed.
     """
     alphas = tuple(alphas)
     if n_max is None:
@@ -188,12 +199,7 @@ def family_from_recurrence(grid: Grid, alphas: Sequence[Scalar],
     if n_max + 1 > len(grid):
         raise IndexOutOfRange(f"need nodes a_0..a_{n_max}, grid has {len(grid)}")
     alphas, sub_grid = alphas[: n_max + 1], grid.prefix(n_max + 1)
-    for n, alpha in enumerate(alphas):
-        if alpha == 0:
-            raise DegenerateInterpolant(n)
-        if not (is_exact(alpha) or math.isfinite(alpha)):
-            raise InvalidParameter(f"alpha_{n} = {alpha} is not finite")
-
+    _check_alphas(alphas)
     nodes = sub_grid.nodes
     exact = all(map(is_exact, chain(nodes, alphas)))
     if exact:  # coefficient rows P-hat_n = u / m, a_s = b_s / D, shifted by D z - b_n
@@ -219,9 +225,7 @@ def family_from_recurrence(grid: Grid, alphas: Sequence[Scalar],
         values.append(Fraction(total, big_q * big_d ** n) if exact else total)
     if exact:
         return MonicInterpolantFamily(sub_grid, values, alphas, rows=rows[1:])
-    for name, x in chain(((f"P-hat_{n} coefficient {k}", x) for n, p in enumerate(phats)
-                          for k, x in enumerate(p.coeffs)),
-                         ((f"implied value A_{n}", x) for n, x in enumerate(values))):
-        if not (is_exact(x) or math.isfinite(x)):  # finite float alphas can still overflow
-            raise InvalidParameter(f"{name} = {x} is not finite")
+    for n, p in enumerate(phats):  # finite float alphas can still overflow
+        check_finite(p.coeffs, lambda k, x: f"P-hat_{n} coefficient {k} = {x} is not finite")
+    check_finite(values, lambda n, x: f"implied value A_{n} = {x} is not finite")
     return MonicInterpolantFamily(sub_grid, values, alphas, tuple(phats))

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
+from operator import sub
 
 from .errors import InvalidParameter, ZeroDenominator
 
@@ -37,6 +38,14 @@ def check_tolerance(tol: float) -> float:
     if not (math.isfinite(tol) and tol >= 0):
         raise InvalidParameter("tolerance must be finite and nonnegative")
     return tol
+
+
+def check_finite(values: Sequence[Scalar], message: Callable[[int, Scalar], str]) -> None:
+    """InvalidParameter(message(s, values[s])) for the first float values[s] that is inf or nan:
+    one pass of x - x (nan there, else 0), and a second only to name it."""
+    if any(map(sub, values, values)):
+        s = next(s for s, x in enumerate(values) if x - x)
+        raise InvalidParameter(message(s, values[s]))
 
 
 def is_exact(x: Scalar) -> bool:

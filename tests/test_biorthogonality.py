@@ -578,18 +578,20 @@ def test_node_values_are_the_interpolants_at_the_nodes():
 
 def test_pairings_reject_samples_on_another_grid(worked):
     """The stored columns belong to the system's nodes and values: samples that differ
-    there must not be paired with them.  The matrix and expand check, in this order, that
-    the samples reach V's poles (IndexOutOfRange), hold no zero there (ZeroSampleValue) and
-    match the system's nodes and values there (InvalidParameter)."""
+    there must not be paired with them.  The matrix, expand and pairing check, in this order,
+    that the samples reach V's poles (IndexOutOfRange), hold no zero there (ZeroSampleValue) and
+    match the system's nodes and values there (InvalidParameter; pairing knows V's nodes only),
+    with one message for a mismatch."""
     samples, family = worked
     system = build_system(family, 1)
     q_poly = Polynomial([F(1), F(1)])
     moved = make_samples([0, 1, 3], [1, 2, 5])
-    with pytest.raises(InvalidParameter):
+    mismatch = "samples differ from V_1's data on its poles"
+    with pytest.raises(InvalidParameter, match=mismatch):
         biorthogonality_matrix(system, moved, 1)
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(InvalidParameter, match=mismatch):
         expand_in_interpolants(q_poly, system, moved)
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(InvalidParameter, match=mismatch):
         pairing(family.phats[1], system.vs[1], moved)
     # the same nodes with other nonzero values would pair with weights that are not V's
     revalued = make_samples([0, 1, 2], [1, 3, 5])
@@ -609,6 +611,9 @@ def test_pairings_reject_samples_on_another_grid(worked):
         assert err.value.index == 1
         with pytest.raises(ZeroSampleValue) as err:
             expand_in_interpolants(q_poly, system, poisoned)
+        assert err.value.index == 1
+        with pytest.raises(ZeroSampleValue) as err:
+            pairing(family.phats[1], system.vs[1], poisoned)
         assert err.value.index == 1
     # nodes and values beyond the poles of V_m may differ
     extended = samples.extended(F(9), F(4))

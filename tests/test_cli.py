@@ -362,6 +362,23 @@ def test_hermite_bad_contour_spec(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("with_contour", [[], ["--with-contour"]])
+@pytest.mark.parametrize("spec, message", [
+    ("garbage", "--contour expects RADIUS/SAMPLES, got 'garbage'"),
+    ("6/100", "sample_count must be a power of two from 16 to 65536"),
+    ("-6/256", "circle radius must be positive"),
+])
+def test_exp_example_rejects_a_malformed_contour_spec(with_contour, spec, message, capsys):
+    """The --contour spec is parsed and checked once, after --n-max's range check, whether or
+    not --with-contour asks for the circles: a malformed one exits 2 with the message it had."""
+    assert main(["exp-example", "--q", "2", "--n-max", "1", *with_contour, "--contour", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: InvalidParameter: {message}\n"
+    assert main(["exp-example", "--q", "2", "--n-max", "41", "--contour", spec]) == 3
+    assert capsys.readouterr().err.startswith("error: IndexOutOfRange:")
+
+
 def test_check_biortho_negative_n_max_is_out_of_range(tmp_path, capsys):
     path = write_problem(tmp_path, WORKED)
     code, report = run(capsys, ["check-biortho", path, "--n-max", "-1"])
@@ -639,6 +656,40 @@ def test_exact_report_matches_golden(name, tmp_path, capsys):
         assert capsys.readouterr().out == handle.read()
 
 
+def _readme_check_rows():
+    """(subcommand, check, outputs covered) per row of README's "What each report checks"."""
+    with open(os.path.join(os.path.dirname(GOLDEN), "..", "README.md")) as handle:
+        section = handle.read().partition("### What each report checks")[2].partition("\n#")[0]
+    rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| `")]
+    return [(command.strip(" `"), check.strip(" `"),
+             {key.strip(" `") for key in covered.split(",") if key.strip()})
+            for command, check, _, _, covered in rows]
+
+
+def test_readme_check_table_matches_the_reports(tmp_path, capsys):
+    """README's table lists exactly the checks each report runs, in order, and names every key
+    under outputs in some row (a row whose check is *echo* only echoes a parameter)."""
+    path = write_problem(tmp_path, GOLDEN_PROBLEM)
+    calls = [GOLDEN_CASES[name][0]
+             for name in ("interpolate", "recurrence", "check-biortho", "expand", "exp-example")]
+    calls += [[*calls[-1], "--with-contour"], ["hermite", "--h", "1", "--k", "3"]]
+    checks, outputs = {}, {}
+    for argv in calls:
+        _, report = run(capsys, [path if a == "PROBLEM" else a for a in argv])
+        checks[argv[0]] = [c["name"] for c in report["checks"]]  # the longer exp-example last
+        outputs.setdefault(argv[0], set()).update(report["outputs"])
+    rows = _readme_check_rows()
+    table = {}
+    for command, check, _ in rows:
+        if check != "*echo*":
+            table.setdefault(command, []).append(check)
+    assert table == checks
+    covered = {}
+    for command, _, keys in rows:
+        covered.setdefault(command, set()).update(keys)
+    assert covered == outputs
+
+
 _BASE = {"biorthopoly", "biorthopoly.cli", "biorthopoly.errors", "biorthopoly.numerics",
          "biorthopoly.polynomials"}
 _FAMILY = _BASE | {"biorthopoly.divided_differences", "biorthopoly.interpolation"}
@@ -808,9 +859,11 @@ def _error_classes(cls=BiorthopolyError):
 
 def test_every_error_class_sets_its_exit_code(capsys, monkeypatch):
     import biorthopoly.cli as cli
+    import biorthopoly.errors as errors
     classes = list(_error_classes())
     assert LowerParameterPole in classes and len(classes) >= 10
-    not_two = {IndexOutOfRange: 3, DegenerateInterpolant: 4, NuVanishes: 4, ZeroSampleValue: 4}
+    not_two = {IndexOutOfRange: 3, DegenerateInterpolant: 4, NuVanishes: 4, ZeroSampleValue: 4,
+               errors._Degeneracy: 4}  # their private base
     for cls in classes:
         assert cls.exit_code == not_two.get(cls, 2), cls
 

@@ -13,6 +13,7 @@ from biorthopoly.divided_differences import (
 )
 from biorthopoly.errors import DegenerateInterpolant, IndexOutOfRange, InvalidParameter
 from biorthopoly.interpolation import (
+    MonicInterpolantFamily,
     family_from_recurrence,
     integer_step,
     lagrange_interpolant,
@@ -315,6 +316,26 @@ def test_family_range_checks():
     s = make_samples([0, 1], [1, 2])
     with pytest.raises(IndexOutOfRange):
         monic_family(s, 2)
+
+
+def _shortened_top(rows):
+    return [*rows[:2], (rows[2][0][:-1], rows[2][1]), *rows[3:]]
+
+
+def _negated_k_1(rows):
+    return [rows[0], (rows[1][0], -rows[1][1]), *rows[2:]]
+
+
+@pytest.mark.parametrize("change", [_shortened_top, _negated_k_1])
+def test_family_rejects_rows_of_the_wrong_shape(change):
+    """rows[n] = (U_n, k_n) must have n + 1 entries and k_n = U_n[-1] > 0: a row without its top
+    entry (which made exact build_system raise a bare IndexError) or a negated k_1 (a misleading
+    NuVanishes(0)) is a ValueError when the family is built."""
+    family = monic_family(make_samples([0, 1, 3, -2, F(1, 2)], [1, 2, 5, -3, F(7, 4)]), 4)
+    MonicInterpolantFamily(family.grid, family.values, family.alphas, rows=family.rows)
+    with pytest.raises(ValueError, match="rows"):
+        MonicInterpolantFamily(family.grid, family.values, family.alphas,
+                               rows=change(family.rows))
 
 
 EXACT_SCALARS = st.one_of(st.integers(-40, 40),

@@ -10,6 +10,7 @@ from biorthopoly.numerics import (
     EXACT,
     FLOAT,
     approx_equal,
+    check_finite,
     check_tolerance,
     format_scalar,
     is_exact,
@@ -68,6 +69,20 @@ def test_format_scalar(value, text):
 @given(small_fractions)
 def test_parse_format_round_trip(x):
     assert parse_scalar(format_scalar(x), EXACT) == x
+
+
+def test_check_finite_names_the_first_inf_or_nan():
+    """A finite row, floats or exact values, passes without building a message; otherwise the
+    message names the first inf or nan, by index and value."""
+    def message(s, x):
+        raise AssertionError("message built for a finite row")
+
+    check_finite([1.0, -2.5e300, 0.0, Fraction(1, 3), 7], message)
+    check_finite([], message)
+    with pytest.raises(InvalidParameter, match=r"^x_2 = nan$"):
+        check_finite([1.0, 2.0, math.nan, math.inf], lambda s, x: f"x_{s} = {x}")
+    with pytest.raises(InvalidParameter, match=r"^x_0 = -inf$"):
+        check_finite((-math.inf,), lambda s, x: f"x_{s} = {x}")
 
 
 def test_is_exact():
