@@ -26,8 +26,8 @@ table = divided_differences_recursive(samples)
 print("divided differences, recursive triangle vs residue-style sum:")
 for k in range(len(samples)):
     by_sum = divided_difference_sum(samples, k)
-    print(f"  [a_0..a_{k}] = {table[k]}  (sum route: {by_sum})")
-    assert table[k] == by_sum
+    print(f"  [a_0..a_{k}] = {table.diffs[k]}  (sum route: {by_sum})")
+    assert table.diffs[k] == by_sum
 print()
 
 for n in range(len(samples)):

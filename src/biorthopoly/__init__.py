@@ -13,15 +13,14 @@ _HOMES = {
                        "pairing t_polynomial",
     "contour": "Circle contour_biortho_check contour_integral default_circle "
                "hermite_divided_difference",
-    "divided_differences": "DividedDifferenceTable Samples divided_difference_sum "
-                           "divided_differences_recursive newton_interpolant",
     "errors": "BiorthopolyError DegenerateInterpolant IndexOutOfRange InvalidParameter "
-              "LowerParameterPole NonFiniteSample NuVanishes ParseError PoleEvaluation "
-              "ZeroDenominator ZeroSampleValue",
+              "NonFiniteSample NuVanishes ParseError PoleEvaluation ZeroSampleValue",
     "exponential": "ExpGridProblem exp_alpha_closed exp_interpolant_closed exp_t_closed "
                    "exp_v_alt_eval pochhammer terminating_2f1",
-    "interpolation": "MonicInterpolantFamily family_from_recurrence lagrange_interpolant "
-                     "monic_family recurrence_step",
+    "interpolation": "DividedDifferenceTable MonicInterpolantFamily Samples "
+                     "divided_difference_sum divided_differences_recursive "
+                     "family_from_recurrence lagrange_interpolant monic_family "
+                     "newton_interpolant recurrence_step",
     "numerics": "EXACT FLOAT approx_equal format_scalar parse_scalar",
     "polynomials": "Grid Polynomial nodal_derivative_at nodal_polynomial",
 }

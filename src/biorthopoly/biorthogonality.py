@@ -29,9 +29,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 from operator import mul
 
-from .divided_differences import Samples
 from .errors import IndexOutOfRange, InvalidParameter, NuVanishes, PoleEvaluation, ZeroSampleValue
-from .interpolation import MonicInterpolantFamily, integer_step
+from .interpolation import MonicInterpolantFamily, Samples, integer_step
 from .numerics import Scalar, check_finite, is_exact, over_lcm, reduced, slots_repr
 from .polynomials import Polynomial, nodal_derivative_at, nodal_weights
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .errors import (BiorthopolyError, DegenerateInterpolant, IndexOutOfRange, InvalidParameter,
-                     NuVanishes, ParseError, ZeroDenominator, ZeroSampleValue)
+                     NuVanishes, ParseError, ZeroSampleValue)
 from .numerics import (EXACT, FLOAT, approx_equal, check_tolerance, format_scalar, is_exact,
                        over_lcm, parse_scalar)
 from .polynomials import Polynomial
@@ -70,7 +70,7 @@ def _read_json(path: str):
 
 def load_problem(path: str, mode_override: str | None):
     """Parse a problem file into (Samples, mode, digest)."""
-    from .divided_differences import Samples
+    from .interpolation import Samples
     raw = _read_json(path)
     if not isinstance(raw, dict) or "nodes" not in raw or "values" not in raw:
         raise ParseError("problem must be an object with 'nodes' and 'values'")
@@ -88,7 +88,7 @@ def load_problem(path: str, mode_override: str | None):
         nodes = [parse_scalar(str(t), mode) for t in nodes_text]
         values = [parse_scalar(str(t), mode) for t in values_text]
         samples = Samples.from_pairs(nodes, values)
-    except (InvalidParameter, ZeroDenominator, ValueError) as exc:
+    except (InvalidParameter, ValueError) as exc:
         raise ParseError(str(exc))
     digest = _digest({"nodes": list(map(str, nodes_text)),
                       "values": list(map(str, values_text)), "mode": mode})
@@ -136,8 +136,7 @@ def _double(value, name: str) -> float:
 
 
 def cmd_interpolate(args, samples: Samples) -> tuple:
-    from .divided_differences import newton_interpolant
-    from .interpolation import lagrange_interpolant
+    from .interpolation import lagrange_interpolant, newton_interpolant
     degree = args.degree
     newton = newton_interpolant(samples, degree)
     lagrange = lagrange_interpolant(samples, degree)
@@ -240,7 +239,7 @@ def cmd_expand(args, samples: Samples) -> tuple:
 
 
 V_SAMPLE_POINTS = (Fraction(1, 2), Fraction(7, 3), Fraction(-3, 2), Fraction(21, 2))
-EXP_EXAMPLE_MAX_N = 40  # --n-max 40 takes about 0.2 s; its integer checks grow about as n_max**2
+EXP_EXAMPLE_MAX_N = 40  # 40 takes about 25 ms in process; its integer checks grow about as n_max**2
 HERMITE_MAX_K = 200  # --k 200 already exits 2: omega_{k+1} overflows on the circle
 
 
@@ -299,14 +298,14 @@ def cmd_exp_example(args) -> tuple:
         from .contour import contour_biortho_check, hermite_divided_difference
         hermite_worst = 0.0
         for k in indices:
-            circle = _enclosing(_resolve_circle(override, k), k)
+            circle = _circle(override, k)
             estimate = hermite_divided_difference(h, k, circle)
             expected = _double(lambda: exp_alpha_closed(problem, k), f"alpha_{k}")
             hermite_worst = max(hermite_worst, abs(estimate - expected))
         biortho_worst = 0.0
         for n in range(min(n_max, 3) + 1):
             for m in range(min(n_max, 3) + 1):
-                circle = _enclosing(_resolve_circle(override, top := max(n, m + 1)), top)
+                circle = _circle(override, max(n, m + 1))
                 try:
                     estimate = contour_biortho_check(h, n, m, circle)
                 except (DegenerateInterpolant, NuVanishes, ZeroSampleValue) as exc:  # float only
@@ -325,10 +324,9 @@ def cmd_hermite(args) -> tuple:
     h, k, tol = args.h, args.k, args.contour_tolerance
     if not 0 <= k <= HERMITE_MAX_K:  # before the k + 1 nodes are built
         raise IndexOutOfRange(f"--k {k} is outside 0..{HERMITE_MAX_K}")
-    circle = _resolve_circle(_parse_contour(args.contour), k)
+    circle = _circle(_parse_contour(args.contour), k)  # before any quadrature
     estimate = hermite_divided_difference(h, k, circle)
     expected = _double(lambda: (math.exp(h) - 1.0) ** k / math.factorial(k), "(e**h - 1)**k / k!")
-    _enclosing(circle, k)  # after the integrand's and the reference's own typed errors
     error = abs(estimate - expected)
     checks = [("hermite_matches_difference", error, error < tol),
               ("imaginary_part_small", abs(estimate.imag), abs(estimate.imag) < tol)]
@@ -387,15 +385,13 @@ def _parse_contour(spec: str | None) -> Circle | None:
         raise InvalidParameter(f"--contour expects RADIUS/SAMPLES, got {spec!r}") from None
 
 
-def _resolve_circle(override: Circle | None, max_node: int) -> Circle:
-    """The default circle for 0..max_node, or the override's radius and samples about its centre."""
+def _circle(override: Circle | None, max_node: int) -> Circle:
+    """The default circle for nodes 0..max_node, or the override's radius and samples about its
+    centre; InvalidParameter if a node, a pole, lies strictly outside it."""
     from .contour import Circle, default_circle
-    base = default_circle(max_node)
-    return base if override is None else Circle(base.center, override.radius, override.sample_count)
-
-
-def _enclosing(circle: Circle, max_node: int) -> Circle:
-    """The circle; InvalidParameter if a node 0..max_node, a pole, lies strictly outside it."""
+    circle = default_circle(max_node)
+    if override is not None:
+        circle = Circle(circle.center, override.radius, override.sample_count)
     if max(abs(circle.center), abs(max_node - circle.center)) > circle.radius:
         raise InvalidParameter(f"nodes 0..{max_node} are not all inside the circle")
     return circle
@@ -410,7 +406,7 @@ def _parse_poly_argument(text: str, mode: str) -> Polynomial:
         raise ParseError("--poly must be a JSON array of scalar strings")
     try:
         return Polynomial([parse_scalar(str(t), mode) for t in raw])
-    except (InvalidParameter, ZeroDenominator) as exc:
+    except InvalidParameter as exc:
         raise ParseError(str(exc))
 
 

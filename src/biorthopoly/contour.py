@@ -153,8 +153,7 @@ def contour_biortho_check(h: float, n: int, m: int, circle: Circle | None = None
     on it.  The family modules load here, so that hermite_divided_difference needs none of them.
     """
     from .biorthogonality import build_system
-    from .divided_differences import Samples
-    from .interpolation import monic_family
+    from .interpolation import Samples, monic_family
 
     if n < 0 or m < 0:
         raise InvalidParameter("indices must be nonnegative")

@@ -12,10 +12,6 @@ class BiorthopolyError(Exception):
     exit_code = 2
 
 
-class ZeroDenominator(BiorthopolyError):
-    """A ratio p/q was requested with q = 0."""
-
-
 class IndexOutOfRange(BiorthopolyError):
     """An index or degree exceeds what the data supports."""
     exit_code = 3
@@ -48,11 +44,8 @@ class ZeroSampleValue(_Degeneracy):
 
 
 class PoleEvaluation(BiorthopolyError):
-    """A rational function was evaluated at one of its poles."""
-
-
-class LowerParameterPole(BiorthopolyError):
-    """A terminating 2F1 hit a vanishing lower-parameter Pochhammer factor."""
+    """A rational function, or a terminating 2F1 in its lower parameter c, was evaluated at one
+    of its poles."""
 
 
 class NonFiniteSample(BiorthopolyError):

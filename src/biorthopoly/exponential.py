@@ -23,8 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .divided_differences import Samples
-from .errors import InvalidParameter, LowerParameterPole, PoleEvaluation
+from .errors import InvalidParameter, PoleEvaluation
+from .interpolation import Samples
 from .numerics import Scalar, is_exact, slots_repr
 from .polynomials import Polynomial
 
@@ -61,7 +61,7 @@ def terminating_2f1(n: int, b: Scalar, c: Scalar, x: Scalar) -> Scalar:
 
     Term k is (-n)_k (b)_k x^k / ((c)_k k!), numerator and denominator each carried from
     term k-1 by one factor.  Terms with a vanishing numerator are dropped; a vanishing
-    lower-parameter factor under a nonzero numerator raises LowerParameterPole.
+    lower-parameter factor under a nonzero numerator is a pole of the series in c: PoleEvaluation.
     """
     total: Scalar = 0
     numerator, denominator = x ** 0, 1  # not int 1: term 0 stays in x's arithmetic (1 / 1 is 1.0)
@@ -69,7 +69,7 @@ def terminating_2f1(n: int, b: Scalar, c: Scalar, x: Scalar) -> Scalar:
         if denominator != 0:
             total = total + numerator / denominator
         elif numerator != 0:
-            raise LowerParameterPole(f"(c)_{k} = 0 with c = {c}")
+            raise PoleEvaluation(f"(c)_{k} = 0 with c = {c}")
         numerator, denominator = numerator * (k - n) * (b + k) * x, denominator * (c + k) * (k + 1)
     return total
 

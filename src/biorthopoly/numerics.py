@@ -16,7 +16,7 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 from operator import sub
 
-from .errors import InvalidParameter, ZeroDenominator
+from .errors import InvalidParameter
 
 #: Anything accepted as a coefficient.  `int` is allowed on input; Grid and
 #: Samples store an int node or value as a Fraction, so it behaves exactly.
@@ -78,7 +78,7 @@ def parse_scalar(text: str, mode: str = EXACT) -> Scalar:
     try:
         value = Fraction(text)
     except ZeroDivisionError:
-        raise ZeroDenominator(f"scalar {text!r} has a zero denominator")
+        raise InvalidParameter(f"scalar {text!r} has a zero denominator")
     except ValueError as exc:
         raise InvalidParameter(f"cannot parse scalar {text!r}: {exc}")
     if mode == EXACT:

@@ -151,9 +151,6 @@ class Grid:
     def __hash__(self):
         return hash(self.nodes)
 
-    def prefix(self, count: int) -> "Grid":
-        return Grid(self.nodes[:count])
-
     def __repr__(self):
         return f"Grid({list(self.nodes)!r})"
 

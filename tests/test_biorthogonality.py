@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import biorthopoly.biorthogonality as biorthogonality
-import biorthopoly.divided_differences as divided_differences
 import biorthopoly.interpolation as interpolation
 from biorthopoly.biorthogonality import (
     BiorthogonalSystem,
@@ -25,8 +24,6 @@ from biorthopoly.biorthogonality import (
     pairing,
     t_polynomial,
 )
-from biorthopoly.divided_differences import (Samples, divided_differences_recursive,
-                                             newton_interpolant)
 from biorthopoly.errors import (
     BiorthopolyError,
     DegenerateInterpolant,
@@ -38,8 +35,9 @@ from biorthopoly.errors import (
 )
 from biorthopoly.contour import contour_biortho_check, hermite_divided_difference
 from biorthopoly.exponential import ExpGridProblem
-from biorthopoly.interpolation import (MonicInterpolantFamily, family_from_recurrence,
-                                       lagrange_interpolant, monic_family)
+from biorthopoly.interpolation import (MonicInterpolantFamily, Samples,
+                                       divided_differences_recursive, family_from_recurrence,
+                                       lagrange_interpolant, monic_family, newton_interpolant)
 from biorthopoly.numerics import parse_scalar
 from biorthopoly.polynomials import Grid, Polynomial, nodal_derivative_at
 
@@ -816,7 +814,7 @@ def test_exact_check_pipeline_builds_no_coefficient_fraction(monkeypatch, size):
         break
     built = []
     with monkeypatch.context() as m:
-        for module in (divided_differences, interpolation, biorthogonality):
+        for module in (interpolation, biorthogonality):
             m.setattr(module, "Fraction", lambda *args: built.append(args) or F(*args))
         family = monic_family(s, size + 1)
         system = build_system(family, size)
@@ -917,7 +915,7 @@ def test_a_family_built_by_hand_takes_the_scalar_route_with_the_same_results():
                 continue
             by_hand = build_system(copy, n_max)
             assert all(common is None for _, common in by_hand.columns)
-            samples = family.samples
+            samples = Samples(family.grid, family.values)
             q_poly = Polynomial([F(rng.randint(-9, 9), 7) for _ in range(n_max)] + [F(3, 2)])
             outputs = [([t.coeffs for t in x.ts], x.nus, x.diagonal, x.node_values,
                         biorthogonality_matrix(x, samples, n_max),

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from biorthopoly.biorthogonality import BiorthogonalSystem, build_system
 from biorthopoly.cli import main
 from biorthopoly.errors import (BiorthopolyError, DegenerateInterpolant, IndexOutOfRange,
-                                LowerParameterPole, NuVanishes, ZeroSampleValue)
+                                NuVanishes, PoleEvaluation, ZeroSampleValue)
 
 F = Fraction
 
@@ -388,7 +388,7 @@ def test_check_biortho_negative_n_max_is_out_of_range(tmp_path, capsys):
 
 @pytest.mark.parametrize("n_max", ["41", "100000", "-1"])
 def test_exp_example_n_max_outside_zero_to_forty_is_out_of_range(capsys, n_max):
-    # exact work grows about as n_max**3: 40 takes about 2 s, 80 about 15 s
+    # 40 takes about 25 ms in process; the checks on integer rows grow about as n_max**2
     code = main(["exp-example", "--q", "2", "--n-max", n_max])
     captured = capsys.readouterr()
     assert code == 3
@@ -427,6 +427,23 @@ def test_huge_contour_sizes_are_rejected_before_allocation(argv, code, capsys, m
     assert captured.out == ""
     assert captured.err.startswith("error: IndexOutOfRange:" if code == 3
                                    else "error: InvalidParameter:")
+
+
+def test_hermite_circle_that_misses_a_node_is_rejected_before_the_quadrature(capsys,
+                                                                             monkeypatch):
+    """hermite --contour with a radius that leaves nodes 0..k outside the circle about their
+    midpoint exits 2 before any sample is built (the quadrature here refuses to run at all)."""
+    import biorthopoly.contour as contour
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature reached")
+
+    monkeypatch.setattr(contour, "hermite_divided_difference", refuse)
+    monkeypatch.setattr(contour.Circle, "points", refuse)
+    assert main(["hermite", "--h", "0.05", "--k", "60", "--contour", "20.5/65536"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: InvalidParameter: nodes 0..60 are not all inside the circle\n"
 
 
 @pytest.mark.parametrize("k", ["199", "200"])
@@ -692,7 +709,7 @@ def test_readme_check_table_matches_the_reports(tmp_path, capsys):
 
 _BASE = {"biorthopoly", "biorthopoly.cli", "biorthopoly.errors", "biorthopoly.numerics",
          "biorthopoly.polynomials"}
-_FAMILY = _BASE | {"biorthopoly.divided_differences", "biorthopoly.interpolation"}
+_FAMILY = _BASE | {"biorthopoly.interpolation"}
 _PAIRING = _FAMILY | {"biorthopoly.biorthogonality"}
 
 
@@ -800,13 +817,14 @@ def test_exp_example_past_the_old_sample_point(capsys):
     # a radius-0.5 circle keeps e**(h zeta) finite, but the reference e**h overflows
     (None, ["hermite", "--h", "800", "--k", "0", "--contour", "0.5/16"],
      "InvalidParameter: (e**h - 1)**k / k! overflows"),
-    # here the reference's k-th power overflows instead
+    # the reference's k-th power would overflow (h k > 709.78), but a circle enclosing the nodes
+    # reaches Re zeta >= k, where e**(h zeta) overflows first: the enclosure check comes first
     (None, ["hermite", "--h", "100", "--k", "8", "--contour", "0.5/16"],
-     "InvalidParameter: (e**h - 1)**k / k! overflows"),
+     "InvalidParameter: nodes 0..8 are not all inside the circle"),
 ], ids=["alpha-inf-check", "alpha-inf-recurrence", "nu-inf", "residue-underflow",
         "diagonal-formula-underflow", "expand-zero-diagonal", "residue-overflow-expand",
         "residue-overflow-check", "node-value-overflow", "exact-too-long",
-        "contour-node-samples", "hermite-reference-exp", "hermite-reference-power"])
+        "contour-node-samples", "hermite-reference-exp", "hermite-enclosure-first"])
 def test_overflow_and_underflow_exit_2_with_a_typed_error(problem, argv, message, tmp_path,
                                                            capsys):
     if problem:
@@ -861,7 +879,7 @@ def test_every_error_class_sets_its_exit_code(capsys, monkeypatch):
     import biorthopoly.cli as cli
     import biorthopoly.errors as errors
     classes = list(_error_classes())
-    assert LowerParameterPole in classes and len(classes) >= 10
+    assert PoleEvaluation in classes and len(classes) >= 9
     not_two = {IndexOutOfRange: 3, DegenerateInterpolant: 4, NuVanishes: 4, ZeroSampleValue: 4,
                errors._Degeneracy: 4}  # their private base
     for cls in classes:

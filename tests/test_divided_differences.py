@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from biorthopoly.divided_differences import (
+from biorthopoly.interpolation import (
     Samples,
     divided_difference_sum,
     divided_differences_recursive,
@@ -66,7 +66,7 @@ def test_routes_agree_on_random_samples():
         s = random_samples(rng, rng.randint(1, 9))
         table = divided_differences_recursive(s)
         for k in range(len(s)):
-            assert table[k] == divided_difference_sum(s, k)
+            assert table.diffs[k] == divided_difference_sum(s, k)
 
 
 def test_newton_interpolant_worked_example():
@@ -105,9 +105,9 @@ def test_monic_polynomial_differences():
         monic = nodal_polynomial(Grid(nodes), k)  # any monic degree k will do
         values = [monic(a) for a in nodes]
         table = divided_differences_recursive(Samples.from_pairs(nodes, values))
-        assert table[k] == 1
+        assert table.diffs[k] == 1
         for m in range(k + 1, 7):
-            assert table[m] == 0
+            assert table.diffs[m] == 0
 
 
 def test_float_mode_runs_same_code():

@@ -5,19 +5,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biorthopoly.divided_differences import (
-    Samples,
-    divided_difference_sum,
-    divided_differences_recursive,
-    newton_interpolant,
-)
 from biorthopoly.errors import DegenerateInterpolant, IndexOutOfRange, InvalidParameter
 from biorthopoly.interpolation import (
     MonicInterpolantFamily,
+    Samples,
+    divided_difference_sum,
+    divided_differences_recursive,
     family_from_recurrence,
     integer_step,
     lagrange_interpolant,
     monic_family,
+    newton_interpolant,
     recurrence_step,
 )
 from biorthopoly.numerics import over_lcm
@@ -264,7 +262,7 @@ def test_round_trip_both_directions():
         assert rebuilt.values == s.values
         assert rebuilt.phats == fam.phats
         # and back: divided differences of the implied values are the alphas
-        table = divided_differences_recursive(rebuilt.samples)
+        table = divided_differences_recursive(Samples(rebuilt.grid, rebuilt.values))
         assert table.diffs == fam.alphas
 
 

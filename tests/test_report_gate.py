@@ -19,8 +19,7 @@ import pytest
 
 from biorthopoly.biorthogonality import BiorthogonalSystem
 from biorthopoly.cli import main
-from biorthopoly.divided_differences import DividedDifferenceTable
-from biorthopoly.interpolation import MonicInterpolantFamily
+from biorthopoly.interpolation import DividedDifferenceTable, MonicInterpolantFamily
 from test_cli import GOLDEN_CASES, GOLDEN_PROBLEM
 
 CALLS = {name: GOLDEN_CASES[name][0]
