@@ -241,6 +241,7 @@ def cmd_expand(args, samples: Samples) -> tuple:
 V_SAMPLE_POINTS = (Fraction(1, 2), Fraction(7, 3), Fraction(-3, 2), Fraction(21, 2))
 EXP_EXAMPLE_MAX_N = 40  # 40 takes about 25 ms in process; its integer checks grow about as n_max**2
 HERMITE_MAX_K = 200  # --k 200 already exits 2: omega_{k+1} overflows on the circle
+CONTOUR_TOLERANCE = 1e-8  # a contour check passes when its absolute error is below this
 
 
 def cmd_exp_example(args) -> tuple:
@@ -296,40 +297,42 @@ def cmd_exp_example(args) -> tuple:
     notes = NORMALIZATION_NOTES
     if args.with_contour:
         from .contour import contour_biortho_check, hermite_divided_difference
+        pair_indices = range(min(n_max, 3) + 1)
+        # every circle (top = k, or max(n, m + 1)) checked before the first quadrature: a radius
+        # that misses node top misses it at every larger top too, so the loops' first is refused
+        circles = [_circle(override, top) for top in range(max(n_max, pair_indices[-1] + 1) + 1)]
         hermite_worst = 0.0
         for k in indices:
-            circle = _circle(override, k)
-            estimate = hermite_divided_difference(h, k, circle)
+            estimate = hermite_divided_difference(h, k, circles[k])
             expected = _double(lambda: exp_alpha_closed(problem, k), f"alpha_{k}")
             hermite_worst = max(hermite_worst, abs(estimate - expected))
         biortho_worst = 0.0
-        for n in range(min(n_max, 3) + 1):
-            for m in range(min(n_max, 3) + 1):
-                circle = _circle(override, max(n, m + 1))
+        for n in pair_indices:
+            for m in pair_indices:
                 try:
-                    estimate = contour_biortho_check(h, n, m, circle)
+                    estimate = contour_biortho_check(h, n, m, circles[max(n, m + 1)])
                 except (DegenerateInterpolant, NuVanishes, ZeroSampleValue) as exc:  # float only
                     estimate, notes = math.inf, [*NORMALIZATION_NOTES, "contour_biortho: the float "
                                                  f"family of e**(h z) degenerated: {exc}"]
                 expected = _double(lambda: system.diagonal[n], f"d_{n}") if n == m else 0.0
                 biortho_worst = max(biortho_worst, abs(estimate - expected))
-        checks += [("contour_hermite", hermite_worst, hermite_worst < args.contour_tolerance),
-                   ("contour_biortho", biortho_worst, biortho_worst < args.contour_tolerance)]
+        checks += [("contour_hermite", hermite_worst, hermite_worst < CONTOUR_TOLERANCE),
+                   ("contour_biortho", biortho_worst, biortho_worst < CONTOUR_TOLERANCE)]
         outputs["contour_h"] = arguments["h"] = repr(h)
     return arguments, outputs, checks, notes
 
 
 def cmd_hermite(args) -> tuple:
     from .contour import hermite_divided_difference
-    h, k, tol = args.h, args.k, args.contour_tolerance
+    h, k = args.h, args.k
     if not 0 <= k <= HERMITE_MAX_K:  # before the k + 1 nodes are built
         raise IndexOutOfRange(f"--k {k} is outside 0..{HERMITE_MAX_K}")
     circle = _circle(_parse_contour(args.contour), k)  # before any quadrature
     estimate = hermite_divided_difference(h, k, circle)
     expected = _double(lambda: (math.exp(h) - 1.0) ** k / math.factorial(k), "(e**h - 1)**k / k!")
-    error = abs(estimate - expected)
-    checks = [("hermite_matches_difference", error, error < tol),
-              ("imaginary_part_small", abs(estimate.imag), abs(estimate.imag) < tol)]
+    error, imag = abs(estimate - expected), abs(estimate.imag)
+    checks = [("hermite_matches_difference", error, error < CONTOUR_TOLERANCE),
+              ("imaginary_part_small", imag, imag < CONTOUR_TOLERANCE)]
     outputs = {
         "estimate_real": repr(estimate.real),
         "estimate_imag": repr(estimate.imag),
@@ -376,23 +379,22 @@ def _parse_contour(spec: str | None) -> Circle | None:
     """An optional "radius/samples" override, parsed and checked once, as a Circle about 0."""
     if spec is None:
         return None
-    from .contour import Circle, default_circle
+    from .contour import Circle
     radius_text, _, count_text = spec.partition("/")
-    try:
-        return Circle(0j, float(radius_text),
-                      int(count_text) if count_text else default_circle(0).sample_count)
+    try:  # no count: Circle's own default
+        return Circle(0j, float(radius_text), *([int(count_text)] if count_text else []))
     except ValueError:
         raise InvalidParameter(f"--contour expects RADIUS/SAMPLES, got {spec!r}") from None
 
 
 def _circle(override: Circle | None, max_node: int) -> Circle:
     """The default circle for nodes 0..max_node, or the override's radius and samples about its
-    centre; InvalidParameter if a node, a pole, lies strictly outside it."""
+    centre; InvalidParameter if a node, a pole, lies outside it or on it."""
     from .contour import Circle, default_circle
     circle = default_circle(max_node)
     if override is not None:
         circle = Circle(circle.center, override.radius, override.sample_count)
-    if max(abs(circle.center), abs(max_node - circle.center)) > circle.radius:
+    if max(abs(circle.center), abs(max_node - circle.center)) >= circle.radius:
         raise InvalidParameter(f"nodes 0..{max_node} are not all inside the circle")
     return circle
 
@@ -415,13 +417,6 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
     return value
-
-
-def _tolerance(text: str) -> float:
-    try:
-        return check_tolerance(float(text))
-    except InvalidParameter as exc:
-        raise argparse.ArgumentTypeError(str(exc))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -463,13 +458,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-contour", action="store_true", help="also check e**(h z), h = ln q")
     p.add_argument("--contour", default=None, metavar="RADIUS/SAMPLES",
                    help="override the default circle")
-    p.add_argument("--contour-tolerance", type=_tolerance, default=1e-8)
 
     p = add("hermite", cmd_hermite, "contour-integral divided difference", FLOAT)
     p.add_argument("--h", type=_finite_float, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--contour", default=None, metavar="RADIUS/SAMPLES")
-    p.add_argument("--contour-tolerance", type=_tolerance, default=1e-8)
 
     return parser
 

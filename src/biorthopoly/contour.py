@@ -20,7 +20,8 @@ Each library integrand is called once per real-centred circle, on samples
 by contour_integral, whose full-circle fsum gives the same value or error.  Any
 other circle goes to contour_integral directly.  _half_circle caches samples
 0..M/2 and offsets zeta - c of 8 circles: 2 x 32769 complex numbers, about
-2.6 MB each at M = 65536.
+2.6 MB each at M = 65536.  Centres equal in value share an entry: 1.5, 1.5+0j,
+1.5-0j and a -0.0 real part give the same samples and offsets bit for bit.
 This module never runs in exact mode; complex arithmetic stays private to it.
 """
 
@@ -46,8 +47,8 @@ class Circle:
     __repr__ = slots_repr
 
     def __init__(self, center: complex, radius: float, sample_count: int = 2048):
-        if not radius > 0:
-            raise InvalidParameter("circle radius must be positive")
+        if not 0 < radius < math.inf:
+            raise InvalidParameter("circle radius must be positive and finite")
         m = sample_count
         if not 16 <= m <= 2 ** 16 or m & (m - 1):  # 2**16 complex samples take a few MB
             raise InvalidParameter("sample_count must be a power of two from 16 to 65536")
@@ -70,10 +71,9 @@ def _upper_half(radius: float, m: int) -> list[complex]:
 
 
 @lru_cache(maxsize=8)
-def _half_circle(center: complex, radius: float, m: int, bits: str) -> tuple[tuple, tuple]:
+def _half_circle(center: complex, radius: float, m: int) -> tuple[tuple, tuple]:
     """Samples 0..M/2 of a real-centred circle and their offsets zeta - c, as tuples that no
-    caller can change.  bits, the centre's repr, keeps apart centres that compare equal but
-    differ in a bit: 1.5, 1.5+0j and 1.5-0j."""
+    caller can change."""
     zetas = tuple([center + w for w in _upper_half(radius, m)])
     return zetas, tuple([zeta - center for zeta in zetas])
 
@@ -108,7 +108,7 @@ def _trapezoid(integrand: Callable[[Sequence[complex]], Iterable[complex]],
     docstring), or sample by sample on any other circle."""
     m, center = circle.sample_count, circle.center
     if center.imag == 0:
-        zetas, offsets = _half_circle(center, circle.radius, m, repr(center))
+        zetas, offsets = _half_circle(center, circle.radius, m)
         try:
             terms = list(map(mul, integrand(zetas), offsets))
             if sum(map(abs, terms)) < 2.0 ** 1000:  # all finite, and no sum overflows

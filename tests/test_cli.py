@@ -1,4 +1,6 @@
+import collections
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -366,7 +368,8 @@ def test_hermite_bad_contour_spec(capsys):
 @pytest.mark.parametrize("spec, message", [
     ("garbage", "--contour expects RADIUS/SAMPLES, got 'garbage'"),
     ("6/100", "sample_count must be a power of two from 16 to 65536"),
-    ("-6/256", "circle radius must be positive"),
+    ("-6/256", "circle radius must be positive and finite"),
+    ("inf/16", "circle radius must be positive and finite"),
 ])
 def test_exp_example_rejects_a_malformed_contour_spec(with_contour, spec, message, capsys):
     """The --contour spec is parsed and checked once, after --n-max's range check, whether or
@@ -396,6 +399,19 @@ def test_exp_example_n_max_outside_zero_to_forty_is_out_of_range(capsys, n_max):
     assert captured.err.startswith("error: IndexOutOfRange:")
 
 
+@pytest.fixture
+def no_quadrature(monkeypatch):
+    """The quadrature refuses to run at all: a call that reaches it fails the test."""
+    import biorthopoly.contour as contour
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature reached")
+
+    for name in ("hermite_divided_difference", "contour_biortho_check"):
+        monkeypatch.setattr(contour, name, refuse)
+    monkeypatch.setattr(contour.Circle, "points", refuse)
+
+
 HUGE_CONTOUR = "5/1099511627776"  # 2**40 samples: about 10**12 complex numbers if built
 
 
@@ -407,20 +423,12 @@ HUGE_CONTOUR = "5/1099511627776"  # 2**40 samples: about 10**12 complex numbers 
     (["hermite", "--h", "1", "--k", "2", "--contour", "5/131072"], 2),
     (["exp-example", "--q", "2", "--n-max", "2", "--with-contour", "--contour", HUGE_CONTOUR], 2),
     (["hermite", "--h", "1", "--k", "-1"], 3),
+    (["hermite", "--h", "1", "--k", "2", "--contour", "inf/16"], 2),
 ])
-def test_huge_contour_sizes_are_rejected_before_allocation(argv, code, capsys, monkeypatch):
+def test_huge_contour_sizes_are_rejected_before_allocation(argv, code, capsys, no_quadrature):
     """hermite --k below 0 or above HERMITE_MAX_K exits 3, and a --contour of more than 65536
-    samples exits 2, before any node list or sample is built (the quadrature here refuses to run
-    at all)."""
+    samples or an infinite radius exits 2, before any node list or sample is built."""
     import biorthopoly.cli as cli
-    import biorthopoly.contour as contour
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("quadrature reached")
-
-    for name in ("hermite_divided_difference", "contour_biortho_check"):
-        monkeypatch.setattr(contour, name, refuse)
-    monkeypatch.setattr(contour.Circle, "points", refuse)
     assert cli.HERMITE_MAX_K == 200
     assert main(argv) == code
     captured = capsys.readouterr()
@@ -430,20 +438,19 @@ def test_huge_contour_sizes_are_rejected_before_allocation(argv, code, capsys, m
 
 
 def test_hermite_circle_that_misses_a_node_is_rejected_before_the_quadrature(capsys,
-                                                                             monkeypatch):
+                                                                             no_quadrature):
     """hermite --contour with a radius that leaves nodes 0..k outside the circle about their
-    midpoint exits 2 before any sample is built (the quadrature here refuses to run at all)."""
-    import biorthopoly.contour as contour
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("quadrature reached")
-
-    monkeypatch.setattr(contour, "hermite_divided_difference", refuse)
-    monkeypatch.setattr(contour.Circle, "points", refuse)
-    assert main(["hermite", "--h", "0.05", "--k", "60", "--contour", "20.5/65536"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: InvalidParameter: nodes 0..60 are not all inside the circle\n"
+    midpoint exits 2 before any sample is built; so does exp-example --with-contour, whose
+    circles are all checked before its first quadrature, naming the first circle its loops
+    would meet (here the hermite loop's k = 21)."""
+    for argv, top in [(["hermite", "--h", "0.05", "--k", "60", "--contour", "20.5/65536"], 60),
+                      (["exp-example", "--q", "2", "--n-max", "40", "--with-contour",
+                        "--contour", "10.3/65536"], 21)]:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: InvalidParameter: nodes 0..{top} are not all inside the circle\n"
 
 
 @pytest.mark.parametrize("k", ["199", "200"])
@@ -529,17 +536,21 @@ def test_check_biortho_rejects_nan_tolerance(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["hermite", "--h", "0.1", "--k", "2", "--contour-tolerance", "nan"],
+    ["hermite", "--h", "0.1", "--k", "2", "--contour-tolerance", "1e-6"],
     ["hermite", "--h", "nan", "--k", "2"],
     ["hermite", "--h", "inf", "--k", "2"],
-    ["exp-example", "--q", "2", "--with-contour", "--contour-tolerance", "nan"],
-    ["hermite", "--h", "0.5", "--k", "2", "--contour-tolerance", "-1"],
+    ["exp-example", "--q", "2", "--with-contour", "--contour-tolerance", "1e-6"],
 ])
 def test_non_finite_contour_parameters_rejected(argv, capsys):
+    """argparse refuses a non-finite --h, and --contour-tolerance, which is no option: the
+    contour checks compare with the fixed width CONTOUR_TOLERANCE."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if "--contour-tolerance" in argv:
+        assert "unrecognized arguments: --contour-tolerance 1e-6" in captured.err
 
 
 def test_hermite_overflowing_h_is_bad_parameter(capsys):
@@ -553,19 +564,53 @@ def test_hermite_overflowing_h_is_bad_parameter(capsys):
     assert captured.err.startswith("error: NonFiniteSample:")
 
 
-@pytest.mark.parametrize("argv, error", [
-    # zeta = 2 + 0j lies on the circle and is a pole of V_1
-    (["exp-example", "--q", "2", "--n-max", "1", "--with-contour", "--contour", "1/16"],
-     "PoleEvaluation"),
-    # zeta = 1 + 0j lies on the circle and is node 1 of the integrand
-    (["hermite", "--h", "0.5", "--k", "1", "--contour", "0.5/16"], "NonFiniteSample"),
+@pytest.mark.parametrize("argv, top", [
+    # nodes 0 and 2 lie on the circle about 1 that the pairing loop's max(n, m + 1) = 2 takes
+    (["exp-example", "--q", "2", "--n-max", "1", "--with-contour", "--contour", "1/16"], 2),
+    # nodes 0 and 1 lie on the circle about 1/2
+    (["hermite", "--h", "0.5", "--k", "1", "--contour", "0.5/16"], 1),
+    # nodes 0 and 21 lie on the circle about 21/2 that the hermite loop's k = 21 takes
+    (["exp-example", "--q", "2", "--n-max", "40", "--with-contour", "--contour", "10.5/65536"],
+     21),
 ])
-def test_contour_through_a_node_or_pole_is_bad_parameter(argv, error, capsys):
+def test_contour_through_a_node_or_pole_is_bad_parameter(argv, top, capsys, no_quadrature):
+    """A circle through a node, a pole of every integrand, is refused before the first
+    quadrature: samples 0 and M/2 would hit nodes top and 0 exactly (centre and radius top/2)."""
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {error}:")
+    assert captured.err == \
+        f"error: InvalidParameter: nodes 0..{top} are not all inside the circle\n"
+
+
+def contour_grid():
+    """hermite at h = +-j/4 (j = 1..8) and k = 0..4, the cli-mix benchmark's grid, and
+    exp-example --with-contour at six q and cli-mix's n_max = 1..4."""
+    for j in range(1, 9):
+        for h in (j / 4, -j / 4):
+            for k in range(5):
+                yield ["hermite", "--h", repr(h), "--k", str(k)]
+    for q in ("2", "3", "1/2", "7/3", "1/6", "5/6"):
+        for n_max in range(1, 5):
+            yield ["exp-example", "--q", q, "--n-max", str(n_max), "--with-contour"]
+
+
+def test_contour_reports_are_pinned():
+    """sha256 over argv, exit code and report of every contour_grid call, captured while the
+    contour checks still took a --contour-tolerance: fixing the width at CONTOUR_TOLERANCE and
+    checking every circle up front moved no report and no exit code (q = 1/6 at n_max 3 and 4
+    exits 1: contour_biortho is about 1e-7)."""
+    digest, codes = hashlib.sha256(), collections.Counter()
+    for argv in contour_grid():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        digest.update(json.dumps([argv, code, out.getvalue()]).encode() + b"\0")
+        codes[code] += 1
+    assert codes == {0: 102, 1: 2}
+    assert digest.hexdigest() == \
+        "b3bab37c6c747a3e29da9ec18a5da78163a1a8969b7c76e4f6493e266b8a683d"
 
 
 def test_float_overflowing_scalar_is_parse_error(tmp_path, capsys):
@@ -603,7 +648,6 @@ def test_cli_import_loads_no_reflection_modules():
 def test_cli_digest_needs_no_hashlib():
     """The inputs digest is the interpreter's own sha256 (_sha2 from 3.12, _sha256 before),
     so the CLI import loads neither hashlib nor OpenSSL's _hashlib; the digest is hashlib's."""
-    import hashlib
     import biorthopoly.cli as cli
     payload = {"q": "2", "n_max": 2, "with_contour": False}
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
