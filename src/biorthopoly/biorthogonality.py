@@ -100,12 +100,6 @@ class BiorthogonalSystem:
         return self._vs
 
     @property
-    def node_values(self) -> tuple[tuple[Scalar, ...], ...]:
-        """node_values[n][s] = P-hat_n(a_s), built from node_rows on each call."""
-        return tuple(u if m is None else tuple(Fraction(x, m) for x in u)
-                     for u, m in self.node_rows)
-
-    @property
     def n_max(self) -> int:
         return len(self.nus) - 1
 

@@ -30,8 +30,7 @@ from itertools import zip_longest
 
 from .errors import (BiorthopolyError, DegenerateInterpolant, IndexOutOfRange, InvalidParameter,
                      NuVanishes, ParseError, ZeroSampleValue)
-from .numerics import (EXACT, FLOAT, approx_equal, check_tolerance, format_scalar, is_exact,
-                       over_lcm, parse_scalar)
+from .numerics import EXACT, FLOAT, approx_equal, format_scalar, is_exact, over_lcm, parse_scalar
 from .polynomials import Polynomial
 
 try:  # the interpreter's own sha256 (_sha2 from 3.12, _sha256 before): hashlib loads OpenSSL
@@ -146,7 +145,7 @@ def cmd_interpolate(args, samples: Samples) -> tuple:
 
     checks = [
         ("newton_lagrange_equal", _coeff_residual(newton, lagrange),
-         all(approx_equal(x, y, args.tolerance)  # exact coefficients must match exactly
+         all(approx_equal(x, y, TOLERANCE)  # exact coefficients must match exactly
              for x, y in zip_longest(newton.coeffs, lagrange.coeffs, fillvalue=0))),
         ("interpolation_conditions", condition_residual),
     ]
@@ -206,7 +205,7 @@ def cmd_check_biortho(args, samples: Samples) -> tuple:
 
     checks = [("off_diagonal_zero", off_residual), ("diagonal_matches_formula", diag_residual),
               ("nus_match_formula", _worst(abs(x - y) for x, y in zip(system.nus, nus)),
-               all(approx_equal(x, y, args.tolerance) for x, y in zip(system.nus, nus)))]
+               all(approx_equal(x, y, TOLERANCE) for x, y in zip(system.nus, nus)))]
     outputs = {
         "matrix": [_scalars_json(row) for row in matrix],
         "alphas": _scalars_json(family.alphas[: n_max + 1]),
@@ -241,6 +240,7 @@ def cmd_expand(args, samples: Samples) -> tuple:
 V_SAMPLE_POINTS = (Fraction(1, 2), Fraction(7, 3), Fraction(-3, 2), Fraction(21, 2))
 EXP_EXAMPLE_MAX_N = 40  # 40 takes about 25 ms in process; its integer checks grow about as n_max**2
 HERMITE_MAX_K = 200  # --k 200 already exits 2: omega_{k+1} overflows on the circle
+TOLERANCE = 1e-9  # a float residual r passes at |r| <= this; an exact one must be 0
 CONTOUR_TOLERANCE = 1e-8  # a contour check passes when its absolute error is below this
 
 
@@ -260,6 +260,12 @@ def cmd_exp_example(args) -> tuple:
         except (OverflowError, ValueError):
             raise InvalidParameter("q is out of double range") from None
     problem = ExpGridProblem(q, n_max)
+    if args.with_contour:
+        pair_indices = range(min(n_max, 3) + 1)
+        # every circle (top = k, or max(n, m + 1)) checked after q's own checks and before any
+        # exact work: a radius that misses node top misses it at every larger top too, so the
+        # loops' first is refused
+        circles = [_circle(override, top) for top in range(max(n_max, pair_indices[-1] + 1) + 1)]
     family = monic_family(problem.samples, n_max + 1)
     system = build_system(family, n_max)
     indices, (p, r) = range(n_max + 1), q.as_integer_ratio()
@@ -297,10 +303,6 @@ def cmd_exp_example(args) -> tuple:
     notes = NORMALIZATION_NOTES
     if args.with_contour:
         from .contour import contour_biortho_check, hermite_divided_difference
-        pair_indices = range(min(n_max, 3) + 1)
-        # every circle (top = k, or max(n, m + 1)) checked before the first quadrature: a radius
-        # that misses node top misses it at every larger top too, so the loops' first is refused
-        circles = [_circle(override, top) for top in range(max(n_max, pair_indices[-1] + 1) + 1)]
         hermite_worst = 0.0
         for k in indices:
             estimate = hermite_divided_difference(h, k, circles[k])
@@ -346,20 +348,17 @@ def cmd_hermite(args) -> tuple:
 def build_report(args) -> dict:
     """Run the subcommand's handler and assemble its report.  A handler
     returns (arguments, outputs, checks, notes); a check is (name, residual),
-    which passes when |residual| <= tol (== 0 when exact), or (name, residual,
-    verdict) where its rule differs.
-    A problem subcommand first sets its effective mode and checked tolerance on args."""
-    tol = None  # the other subcommands give a verdict wherever a residual is a float
+    which passes when |residual| <= TOLERANCE (== 0 when exact), or (name, residual,
+    verdict) where its rule differs.  A problem subcommand first sets its effective mode on args."""
     if "problem" in args:
         samples, args.mode, digest = load_problem(args.problem, args.mode)
-        tol = args.tolerance = check_tolerance(args.tolerance)
         arguments, outputs, checks, notes = args.handler(args, samples)
         arguments["mode"] = args.mode
     else:
         arguments, outputs, checks, notes = args.handler(args)
         digest = _digest(arguments)
-    verdicts = [{"name": name, "pass": bool(rule[0] if rule else
-                                            abs(residual) <= (0 if is_exact(residual) else tol)),
+    verdicts = [{"name": name, "pass": bool(rule[0] if rule else abs(residual)
+                                            <= (0 if is_exact(residual) else TOLERANCE)),
                  "residual": format_scalar(residual)} for name, residual, *rule in checks]
     report = {
         "command": args.subcommand,
@@ -435,8 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("problem", help="problem JSON file, or '-' for stdin")
             p.add_argument("--mode", choices=(EXACT, FLOAT), default=None,
                            help="override the problem file's scalar mode")
-            p.add_argument("--tolerance", type=float, default=1e-9,
-                           help="float-mode comparison width (rel and abs)")
         return p
 
     p = add("interpolate", cmd_interpolate, "Newton and Lagrange interpolants")

@@ -33,13 +33,6 @@ def slots_repr(obj) -> str:
     return f"{type(obj).__qualname__}({fields})"
 
 
-def check_tolerance(tol: float) -> float:
-    """tol, the comparison width of a float-mode check; InvalidParameter unless finite and >= 0."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise InvalidParameter("tolerance must be finite and nonnegative")
-    return tol
-
-
 def check_finite(values: Sequence[Scalar], message: Callable[[int, Scalar], str]) -> None:
     """InvalidParameter(message(s, values[s])) for the first float values[s] that is inf or nan:
     one pass of x - x (nan there, else 0), and a second only to name it."""

@@ -45,9 +45,6 @@ class Polynomial:
         """Highest power with nonzero coefficient; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def coefficient(self, i: int) -> Scalar:
         """Coefficient of z**i, 0 beyond the stored length."""
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0

@@ -416,7 +416,7 @@ def triangular_solve(q_poly, phats):
         coeff = residue.coefficient(k)
         xi[k] = coeff
         residue = residue - phats[k].scale(coeff)
-    assert residue.is_zero()
+    assert not residue.coeffs
     return tuple(xi)
 
 
@@ -569,8 +569,8 @@ def test_node_values_are_the_interpolants_at_the_nodes():
         except (DegenerateInterpolant, NuVanishes):
             continue
         checked += 1
-        assert len(system.node_values) == size
-        for n, row in enumerate(system.node_values):
+        assert len(node_values(system)) == size
+        for n, row in enumerate(node_values(system)):
             assert row == tuple(family.phats[n](a) for a in s.grid.nodes)
 
 
@@ -736,6 +736,12 @@ def test_pipeline_evaluates_no_polynomial_at_the_nodes(monkeypatch):
     assert len([x for x in calls if x in s.grid.nodes]) == 6
 
 
+def node_values(system):
+    """node_values(system)[n][s] = P-hat_n(a_s) from system.node_rows: Fraction(u_s, M_n) on
+    exact data, the stored values otherwise."""
+    return tuple(u if m is None else tuple(F(x, m) for x in u) for u, m in system.node_rows)
+
+
 def scalars(item):
     """Every scalar in nested tuples and lists."""
     if isinstance(item, (tuple, list)):
@@ -753,7 +759,7 @@ def test_int_samples_stay_exact():
         family = monic_family(s, 3)
         system = build_system(family, 2)
         outputs = (s.grid.nodes, s.values, family.alphas, system.nus, system.diagonal,
-                   system.node_values, biorthogonality_matrix(system, s, 2),
+                   node_values(system), biorthogonality_matrix(system, s, 2),
                    expand_in_interpolants(Polynomial([1, -2, 3]), system, s))
         assert [x for x in scalars(outputs) if type(x) is not Fraction] == []
         assert [x for x in scalars(system.columns) if type(x) is not int] == []  # c_s and L
@@ -864,7 +870,7 @@ def test_exact_matrix_and_expand_read_the_stored_integer_node_rows(monkeypatch):
     no is_exact and over_lcm only on the nodes and the sample values.  It stores each row of node
     values as integers (u, M_n), so the matrix reads them with no over_lcm or is_exact call, and
     expand calls over_lcm only on q's coefficients and on the nodes, then sums its integer Horner
-    row as it is.  node_values builds the Fractions on demand, the same by repr for the family that
+    row as it is.  Those rows read as Fractions are the same by repr for the family that
     family_from_recurrence rebuilds."""
     rng = random.Random(101)
     while True:
@@ -891,9 +897,8 @@ def test_exact_matrix_and_expand_read_the_stored_integer_node_rows(monkeypatch):
     assert over_lcm_args == [(q_poly.coeffs,), (s.grid.nodes,)]
     assert len(system.node_rows) == 12
     assert [x for x in scalars(system.node_rows) if type(x) is not int] == []  # u_s and M_n
-    assert system.node_values == tuple(tuple(F(x, m) for x in u) for u, m in system.node_rows)
     rebuilt = build_system(family_from_recurrence(s.grid, system.family.alphas), 10)
-    assert repr(rebuilt.node_values) == repr(system.node_values)
+    assert repr(node_values(rebuilt)) == repr(node_values(system))
 
 
 def test_a_family_built_by_hand_takes_the_scalar_route_with_the_same_results():
@@ -917,7 +922,7 @@ def test_a_family_built_by_hand_takes_the_scalar_route_with_the_same_results():
             assert all(common is None for _, common in by_hand.columns)
             samples = Samples(family.grid, family.values)
             q_poly = Polynomial([F(rng.randint(-9, 9), 7) for _ in range(n_max)] + [F(3, 2)])
-            outputs = [([t.coeffs for t in x.ts], x.nus, x.diagonal, x.node_values,
+            outputs = [([t.coeffs for t in x.ts], x.nus, x.diagonal, node_values(x),
                         biorthogonality_matrix(x, samples, n_max),
                         expand_in_interpolants(q_poly, x, samples)) for x in (built, by_hand)]
             assert repr(outputs[0]) == repr(outputs[1])
@@ -935,10 +940,10 @@ def test_a_family_built_by_hand_beyond_float_range_keeps_its_exact_values():
     copy = MonicInterpolantFamily(family.grid, family.values, family.alphas, family.phats)
     systems = [build_system(f, 3) for f in (family, copy)]
     assert copy.rows is None and all(common is None for _, common in systems[1].columns)
-    assert len({repr((x.ts, x.nus, x.diagonal, x.node_values, [(v.numerator, v.pole_nodes)
-                                                               for v in x.vs]))
+    assert len({repr((x.ts, x.nus, x.diagonal, node_values(x), [(v.numerator, v.pole_nodes)
+                                                                for v in x.vs]))
                 for x in systems}) == 1
-    assert abs(systems[1].node_values[3][4]) > big
+    assert abs(node_values(systems[1])[3][4]) > big
 
 
 @pytest.mark.parametrize("to_scalar", [F, float], ids=["exact", "float"])
@@ -975,7 +980,7 @@ def test_float_and_mixed_systems_sum_by_the_loop(kind):
             q_poly = Polynomial(list(map(float, q_poly.coeffs)))
         assert all(common is None for _, common in system.columns)
         terms = [column for column, _ in system.columns]
-        rows = system.node_values[: n_max + 1]
+        rows = node_values(system)[: n_max + 1]
         q_values = [q_poly(a) for a in s.grid.nodes[: n_max + 2]]
         matrix = biorthogonality_matrix(system, s, n_max)
         assert repr(matrix) == repr([[_residue_sum(row, t) for t in terms] for row in rows])
@@ -1049,10 +1054,10 @@ def test_integer_route_matches_the_independent_oracles():
             continue
         built += 1
         nodes = s.grid.nodes
-        fields = (system.nus, system.diagonal, system.node_values, [t.coeffs for t in system.ts])
+        fields = (system.nus, system.diagonal, node_values(system), [t.coeffs for t in system.ts])
         assert [x for x in scalars(fields) if type(x) is not Fraction] == [], name
         assert [x for x in scalars(system.columns) if type(x) is not int] == [], name
-        for n, row in enumerate(system.node_values):
+        for n, row in enumerate(node_values(system)):
             assert row == tuple(family.phats[n](a) for a in nodes), (name, n)
             zero_value = zero_value or 0 in row
         for m, (column, common) in enumerate(system.columns):

@@ -219,17 +219,15 @@ def test_float_check_biortho_passes_at_n_12(tmp_path, capsys):
 
 
 def test_float_residual_is_judged_by_the_width_alone(tmp_path, capsys):
-    """Float check-biortho at N = 22 on nodes 0..25: both residuals are millions,
-    so they fail at --tolerance 1 as at the default (the width once grew with |r|)."""
+    """Float check-biortho at N = 22 on nodes 0..25: both residuals are millions, so they fail
+    at the fixed width (which once grew with |r|), while the nus agree."""
     values = ["2", "8", "5", "1", "1", "3", "8", "6", "6", "1", "5", "8", "4", "7", "9", "9",
               "2", "4", "9", "5", "2", "7", "6", "2", "6", "7"]
     payload = {"nodes": [str(s) for s in range(26)], "values": values, "mode": "float"}
-    path = write_problem(tmp_path, payload)
-    for width in ("1e-9", "1", "1000"):
-        code, report = run(capsys, ["check-biortho", path, "--n-max", "22", "--tolerance", width])
-        assert code == 1
-        assert [c["pass"] for c in report["checks"]] == [False, False, True]  # nus agree
-        assert all(float(c["residual"]) > 1e6 for c in report["checks"][:2])
+    code, report = run(capsys, ["check-biortho", write_problem(tmp_path, payload), "--n-max", "22"])
+    assert code == 1
+    assert [c["pass"] for c in report["checks"]] == [False, False, True]  # nus agree
+    assert all(float(c["residual"]) > 1e6 for c in report["checks"][:2])
 
 
 def test_check_biortho_constant_data(tmp_path, capsys):
@@ -453,6 +451,30 @@ def test_hermite_circle_that_misses_a_node_is_rejected_before_the_quadrature(cap
             f"error: InvalidParameter: nodes 0..{top} are not all inside the circle\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--q", "2", "--n-max", "40", "--contour", "10.3/65536"],
+     "InvalidParameter: nodes 0..21 are not all inside the circle"),
+    (["--q", "2", "--n-max", "1", "--contour", "1/16"],
+     "InvalidParameter: nodes 0..2 are not all inside the circle"),
+    (["--q", "1", "--n-max", "40", "--contour", "10.3/65536"],
+     "InvalidParameter: q must differ from 0 and 1"),
+], ids=["radius-misses-node-21", "node-on-circle", "q-checked-first"])
+def test_exp_example_refuses_a_bad_circle_before_any_exact_work(argv, message, capsys,
+                                                                monkeypatch):
+    """exp-example --with-contour checks its circles after q's own checks and before it builds
+    the family: a refused call never reaches monic_family."""
+    import biorthopoly.interpolation as interpolation
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("monic_family reached")
+
+    monkeypatch.setattr(interpolation, "monic_family", refuse)
+    assert main(["exp-example", "--with-contour", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("k", ["199", "200"])
 def test_hermite_k_up_to_the_bound_keeps_its_exit_code(k, capsys):
     """Below and at HERMITE_MAX_K nothing changes: omega_{k+1} overflows at the first sample."""
@@ -525,32 +547,25 @@ def test_exp_example_contour_out_of_double_range_is_bad_parameter(argv, capsys):
     assert captured.err.startswith(f"error: {error}:")
 
 
-def test_check_biortho_rejects_nan_tolerance(tmp_path, capsys):
-    # -1 and inf too: a typed error from main, not an argparse exit
-    path = write_problem(tmp_path, WORKED)
-    for width in ("nan", "-1", "inf"):
-        assert main(["check-biortho", path, "--n-max", "1", "--tolerance", width]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: InvalidParameter: tolerance must be finite and nonnegative\n"
-
-
 @pytest.mark.parametrize("argv", [
     ["hermite", "--h", "0.1", "--k", "2", "--contour-tolerance", "1e-6"],
     ["hermite", "--h", "nan", "--k", "2"],
     ["hermite", "--h", "inf", "--k", "2"],
     ["exp-example", "--q", "2", "--with-contour", "--contour-tolerance", "1e-6"],
+    ["check-biortho", "PROBLEM", "--n-max", "1", "--tolerance", "1e-6"],
 ])
-def test_non_finite_contour_parameters_rejected(argv, capsys):
-    """argparse refuses a non-finite --h, and --contour-tolerance, which is no option: the
-    contour checks compare with the fixed width CONTOUR_TOLERANCE."""
+def test_non_finite_contour_parameters_rejected(argv, tmp_path, capsys):
+    """argparse refuses a non-finite --h, and --contour-tolerance and --tolerance, which are no
+    options: the checks compare with the fixed widths CONTOUR_TOLERANCE and TOLERANCE."""
+    path = write_problem(tmp_path, WORKED)
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main([path if a == "PROBLEM" else a for a in argv])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    if "--contour-tolerance" in argv:
-        assert "unrecognized arguments: --contour-tolerance 1e-6" in captured.err
+    for option in ("--contour-tolerance", "--tolerance"):
+        if option in argv:
+            assert f"unrecognized arguments: {option} 1e-6" in captured.err
 
 
 def test_hermite_overflowing_h_is_bad_parameter(capsys):
@@ -700,10 +715,9 @@ GOLDEN_CASES = {  # golden file name -> (argv, exit code); exp-example-large sho
     "expand": (["expand", "PROBLEM", "--poly", '["1", "-1/2", "2"]'], 0),
     "exp-example": (["exp-example", "--q", "2", "--n-max", "2"], 0),
     "exp-example-large": (["exp-example", "--q", "-7/3", "--n-max", "12"], 0),
-    # float mode pins the verdict rule: at width 0 both rounding residuals fail
+    # float mode pins the verdict rule: rounding residuals up to about 1e-15 pass at TOLERANCE
     "interpolate-float": (["interpolate", "PROBLEM", "--degree", "3", "--mode", "float"], 0),
-    "check-biortho-float": (["check-biortho", "PROBLEM", "--n-max", "2", "--mode", "float",
-                             "--tolerance", "0"], 1),
+    "check-biortho-float": (["check-biortho", "PROBLEM", "--n-max", "2", "--mode", "float"], 0),
 }
 
 

@@ -310,7 +310,7 @@ def test_mutating_points_leaves_later_quadratures_alone():
 @pytest.mark.parametrize("call", [lambda c: hermite_divided_difference(-0.25, 3, c),
                                   lambda c: contour_biortho_check(1.3, 2, 1, c)],
                          ids=["hermite", "biortho"])
-def test_equal_circles_with_other_bits_do_not_share_a_cache_entry(call):
+def test_equal_circles_with_other_bits_share_one_cache_entry(call):
     """1.5, 1.5+0j and 1.5-0j compare equal and give the same samples and offsets bit for bit,
     so they share one cache entry; each circle still gives what it gives uncached."""
     centers = (1.5, 1.5 + 0j, complex(1.5, -0.0))

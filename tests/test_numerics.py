@@ -11,7 +11,6 @@ from biorthopoly.numerics import (
     FLOAT,
     approx_equal,
     check_finite,
-    check_tolerance,
     format_scalar,
     is_exact,
     parse_scalar,
@@ -107,25 +106,6 @@ class FloatSubclass(float):
 def test_is_exact_type_table(x, exact):
     """The exact-type test first (float, int, Fraction), then isinstance for other types."""
     assert is_exact(x) is exact
-
-
-def test_tolerance_rejects_negative():
-    with pytest.raises(InvalidParameter):
-        check_tolerance(-1e-9)
-    with pytest.raises(InvalidParameter):
-        check_tolerance(-1.0)
-
-
-@pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf])
-def test_tolerance_rejects_non_finite(width):
-    # nan < 0 is False, so a sign test alone would let nan through
-    with pytest.raises(InvalidParameter):
-        check_tolerance(width)
-
-
-def test_tolerance_returns_an_admissible_width():
-    for width in (0, 0.0, 1e-17, 1e-9, 1.0):
-        assert check_tolerance(width) is width
 
 
 def test_approx_equal_exact_is_strict():
