@@ -14,7 +14,7 @@ _HOMES = {
     "contour": "Circle contour_biortho_check contour_integral default_circle "
                "hermite_divided_difference",
     "errors": "BiorthopolyError DegenerateInterpolant IndexOutOfRange InvalidParameter "
-              "NonFiniteSample NuVanishes ParseError PoleEvaluation ZeroSampleValue",
+              "NuVanishes ZeroSampleValue",
     "exponential": "ExpGridProblem exp_alpha_closed exp_interpolant_closed exp_t_closed "
                    "exp_v_alt_eval pochhammer terminating_2f1",
     "interpolation": "DividedDifferenceTable MonicInterpolantFamily Samples "

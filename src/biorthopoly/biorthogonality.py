@@ -29,7 +29,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from operator import mul
 
-from .errors import IndexOutOfRange, InvalidParameter, NuVanishes, PoleEvaluation, ZeroSampleValue
+from .errors import IndexOutOfRange, InvalidParameter, NuVanishes, ZeroSampleValue
 from .interpolation import MonicInterpolantFamily, Samples, integer_step
 from .numerics import Scalar, check_finite, is_exact, over_lcm, reduced, slots_repr
 from .polynomials import Polynomial, nodal_derivative_at, nodal_weights
@@ -59,7 +59,7 @@ class RationalInterpolant:
         for a in self.pole_nodes:
             factor = z - a
             if factor == 0:
-                raise PoleEvaluation(f"z = {z} is a pole of V_{self.index}")
+                raise InvalidParameter(f"z = {z} is a pole of V_{self.index}")
             denom = denom * factor
         return self.numerator(z) / denom
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .errors import (BiorthopolyError, DegenerateInterpolant, IndexOutOfRange, InvalidParameter,
-                     NuVanishes, ParseError, ZeroSampleValue)
+                     NuVanishes, ZeroSampleValue)
 from .numerics import EXACT, FLOAT, approx_equal, format_scalar, is_exact, over_lcm, parse_scalar
 from .polynomials import Polynomial
 
@@ -64,7 +64,7 @@ def _read_json(path: str):
         with open(path) as handle:
             return json.load(handle)
     except (OSError, ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
-        raise ParseError(f"cannot read problem {path!r}: {exc}")
+        raise InvalidParameter(f"cannot read problem {path!r}: {exc}")
 
 
 def load_problem(path: str, mode_override: str | None):
@@ -72,23 +72,23 @@ def load_problem(path: str, mode_override: str | None):
     from .interpolation import Samples
     raw = _read_json(path)
     if not isinstance(raw, dict) or "nodes" not in raw or "values" not in raw:
-        raise ParseError("problem must be an object with 'nodes' and 'values'")
+        raise InvalidParameter("problem must be an object with 'nodes' and 'values'")
     nodes_text, values_text = raw["nodes"], raw["values"]
     if not isinstance(nodes_text, list) or not isinstance(values_text, list):
-        raise ParseError("'nodes' and 'values' must be arrays of scalar strings")
+        raise InvalidParameter("'nodes' and 'values' must be arrays of scalar strings")
     if len(nodes_text) != len(values_text):
-        raise ParseError(f"{len(nodes_text)} nodes but {len(values_text)} values")
+        raise InvalidParameter(f"{len(nodes_text)} nodes but {len(values_text)} values")
     if not nodes_text:
-        raise ParseError("problem needs at least one sample")
+        raise InvalidParameter("problem needs at least one sample")
     mode = mode_override or raw.get("mode", EXACT)
     if mode not in (EXACT, FLOAT):
-        raise ParseError(f"mode must be 'exact' or 'float', got {mode!r}")
+        raise InvalidParameter(f"mode must be 'exact' or 'float', got {mode!r}")
+    nodes = [parse_scalar(str(t), mode) for t in nodes_text]
+    values = [parse_scalar(str(t), mode) for t in values_text]
     try:
-        nodes = [parse_scalar(str(t), mode) for t in nodes_text]
-        values = [parse_scalar(str(t), mode) for t in values_text]
         samples = Samples.from_pairs(nodes, values)
-    except (InvalidParameter, ValueError) as exc:
-        raise ParseError(str(exc))
+    except ValueError as exc:  # Grid's: two equal nodes
+        raise InvalidParameter(str(exc))
     digest = _digest({"nodes": list(map(str, nodes_text)),
                       "values": list(map(str, values_text)), "mode": mode})
     return samples, mode, digest
@@ -155,7 +155,7 @@ def cmd_interpolate(args, samples: Samples) -> tuple:
 
 def cmd_recurrence(args, samples: Samples) -> tuple:
     from .interpolation import family_from_recurrence, monic_family, recurrence_step
-    n_max = args.n_max if args.n_max is not None else samples.last_index
+    n_max = samples.last_index
     family = monic_family(samples, n_max)
 
     step_residuals, rel1_residuals, omega = [], [], Polynomial.constant(1)
@@ -191,6 +191,8 @@ def cmd_check_biortho(args, samples: Samples) -> tuple:
     from .biorthogonality import biorthogonality_matrix, build_system, leading_nu
     from .interpolation import monic_family
     n_max = args.n_max
+    if n_max + 1 > samples.last_index:  # the family runs to n_max + 1
+        raise IndexOutOfRange(f"--n-max {n_max} needs at least {n_max + 2} samples")
     family = monic_family(samples, n_max + 1)
     system = build_system(family, n_max)
     matrix = biorthogonality_matrix(system, samples, n_max)
@@ -402,13 +404,10 @@ def _parse_poly_argument(text: str, mode: str) -> Polynomial:
     try:
         raw = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"--poly must be a JSON array of scalar strings: {exc}")
+        raise InvalidParameter(f"--poly must be a JSON array of scalar strings: {exc}")
     if not isinstance(raw, list):
-        raise ParseError("--poly must be a JSON array of scalar strings")
-    try:
-        return Polynomial([parse_scalar(str(t), mode) for t in raw])
-    except InvalidParameter as exc:
-        raise ParseError(str(exc))
+        raise InvalidParameter("--poly must be a JSON array of scalar strings")
+    return Polynomial([parse_scalar(str(t), mode) for t in raw])
 
 
 def _finite_float(text: str) -> float:
@@ -439,8 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("interpolate", cmd_interpolate, "Newton and Lagrange interpolants")
     p.add_argument("--degree", type=int, required=True)
 
-    p = add("recurrence", cmd_recurrence, "three-term recurrence round trip")
-    p.add_argument("--n-max", type=int, default=None)
+    add("recurrence", cmd_recurrence, "three-term recurrence round trip")
 
     p = add("check-biortho", cmd_check_biortho, "residue pairing matrix checks")
     p.add_argument("--n-max", type=int, required=True)

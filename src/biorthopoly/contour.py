@@ -34,7 +34,7 @@ from functools import lru_cache
 from itertools import chain
 from operator import add, attrgetter, mul
 
-from .errors import InvalidParameter, NonFiniteSample, PoleEvaluation
+from .errors import IndexOutOfRange, InvalidParameter
 from .numerics import slots_repr
 
 _real, _imag = attrgetter("real"), attrgetter("imag")
@@ -86,7 +86,7 @@ def default_circle(max_node: int) -> Circle:
 
 def contour_integral(integrand: Callable[[complex], complex], circle: Circle) -> complex:
     """(2 pi i)**-1 times the circle integral; an integrand that overflows,
-    divides by zero or is non-finite at a sample raises NonFiniteSample."""
+    divides by zero or is non-finite at a sample raises InvalidParameter."""
     m, terms = circle.sample_count, []
     for zeta in circle.points():
         try:
@@ -94,12 +94,12 @@ def contour_integral(integrand: Callable[[complex], complex], circle: Circle) ->
         except (OverflowError, ZeroDivisionError, ValueError):  # ValueError: exp of a nan
             term = complex(math.inf)
         if not cmath.isfinite(term):
-            raise NonFiniteSample(f"integrand non-finite at zeta = {zeta}")
+            raise InvalidParameter(f"integrand non-finite at zeta = {zeta}")
         terms.append(term)
     try:
         return complex(math.fsum(t.real for t in terms) / m, math.fsum(t.imag for t in terms) / m)
     except OverflowError:
-        raise NonFiniteSample("integrand samples overflow their sum")
+        raise InvalidParameter("integrand samples overflow their sum")
 
 
 def _trapezoid(integrand: Callable[[Sequence[complex]], Iterable[complex]],
@@ -115,7 +115,7 @@ def _trapezoid(integrand: Callable[[Sequence[complex]], Iterable[complex]],
                 ends, inner = (terms[0], terms[-1]), list(map(_real, terms[1:-1]))
                 return complex(math.fsum(chain(map(_real, ends), map(add, inner, inner))) / m,
                                math.fsum(map(_imag, ends)) / m)
-        except (ArithmeticError, ValueError, PoleEvaluation):  # what contour_integral reports
+        except (ArithmeticError, ValueError, InvalidParameter):  # what contour_integral reports
             pass  # redone below, where the first failing sample (upper half first) decides
     return contour_integral(lambda zeta: next(iter(integrand([zeta]))), circle)
 
@@ -127,7 +127,7 @@ def hermite_divided_difference(h: float, k: int, circle: Circle | None = None) -
     (e**h - 1)**k / k!, the imaginary part vanishes.
     """
     if k < 0:
-        raise InvalidParameter("k must be nonnegative")
+        raise IndexOutOfRange("k must be nonnegative")
     if isinstance(h, complex):  # the conjugate mirror needs an integrand real on the real axis
         raise InvalidParameter(f"h must be real, got {h!r}")
     if circle is None:
@@ -156,7 +156,7 @@ def contour_biortho_check(h: float, n: int, m: int, circle: Circle | None = None
     from .interpolation import Samples, monic_family
 
     if n < 0 or m < 0:
-        raise InvalidParameter("indices must be nonnegative")
+        raise IndexOutOfRange("indices must be nonnegative")
     if isinstance(h, complex):
         raise InvalidParameter(f"h must be real, got {h!r}")
     top = max(n, m + 1)
@@ -167,7 +167,7 @@ def contour_biortho_check(h: float, n: int, m: int, circle: Circle | None = None
     try:
         values = [math.exp(h * i) for i in range(count)]
     except OverflowError:
-        raise NonFiniteSample(f"e**(h a) overflows on the nodes 0..{count - 1}") from None
+        raise InvalidParameter(f"e**(h a) overflows on the nodes 0..{count - 1}") from None
     samples = Samples.from_pairs(nodes, values)
     family = monic_family(samples, top)
     system = build_system(family, m)
@@ -184,7 +184,7 @@ def contour_biortho_check(h: float, n: int, m: int, circle: Circle | None = None
             denom = 1 * zeta ** 0
             for a in poles:
                 if (factor := zeta - a) == 0:
-                    raise PoleEvaluation(f"z = {zeta} is a pole of V_{m}")
+                    raise InvalidParameter(f"z = {zeta} is a pole of V_{m}")
                 denom = denom * factor
             yield p * (t / denom) * cmath.exp(-h * zeta)
 

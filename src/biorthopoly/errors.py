@@ -1,8 +1,10 @@
 """Exception types shared across the library.
 
-Every failure mode that callers are expected to distinguish gets its own
-class; all inherit from BiorthopolyError so blanket handling stays possible.
-Degeneracy errors carry the offending index as an attribute.
+One class per CLI exit code, and one per degeneracy of the construction: InvalidParameter for
+every bad input or parameter (exit 2), IndexOutOfRange for every index or degree outside what
+the data supports (exit 3), and DegenerateInterpolant, NuVanishes and ZeroSampleValue for a
+vanishing alpha_n, nu_n or A_s (exit 4), each carrying the offending index as .index.  All
+inherit from BiorthopolyError, so blanket handling stays possible.
 """
 
 
@@ -43,18 +45,6 @@ class ZeroSampleValue(_Degeneracy):
     template = "A_{0} = 0: residue pairing divides by the sample values"
 
 
-class PoleEvaluation(BiorthopolyError):
-    """A rational function, or a terminating 2F1 in its lower parameter c, was evaluated at one
-    of its poles."""
-
-
-class NonFiniteSample(BiorthopolyError):
-    """A contour integrand overflowed or was otherwise non-finite at a node."""
-
-
-class ParseError(BiorthopolyError):
-    """Problem input could not be parsed into a valid Samples instance."""
-
-
 class InvalidParameter(BiorthopolyError):
-    """A command parameter is outside its admissible range."""
+    """Input that cannot be used: unparsable, outside its admissible range, a float that is or
+    becomes non-finite, or a point on a pole of what is evaluated there."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .errors import InvalidParameter, PoleEvaluation
+from .errors import IndexOutOfRange, InvalidParameter
 from .interpolation import Samples
 from .numerics import Scalar, is_exact, slots_repr
 from .polynomials import Polynomial
@@ -42,7 +42,7 @@ class ExpGridProblem:
         if q == 0 or q == 1:
             raise InvalidParameter("q must differ from 0 and 1")
         if n_max < 0:
-            raise InvalidParameter("n_max must be nonnegative")
+            raise IndexOutOfRange("n_max must be nonnegative")
         count = n_max + 3
         samples = Samples.from_pairs(range(count), [q ** k for k in range(count)])
         self.q, self.n_max, self.samples = q, n_max, samples
@@ -61,7 +61,7 @@ def terminating_2f1(n: int, b: Scalar, c: Scalar, x: Scalar) -> Scalar:
 
     Term k is (-n)_k (b)_k x^k / ((c)_k k!), numerator and denominator each carried from
     term k-1 by one factor.  Terms with a vanishing numerator are dropped; a vanishing
-    lower-parameter factor under a nonzero numerator is a pole of the series in c: PoleEvaluation.
+    lower-parameter factor under a nonzero numerator is a pole of the series in c: InvalidParameter.
     """
     total: Scalar = 0
     numerator, denominator = x ** 0, 1  # not int 1: term 0 stays in x's arithmetic (1 / 1 is 1.0)
@@ -69,7 +69,7 @@ def terminating_2f1(n: int, b: Scalar, c: Scalar, x: Scalar) -> Scalar:
         if denominator != 0:
             total = total + numerator / denominator
         elif numerator != 0:
-            raise PoleEvaluation(f"(c)_{k} = 0 with c = {c}")
+            raise InvalidParameter(f"(c)_{k} = 0 with c = {c}")
         numerator, denominator = numerator * (k - n) * (b + k) * x, denominator * (c + k) * (k + 1)
     return total
 
@@ -117,7 +117,7 @@ def exp_v_alt_eval(problem: ExpGridProblem, n: int, z: Scalar) -> Scalar:
     (k-n) (k y - x) p / (((k+2) y - x) (k+1) r); the one division comes last.
     """
     if z in range(n + 2):
-        raise PoleEvaluation(f"z = {z} is excluded for V_{n}")
+        raise InvalidParameter(f"z = {z} is excluded for V_{n}")
     (p, r), (x, y), top, bottom = problem.q.as_integer_ratio(), z.as_integer_ratio(), 1, 1
     for k in range(n - 1, -1, -1):
         step = ((k + 2) * y - x) * (k + 1) * r

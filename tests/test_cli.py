@@ -1,3 +1,4 @@
+import ast
 import collections
 import contextlib
 import hashlib
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from biorthopoly.biorthogonality import BiorthogonalSystem, build_system
 from biorthopoly.cli import main
 from biorthopoly.errors import (BiorthopolyError, DegenerateInterpolant, IndexOutOfRange,
-                                NuVanishes, PoleEvaluation, ZeroSampleValue)
+                                InvalidParameter, NuVanishes, ZeroSampleValue)
 
 F = Fraction
 
@@ -282,7 +283,8 @@ def test_expand_deeply_nested_poly_is_parse_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: ParseError:")
+    assert captured.err.startswith(
+        "error: InvalidParameter: --poly must be a JSON array of scalar strings: maximum recursion")
 
 
 def test_exp_example_all_checks_pass(capsys):
@@ -479,7 +481,7 @@ def test_exp_example_refuses_a_bad_circle_before_any_exact_work(argv, message, c
 def test_hermite_k_up_to_the_bound_keeps_its_exit_code(k, capsys):
     """Below and at HERMITE_MAX_K nothing changes: omega_{k+1} overflows at the first sample."""
     assert main(["hermite", "--h", "1", "--k", k]) == 2
-    assert capsys.readouterr().err.startswith("error: NonFiniteSample:")
+    assert capsys.readouterr().err.startswith("error: InvalidParameter: integrand non-finite at")
 
 
 def test_exp_example_failed_closed_form_reports_its_residual(capsys, monkeypatch):
@@ -530,7 +532,7 @@ def test_exp_example_fails_a_wrong_printed_diagonal(module, name, mutant, capsys
     # float(q) overflows, and underflows to 0 under ln
     ["exp-example", "--q", "1e400", "--n-max", "1", "--with-contour"],
     ["exp-example", "--q", "1e-400", "--n-max", "1", "--with-contour"],
-    # h = ln q = 690.8 and -713.8: e**(h zeta) overflows on the circle (NonFiniteSample) before
+    # h = ln q = 690.8 and -713.8: e**(h zeta) overflows on the circle (non-finite) before
     # alpha_2 = (q-1)**2/2 or the diagonal -1/(nu_0 alpha_0) would overflow as a reference value
     ["exp-example", "--q", "1e300", "--n-max", "2", "--with-contour"],
     ["exp-example", "--q", "1e-310", "--n-max", "0", "--with-contour"],
@@ -543,8 +545,8 @@ def test_exp_example_contour_out_of_double_range_is_bad_parameter(argv, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    error = "NonFiniteSample" if argv[2] in ("1e300", "1e-310") else "InvalidParameter"
-    assert captured.err.startswith(f"error: {error}:")
+    assert captured.err.startswith("error: InvalidParameter: ")
+    assert ("integrand non-finite at" in captured.err) == (argv[2] in ("1e300", "1e-310"))
 
 
 @pytest.mark.parametrize("argv", [
@@ -568,6 +570,16 @@ def test_non_finite_contour_parameters_rejected(argv, tmp_path, capsys):
             assert f"unrecognized arguments: {option} 1e-6" in captured.err
 
 
+def test_recurrence_takes_no_n_max(tmp_path, capsys):
+    """recurrence runs to the problem's last index: --n-max is no option of it."""
+    with pytest.raises(SystemExit) as exc:
+        main(["recurrence", write_problem(tmp_path, WORKED), "--n-max", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --n-max 1" in captured.err
+
+
 def test_hermite_overflowing_h_is_bad_parameter(capsys):
     # e**(800 zeta) overflows on the circle: a typed error, exit 2, no warning
     with warnings.catch_warnings():
@@ -576,7 +588,7 @@ def test_hermite_overflowing_h_is_bad_parameter(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: NonFiniteSample:")
+    assert captured.err.startswith("error: InvalidParameter: integrand non-finite at")
 
 
 @pytest.mark.parametrize("argv, top", [
@@ -632,11 +644,11 @@ def test_float_overflowing_scalar_is_parse_error(tmp_path, capsys):
     payload = {"nodes": ["0", "1", "2"], "values": ["1e400", "2", "3"], "mode": "float"}
     code = main(["interpolate", write_problem(tmp_path, payload), "--degree", "1"])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ParseError:")
+    assert capsys.readouterr().err == "error: InvalidParameter: scalar '1e400' overflows a float\n"
     payload = {"nodes": ["0", "1", "2", "3"], "values": ["1", "2", "5", "11"], "mode": "float"}
     code = main(["expand", write_problem(tmp_path, payload), "--poly", '["1", "-1e400"]'])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ParseError:")
+    assert capsys.readouterr().err == "error: InvalidParameter: scalar '-1e400' overflows a float\n"
 
 
 def test_cli_import_needs_no_numpy():
@@ -719,6 +731,37 @@ GOLDEN_CASES = {  # golden file name -> (argv, exit code); exp-example-large sho
     "interpolate-float": (["interpolate", "PROBLEM", "--degree", "3", "--mode", "float"], 0),
     "check-biortho-float": (["check-biortho", "PROBLEM", "--n-max", "2", "--mode", "float"], 0),
 }
+
+
+ERROR_PROBLEMS = {  # file name -> problem, beside GOLDEN_PROBLEM in problem.json
+    "malformed.json": {"nodes": ["0", "1"], "values": ["1"]},
+    "flat.json": {"nodes": ["0", "1", "2"], "values": ["1", "1", "1"]},  # alpha_1 = 0
+}
+ERROR_CASES = {  # name -> (argv, exit code, first line of stderr); CI runs them installed too
+    "malformed-problem": (["interpolate", "malformed.json", "--degree", "0"], 2,
+                          "error: InvalidParameter: 2 nodes but 1 values"),
+    "float-overflow": (["hermite", "--h", "1e308", "--k", "2"], 2,
+                       "error: InvalidParameter: integrand non-finite at zeta = (8+0j)"),
+    "circle-misses-node": (["hermite", "--h", "1", "--k", "3", "--contour", "1/16"], 2,
+                           "error: InvalidParameter: nodes 0..3 are not all inside the circle"),
+    "vanishing-alpha": (["recurrence", "flat.json"], 4, "error: DegenerateInterpolant: "
+                        "alpha_1 = 0: monic interpolant of degree 1 undefined"),
+    # the family runs to --n-max + 1: the message names the option's value, not the family's size
+    "index-out-of-range": (["check-biortho", "problem.json", "--n-max", "4"], 3,
+                           "error: IndexOutOfRange: --n-max 4 needs at least 6 samples"),
+}
+
+
+@pytest.mark.parametrize("name", ERROR_CASES)
+def test_error_case_exits_with_its_code_and_message(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the argv name their problem files as CI writes them
+    for file_name, problem in {"problem.json": GOLDEN_PROBLEM, **ERROR_PROBLEMS}.items():
+        write_problem(tmp_path, problem, file_name)
+    argv, code, first_line = ERROR_CASES[name]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == first_line
 
 
 @pytest.mark.parametrize("name", GOLDEN_CASES)
@@ -871,7 +914,7 @@ def test_exp_example_past_the_old_sample_point(capsys):
      ["recurrence"], "InvalidParameter: an exact value exceeds"),
     # e**(300 * 3) at the last node of the biorthogonality check overflows
     (None, ["exp-example", "--q", "1e300", "--n-max", "0", "--with-contour", "--contour", "1/16"],
-     "NonFiniteSample: e**(h a) overflows"),
+     "InvalidParameter: e**(h a) overflows"),
     # a radius-0.5 circle keeps e**(h zeta) finite, but the reference e**h overflows
     (None, ["hermite", "--h", "800", "--k", "0", "--contour", "0.5/16"],
      "InvalidParameter: (e**h - 1)**k / k! overflows"),
@@ -905,26 +948,31 @@ def test_unreadable_problem_file_is_parse_error(content, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: ParseError:")
+    assert captured.err.startswith(f"error: InvalidParameter: cannot read problem {str(path)!r}: ")
 
 
-@pytest.mark.parametrize("problem, extra", [
-    ([["0"], ["1"]], []),
-    ({"nodes": ["0"]}, []),
-    ({"nodes": "0", "values": ["1"]}, []),
-    ({"nodes": ["0"], "values": {"0": "1"}}, []),
-    ({"nodes": [], "values": []}, []),
-    ({"nodes": ["0"], "values": ["1"], "mode": "complex"}, []),
-    (WORKED, ["--poly", '{"0": "1"}']),
+NOT_AN_OBJECT = "problem must be an object with 'nodes' and 'values'"
+NOT_ARRAYS = "'nodes' and 'values' must be arrays of scalar strings"
+
+
+@pytest.mark.parametrize("problem, extra, message", [
+    ([["0"], ["1"]], [], NOT_AN_OBJECT),
+    ({"nodes": ["0"]}, [], NOT_AN_OBJECT),
+    ({"nodes": "0", "values": ["1"]}, [], NOT_ARRAYS),
+    ({"nodes": ["0"], "values": {"0": "1"}}, [], NOT_ARRAYS),
+    ({"nodes": [], "values": []}, [], "problem needs at least one sample"),
+    ({"nodes": ["0"], "values": ["1"], "mode": "complex"}, [],
+     "mode must be 'exact' or 'float', got 'complex'"),
+    (WORKED, ["--poly", '{"0": "1"}'], "--poly must be a JSON array of scalar strings"),
 ], ids=["not-an-object", "missing-values", "nodes-not-array", "values-not-array", "empty",
         "unknown-mode", "poly-not-array"])
-def test_malformed_problem_is_parse_error(problem, extra, tmp_path, capsys):
+def test_malformed_problem_is_parse_error(problem, extra, message, tmp_path, capsys):
     path = write_problem(tmp_path, problem)
     code = main(["expand", path, *(extra or ["--poly", '["1"]'])])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: ParseError:")
+    assert captured.err == f"error: InvalidParameter: {message}\n"
 
 
 def _error_classes(cls=BiorthopolyError):
@@ -933,15 +981,20 @@ def _error_classes(cls=BiorthopolyError):
         yield from _error_classes(sub)
 
 
+PUBLIC_ERRORS = {BiorthopolyError: 2, InvalidParameter: 2, IndexOutOfRange: 3,
+                 DegenerateInterpolant: 4, NuVanishes: 4, ZeroSampleValue: 4}  # -> exit code
+
+
 def test_every_error_class_sets_its_exit_code(capsys, monkeypatch):
     import biorthopoly.cli as cli
     import biorthopoly.errors as errors
-    classes = list(_error_classes())
-    assert PoleEvaluation in classes and len(classes) >= 9
-    not_two = {IndexOutOfRange: 3, DegenerateInterpolant: 4, NuVanishes: 4, ZeroSampleValue: 4,
-               errors._Degeneracy: 4}  # their private base
+    classes = [BiorthopolyError, *_error_classes()]
+    assert set(classes) == {*PUBLIC_ERRORS, errors._Degeneracy}  # the degeneracies' private base
+    assert {name for name, value in vars(errors).items()
+            if isinstance(value, type) and not name.startswith("_")} == \
+        {cls.__name__ for cls in PUBLIC_ERRORS}
     for cls in classes:
-        assert cls.exit_code == not_two.get(cls, 2), cls
+        assert cls.exit_code == PUBLIC_ERRORS.get(cls, 4), cls
 
         def handler(args, cls=cls):
             raise cls(0)
@@ -951,6 +1004,26 @@ def test_every_error_class_sets_its_exit_code(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {cls.__name__}:")
+
+
+def test_every_raise_in_src_names_a_public_error_class():
+    """src/ raises the six public classes only, besides ValueError (the value classes'
+    constructors), AttributeError (immutable values, the package's unknown names), argparse's
+    ArgumentTypeError (a non-finite --h) and SystemExit (`python -m biorthopoly`)."""
+    allowed = {cls.__name__ for cls in PUBLIC_ERRORS} | {
+        "ValueError", "AttributeError", "ArgumentTypeError", "SystemExit"}
+    package = os.path.dirname(importlib.import_module("biorthopoly").__file__)
+    raised = collections.Counter()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as handle:
+                tree = ast.parse(handle.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Raise):
+                    target = getattr(node.exc, "func", node.exc)  # raise Class(...) or raise Class
+                    raised[getattr(target, "id", None) or getattr(target, "attr", None)] += 1
+    assert set(raised) <= allowed, raised
+    assert raised["InvalidParameter"] > 30 and raised["IndexOutOfRange"] > 10, raised
 
 
 FUZZ_SCALARS = ["0", "1", "-1", "2", "1/3", "-7/2", "1e-300", "-1e-300", "1e300", "-1e300",
@@ -968,7 +1041,7 @@ def problem_calls(draw):
     n = str(draw(st.integers(0, count)))
     poly = json.dumps(draw(st.lists(st.sampled_from(FUZZ_SCALARS), min_size=1, max_size=count)))
     options = {"interpolate": ["--degree", n],
-               "recurrence": draw(st.sampled_from([[], ["--n-max", n]])),
+               "recurrence": [],
                "check-biortho": ["--n-max", n],
                "expand": ["--poly", poly]}[command]
     return problem, [command, "-", *options]

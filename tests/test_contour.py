@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,7 @@ from biorthopoly.contour import (
     default_circle,
     hermite_divided_difference,
 )
-from biorthopoly.errors import (BiorthopolyError, InvalidParameter, NonFiniteSample,
-                               PoleEvaluation)
+from biorthopoly.errors import BiorthopolyError, InvalidParameter
 from biorthopoly.exponential import ExpGridProblem, exp_alpha_closed
 from biorthopoly.interpolation import monic_family
 
@@ -71,7 +71,7 @@ def test_second_order_pole_has_zero_residue():
 
 def test_non_finite_sample_rejected():
     circle = Circle(center=0j, radius=1.0, sample_count=16)
-    with pytest.raises(NonFiniteSample):
+    with pytest.raises(InvalidParameter, match=r"integrand non-finite at zeta = \(1\+0j\)"):
         contour_integral(lambda z: complex(float("inf"), 0.0), circle)
 
 
@@ -142,11 +142,11 @@ def test_complex_h_is_rejected(call):
 
 
 def outcome(call, *args):
-    """repr of call(*args), or the type and message of the NonFiniteSample or PoleEvaluation
-    it raises."""
+    """repr of call(*args), or the type and message of the InvalidParameter it raises: a
+    non-finite sample or a sample on a pole."""
     try:
         return repr(call(*args))
-    except (NonFiniteSample, PoleEvaluation) as exc:
+    except InvalidParameter as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -204,20 +204,24 @@ def oracle_cases(count, hs=(0.05, LN2, -0.7, 1.3), centers=CENTERS):
     ids=["16", "64", "2048", "8192"])
 def test_mirrored_quadrature_matches_full_circle_by_repr(count, hs, centers):
     """The batched quadrature, samples 0..M/2 with the rest mirrored, gives the per-sample
-    full loop's result bit for bit, NonFiniteSample and PoleEvaluation messages included; an
+    full loop's result bit for bit, the messages of non-finite samples and poles included; an
     off-axis centre runs its batch on all M samples.  At 16 and 64 samples the grid takes the
     float-sweep benchmark's h = +-k/4."""
     results = [batched_and_full(call, *args)
                for call, args in oracle_cases(count, (*hs, 0.05), centers)]
     assert all(batched == full for batched, full in results)
-    kinds = collections.Counter(full.partition(":")[0] for _, full in results)
+    kinds = collections.Counter(  # one error class: the message tells the two kinds apart
+        "value" if not full.startswith("InvalidParameter: ") else
+        "pole" if " is a pole of " in full else "non-finite" for _, full in results)
     h_count = len(hs) + 2  # with 0.05 and the overflowing h
     # the circle through 0 and 3 for every h, and h = 200 and 140 on every other circle
-    assert kinds["NonFiniteSample"] == 6 * h_count + (6 + 16) * len(centers)
-    assert kinds["PoleEvaluation"] == 16 * h_count  # biortho on the circle through 0 and 3
+    assert kinds["non-finite"] == 6 * h_count + (6 + 16) * len(centers)
+    assert kinds["pole"] == 16 * h_count  # biortho on the circle through 0 and 3
 
 
-PARENT_OUTCOMES = [  # captured before the quadrature was batched
+# captured before the quadrature was batched, when a non-finite sample raised NonFiniteSample
+# and a sample on a pole PoleEvaluation: both raise InvalidParameter now, with the same message
+PARENT_OUTCOMES = [
     (hermite_divided_difference, (LN2, 3), "(0.16666666666666666+0j)"),
     (hermite_divided_difference, (-0.25, 5, Circle(1.0 + 0.2j, 11.0, 64)),
      "(-4.413027968202759e-06-5.248460986648961e-22j)"),
@@ -240,7 +244,8 @@ PARENT_OUTCOMES = [  # captured before the quadrature was batched
 @pytest.mark.parametrize("call, args, expected", PARENT_OUTCOMES)
 def test_quadrature_outcomes_are_pinned(call, args, expected):
     """Literal outcomes, so that the batched route and its oracle cannot drift together."""
-    assert outcome(call, *args) == expected
+    assert outcome(call, *args) == re.sub(r"^(NonFiniteSample|PoleEvaluation): ",
+                                          "InvalidParameter: ", expected)
 
 
 @pytest.mark.parametrize("center, calls", [(1.5 + 0j, 33), (1.5, 33), (1.0 + 0.2j, 64)])
@@ -362,7 +367,9 @@ def overflow_edge_cases():
 
 def test_quadrature_outcomes_at_the_overflow_edge_are_pinned():
     """sha256 over the outcomes of overflow_edge_cases, captured before the mirrored sums were
-    halved: every value and every typed error stays the same."""
+    halved: every value and every typed error stays the same.  The errors were NonFiniteSample
+    then; with each `InvalidParameter: ` read as `NonFiniteSample: `, the outcomes give the
+    first pin, 32da5698cfee1837bf99dc6c7956e0a692fa40131127b05f2ab103c105ca79e3."""
     digest, kinds = hashlib.sha256(), collections.Counter()
     for call, args in overflow_edge_cases():
         try:
@@ -371,6 +378,6 @@ def test_quadrature_outcomes_at_the_overflow_edge_are_pinned():
             text = f"{type(exc).__name__}: {exc}"
         digest.update(text.encode() + b"\0")
         kinds[text.partition(":")[0] if ":" in text else "value"] += 1
-    assert kinds == {"value": 1815, "NonFiniteSample": 489}
+    assert kinds == {"value": 1815, "InvalidParameter": 489}
     assert digest.hexdigest() == \
-        "32da5698cfee1837bf99dc6c7956e0a692fa40131127b05f2ab103c105ca79e3"
+        "a9e13f33f2ce0394c24f1953b1eeb29c881dc3cee0baa6f90a6a56285424bf92"
