@@ -41,7 +41,7 @@ for n in range(2):
 print("diagonal equals -1/(nu_n alpha_n); off-diagonal exactly zero")
 print()
 
-extended = samples.extended(F(9), F(-4))
+extended = Samples.from_pairs([*samples.grid.nodes, F(9)], [*samples.values, F(-4)])
 moved = pairing(family.phats[1], system.vs[1], extended)
 print(f"after appending node 9 with value -4: <P-hat_1, V_1> = {moved}")
 assert moved == matrix[1][1]
@@ -49,7 +49,7 @@ print()
 
 # expansion: the same pairing, divided by the diagonal, gives coordinates
 # in the monic interpolant basis
-four = samples.extended(F(3), F(11))
+four = Samples.from_pairs([*samples.grid.nodes, F(3)], [*samples.values, F(11)])
 family4 = monic_family(four, 3)
 system4 = build_system(family4, 2)
 q = Polynomial([F(0), F(0), F(1)])  # z^2

@@ -76,8 +76,6 @@ def load_problem(path: str, mode_override: str | None):
     nodes_text, values_text = raw["nodes"], raw["values"]
     if not isinstance(nodes_text, list) or not isinstance(values_text, list):
         raise InvalidParameter("'nodes' and 'values' must be arrays of scalar strings")
-    if len(nodes_text) != len(values_text):
-        raise InvalidParameter(f"{len(nodes_text)} nodes but {len(values_text)} values")
     if not nodes_text:
         raise InvalidParameter("problem needs at least one sample")
     mode = mode_override or raw.get("mode", EXACT)
@@ -87,7 +85,7 @@ def load_problem(path: str, mode_override: str | None):
     values = [parse_scalar(str(t), mode) for t in values_text]
     try:
         samples = Samples.from_pairs(nodes, values)
-    except ValueError as exc:  # Grid's: two equal nodes
+    except ValueError as exc:  # Grid's two equal nodes, or Samples' unequal lengths
         raise InvalidParameter(str(exc))
     digest = _digest({"nodes": list(map(str, nodes_text)),
                       "values": list(map(str, values_text)), "mode": mode})
@@ -191,6 +189,8 @@ def cmd_check_biortho(args, samples: Samples) -> tuple:
     from .biorthogonality import biorthogonality_matrix, build_system, leading_nu
     from .interpolation import monic_family
     n_max = args.n_max
+    if n_max < 0:
+        raise IndexOutOfRange(f"--n-max {n_max} is negative")
     if n_max + 1 > samples.last_index:  # the family runs to n_max + 1
         raise IndexOutOfRange(f"--n-max {n_max} needs at least {n_max + 2} samples")
     family = monic_family(samples, n_max + 1)
@@ -253,8 +253,8 @@ def cmd_exp_example(args) -> tuple:
     q, n_max = parse_scalar(args.q, EXACT), args.n_max
     if not 0 <= n_max <= EXP_EXAMPLE_MAX_N:
         raise IndexOutOfRange(f"--n-max {n_max} is outside 0..{EXP_EXAMPLE_MAX_N}")
-    override = _parse_contour(args.contour)
-    if args.with_contour:  # the quadratures of e**(h z) match the closed forms of q**z at h = ln q
+    with_contour = "with_contour" in args  # bare: the default circles; else RADIUS/SAMPLES
+    if with_contour:  # the quadratures of e**(h z) match the closed forms of q**z at h = ln q
         if q <= 0:
             raise InvalidParameter(f"--with-contour needs q > 0 for a real h = ln q, got {q}")
         try:
@@ -262,12 +262,13 @@ def cmd_exp_example(args) -> tuple:
         except (OverflowError, ValueError):
             raise InvalidParameter("q is out of double range") from None
     problem = ExpGridProblem(q, n_max)
-    if args.with_contour:
+    if with_contour:
         pair_indices = range(min(n_max, 3) + 1)
         # every circle (top = k, or max(n, m + 1)) checked after q's own checks and before any
         # exact work: a radius that misses node top misses it at every larger top too, so the
         # loops' first is refused
-        circles = [_circle(override, top) for top in range(max(n_max, pair_indices[-1] + 1) + 1)]
+        circles = [_circle(args.with_contour, top)
+                   for top in range(max(n_max, pair_indices[-1] + 1) + 1)]
     family = monic_family(problem.samples, n_max + 1)
     system = build_system(family, n_max)
     indices, (p, r) = range(n_max + 1), q.as_integer_ratio()
@@ -301,9 +302,9 @@ def cmd_exp_example(args) -> tuple:
         "diagonal": _scalars_json(system.diagonal),
     }
 
-    arguments = {"q": args.q, "n_max": n_max, "with_contour": args.with_contour}
+    arguments = {"q": args.q, "n_max": n_max, "with_contour": with_contour}
     notes = NORMALIZATION_NOTES
-    if args.with_contour:
+    if with_contour:
         from .contour import contour_biortho_check, hermite_divided_difference
         hermite_worst = 0.0
         for k in indices:
@@ -331,7 +332,7 @@ def cmd_hermite(args) -> tuple:
     h, k = args.h, args.k
     if not 0 <= k <= HERMITE_MAX_K:  # before the k + 1 nodes are built
         raise IndexOutOfRange(f"--k {k} is outside 0..{HERMITE_MAX_K}")
-    circle = _circle(_parse_contour(args.contour), k)  # before any quadrature
+    circle = _circle(args.contour, k)  # before any quadrature
     estimate = hermite_divided_difference(h, k, circle)
     expected = _double(lambda: (math.exp(h) - 1.0) ** k / math.factorial(k), "(e**h - 1)**k / k!")
     error, imag = abs(estimate - expected), abs(estimate.imag)
@@ -376,27 +377,21 @@ def build_report(args) -> dict:
     return report
 
 
-def _parse_contour(spec: str | None) -> Circle | None:
-    """An optional "radius/samples" override, parsed and checked once, as a Circle about 0."""
-    if spec is None:
-        return None
-    from .contour import Circle
-    radius_text, _, count_text = spec.partition("/")
-    try:  # no count: Circle's own default
-        return Circle(0j, float(radius_text), *([int(count_text)] if count_text else []))
-    except ValueError:
-        raise InvalidParameter(f"--contour expects RADIUS/SAMPLES, got {spec!r}") from None
-
-
-def _circle(override: Circle | None, max_node: int) -> Circle:
-    """The default circle for nodes 0..max_node, or the override's radius and samples about its
-    centre; InvalidParameter if a node, a pole, lies outside it or on it."""
+def _circle(spec: str | None, top: int) -> Circle:
+    """The default circle for nodes 0..top, or a "RADIUS/SAMPLES" spec's radius and sample count
+    about its centre; InvalidParameter if the spec is malformed or a node, a pole, lies outside
+    the circle or on it."""
     from .contour import Circle, default_circle
-    circle = default_circle(max_node)
-    if override is not None:
-        circle = Circle(circle.center, override.radius, override.sample_count)
-    if max(abs(circle.center), abs(max_node - circle.center)) >= circle.radius:
-        raise InvalidParameter(f"nodes 0..{max_node} are not all inside the circle")
+    circle = default_circle(top)
+    if spec is not None:
+        radius_text, _, count_text = spec.partition("/")
+        try:  # no count: Circle's own default
+            circle = Circle(circle.center, float(radius_text),
+                            *([int(count_text)] if count_text else []))
+        except ValueError:
+            raise InvalidParameter(f"circle expects RADIUS/SAMPLES, got {spec!r}") from None
+    if max(abs(circle.center), abs(top - circle.center)) >= circle.radius:
+        raise InvalidParameter(f"nodes 0..{top} are not all inside the circle")
     return circle
 
 
@@ -450,9 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("exp-example", cmd_exp_example, "closed forms for q**z on 0,1,2,...", EXACT)
     p.add_argument("--q", required=True, help='rational q as "p/q" or "p"; not 0 or 1')
     p.add_argument("--n-max", type=int, default=4)
-    p.add_argument("--with-contour", action="store_true", help="also check e**(h z), h = ln q")
-    p.add_argument("--contour", default=None, metavar="RADIUS/SAMPLES",
-                   help="override the default circle")
+    p.add_argument("--with-contour", nargs="?", default=argparse.SUPPRESS,
+                   metavar="RADIUS/SAMPLES",
+                   help="also check e**(h z), h = ln q, on the default circles or this one")
 
     p = add("hermite", cmd_hermite, "contour-integral divided difference", FLOAT)
     p.add_argument("--h", type=_finite_float, required=True)

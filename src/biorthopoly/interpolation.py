@@ -53,10 +53,6 @@ class Samples:
         """N, the largest usable index."""
         return len(self.values) - 1
 
-    def extended(self, node: Scalar, value: Scalar) -> "Samples":
-        """New Samples with one more (node, value) pair appended."""
-        return Samples(Grid(self.grid.nodes + (node,)), self.values + (value,))
-
 
 class DividedDifferenceTable:
     """Top edge of the divided-difference triangle: diffs[k] is [a_0,...,a_k]."""

@@ -139,7 +139,7 @@ def test_biorthogonal_matrix_is_diagonal(corpus):
                 expected = -1 / (system.nus[n] * family.alphas[n]) if n == m else F(0)
                 if matrix[n][m] != expected:
                     failures.append(f"instance {i}: entry ({n},{m})")
-        extended = s.extended(F(6), F(1))
+        extended = Samples.from_pairs([*s.grid.nodes, F(6)], [*s.values, F(1)])
         for n in range(top + 1):
             if pairing(family.phats[n], system.vs[n], extended) != matrix[n][n]:
                 failures.append(f"instance {i}: pairing moved under extra node")

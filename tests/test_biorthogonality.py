@@ -232,7 +232,7 @@ def test_pairing_ignores_extra_nodes(worked):
     samples, family = worked
     system = build_system(family, 1)
     base = pairing(family.phats[1], system.vs[1], samples)
-    extended = samples.extended(F(7), F(-3))
+    extended = Samples.from_pairs([*samples.grid.nodes, F(7)], [*samples.values, F(-3)])
     assert pairing(family.phats[1], system.vs[1], extended) == base
 
 
@@ -382,7 +382,7 @@ def test_affine_node_map(problem):
 
 def test_expand_basis_element(worked):
     samples, family = worked
-    s4 = samples.extended(F(3), F(11))
+    s4 = Samples.from_pairs([*samples.grid.nodes, F(3)], [*samples.values, F(11)])
     family = monic_family(s4, 3)
     system = build_system(family, 2)
     xi = expand_in_interpolants(family.phats[2], system, s4)
@@ -391,7 +391,7 @@ def test_expand_basis_element(worked):
 
 def test_expand_monomial(worked):
     samples, _ = worked
-    s4 = samples.extended(F(3), F(11))
+    s4 = Samples.from_pairs([*samples.grid.nodes, F(3)], [*samples.values, F(11)])
     family = monic_family(s4, 3)
     system = build_system(family, 2)
     xi = expand_in_interpolants(Polynomial([F(0), F(0), F(1)]), system, s4)
@@ -614,7 +614,7 @@ def test_pairings_reject_samples_on_another_grid(worked):
             pairing(family.phats[1], system.vs[1], poisoned)
         assert err.value.index == 1
     # nodes and values beyond the poles of V_m may differ
-    extended = samples.extended(F(9), F(4))
+    extended = Samples.from_pairs([*samples.grid.nodes, F(9)], [*samples.values, F(4)])
     assert biorthogonality_matrix(system, extended, 1) == [[F(-1, 2), 0], [0, F(-1)]]
     assert biorthogonality_matrix(system, make_samples([0, 1, 2, 7], [1, 2, 5, 3]), 1) == \
         [[F(-1, 2), 0], [0, F(-1)]]
@@ -755,7 +755,7 @@ def test_int_samples_stay_exact():
     float appears anywhere (int / int in the divided differences gave floats)."""
     by_type = []
     for s in (Samples.from_pairs([0, 1, 2, 3], [1, 2, 5, 7]), make_samples([0, 1, 2, 3], [1, 2, 5, 7]),
-              Samples.from_pairs([0, 1, 2], [1, 2, 5]).extended(3, 7)):
+              Samples.from_pairs([F(0), F(1), F(2), 3], [F(1), F(2), F(5), 7])):
         family = monic_family(s, 3)
         system = build_system(family, 2)
         outputs = (s.grid.nodes, s.values, family.alphas, system.nus, system.diagonal,

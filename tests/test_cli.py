@@ -277,7 +277,7 @@ def test_expand_bad_poly_json(tmp_path, capsys):
     assert code == 2
 
 
-def test_expand_deeply_nested_poly_is_parse_error(tmp_path, capsys):
+def test_expand_deeply_nested_poly_is_invalid_parameter(tmp_path, capsys):
     path = write_problem(tmp_path, WORKED)
     code = main(["expand", path, "--poly", "[" * 100_000 + "]" * 100_000])
     captured = capsys.readouterr()
@@ -322,8 +322,8 @@ def test_exp_example_contour_family_degenerating_in_floats_fails_the_check(capsy
     """At q = 1e-308 the exact nu_0 = q/(q-1) is nonzero, but the contour check's float family
     of e**(h z) cancels it to 0: that check fails with an inf residual and a note; the exact
     outputs and checks are those of the same call without --with-contour."""
-    argv = ["exp-example", "--q", "1e-308", "--n-max", "0", "--contour", "0.6/16"]
-    code, report = run(capsys, [*argv, "--with-contour"])
+    argv = ["exp-example", "--q", "1e-308", "--n-max", "0"]
+    code, report = run(capsys, [*argv, "--with-contour", "0.6/16"])
     plain_code, plain = run(capsys, argv)
     assert (code, plain_code) == (1, 0)
     by_name = {c["name"]: c for c in report["checks"]}
@@ -364,21 +364,20 @@ def test_hermite_bad_contour_spec(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("with_contour", [[], ["--with-contour"]])
 @pytest.mark.parametrize("spec, message", [
-    ("garbage", "--contour expects RADIUS/SAMPLES, got 'garbage'"),
+    ("garbage", "circle expects RADIUS/SAMPLES, got 'garbage'"),
     ("6/100", "sample_count must be a power of two from 16 to 65536"),
     ("-6/256", "circle radius must be positive and finite"),
     ("inf/16", "circle radius must be positive and finite"),
 ])
-def test_exp_example_rejects_a_malformed_contour_spec(with_contour, spec, message, capsys):
-    """The --contour spec is parsed and checked once, after --n-max's range check, whether or
-    not --with-contour asks for the circles: a malformed one exits 2 with the message it had."""
-    assert main(["exp-example", "--q", "2", "--n-max", "1", *with_contour, "--contour", spec]) == 2
+def test_exp_example_rejects_a_malformed_contour_spec(spec, message, capsys):
+    """The --with-contour spec is parsed and checked after --n-max's range check and q's own
+    checks: a malformed one exits 2 with Circle's message, or the spec format's."""
+    assert main(["exp-example", "--q", "2", "--n-max", "1", "--with-contour", spec]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: InvalidParameter: {message}\n"
-    assert main(["exp-example", "--q", "2", "--n-max", "41", "--contour", spec]) == 3
+    assert main(["exp-example", "--q", "2", "--n-max", "41", "--with-contour", spec]) == 3
     assert capsys.readouterr().err.startswith("error: IndexOutOfRange:")
 
 
@@ -421,12 +420,12 @@ HUGE_CONTOUR = "5/1099511627776"  # 2**40 samples: about 10**12 complex numbers 
     (["hermite", "--h", "1", "--k", "1000000000000", "--contour", HUGE_CONTOUR], 3),
     (["hermite", "--h", "1", "--k", "2", "--contour", HUGE_CONTOUR], 2),
     (["hermite", "--h", "1", "--k", "2", "--contour", "5/131072"], 2),
-    (["exp-example", "--q", "2", "--n-max", "2", "--with-contour", "--contour", HUGE_CONTOUR], 2),
+    (["exp-example", "--q", "2", "--n-max", "2", "--with-contour", HUGE_CONTOUR], 2),
     (["hermite", "--h", "1", "--k", "-1"], 3),
     (["hermite", "--h", "1", "--k", "2", "--contour", "inf/16"], 2),
 ])
 def test_huge_contour_sizes_are_rejected_before_allocation(argv, code, capsys, no_quadrature):
-    """hermite --k below 0 or above HERMITE_MAX_K exits 3, and a --contour of more than 65536
+    """hermite --k below 0 or above HERMITE_MAX_K exits 3, and a circle of more than 65536
     samples or an infinite radius exits 2, before any node list or sample is built."""
     import biorthopoly.cli as cli
     assert cli.HERMITE_MAX_K == 200
@@ -445,7 +444,7 @@ def test_hermite_circle_that_misses_a_node_is_rejected_before_the_quadrature(cap
     would meet (here the hermite loop's k = 21)."""
     for argv, top in [(["hermite", "--h", "0.05", "--k", "60", "--contour", "20.5/65536"], 60),
                       (["exp-example", "--q", "2", "--n-max", "40", "--with-contour",
-                        "--contour", "10.3/65536"], 21)]:
+                        "10.3/65536"], 21)]:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -454,11 +453,11 @@ def test_hermite_circle_that_misses_a_node_is_rejected_before_the_quadrature(cap
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--q", "2", "--n-max", "40", "--contour", "10.3/65536"],
+    (["--q", "2", "--n-max", "40", "--with-contour", "10.3/65536"],
      "InvalidParameter: nodes 0..21 are not all inside the circle"),
-    (["--q", "2", "--n-max", "1", "--contour", "1/16"],
+    (["--q", "2", "--n-max", "1", "--with-contour", "1/16"],
      "InvalidParameter: nodes 0..2 are not all inside the circle"),
-    (["--q", "1", "--n-max", "40", "--contour", "10.3/65536"],
+    (["--q", "1", "--n-max", "40", "--with-contour", "10.3/65536"],
      "InvalidParameter: q must differ from 0 and 1"),
 ], ids=["radius-misses-node-21", "node-on-circle", "q-checked-first"])
 def test_exp_example_refuses_a_bad_circle_before_any_exact_work(argv, message, capsys,
@@ -471,7 +470,7 @@ def test_exp_example_refuses_a_bad_circle_before_any_exact_work(argv, message, c
         raise AssertionError("monic_family reached")
 
     monkeypatch.setattr(interpolation, "monic_family", refuse)
-    assert main(["exp-example", "--with-contour", *argv]) == 2
+    assert main(["exp-example", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
@@ -555,19 +554,21 @@ def test_exp_example_contour_out_of_double_range_is_bad_parameter(argv, capsys):
     ["hermite", "--h", "inf", "--k", "2"],
     ["exp-example", "--q", "2", "--with-contour", "--contour-tolerance", "1e-6"],
     ["check-biortho", "PROBLEM", "--n-max", "1", "--tolerance", "1e-6"],
+    ["exp-example", "--q", "2", "--n-max", "1", "--contour", "6/2048"],
 ])
 def test_non_finite_contour_parameters_rejected(argv, tmp_path, capsys):
     """argparse refuses a non-finite --h, and --contour-tolerance and --tolerance, which are no
-    options: the checks compare with the fixed widths CONTOUR_TOLERANCE and TOLERANCE."""
+    options: the checks compare with the fixed widths CONTOUR_TOLERANCE and TOLERANCE.  It
+    refuses exp-example --contour too: exp-example takes its circle on --with-contour."""
     path = write_problem(tmp_path, WORKED)
     with pytest.raises(SystemExit) as exc:
         main([path if a == "PROBLEM" else a for a in argv])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    for option in ("--contour-tolerance", "--tolerance"):
+    for option in ("--contour-tolerance", "--tolerance", "--contour"):
         if option in argv:
-            assert f"unrecognized arguments: {option} 1e-6" in captured.err
+            assert f"unrecognized arguments: {option} {argv[-1]}" in captured.err
 
 
 def test_recurrence_takes_no_n_max(tmp_path, capsys):
@@ -593,12 +594,11 @@ def test_hermite_overflowing_h_is_bad_parameter(capsys):
 
 @pytest.mark.parametrize("argv, top", [
     # nodes 0 and 2 lie on the circle about 1 that the pairing loop's max(n, m + 1) = 2 takes
-    (["exp-example", "--q", "2", "--n-max", "1", "--with-contour", "--contour", "1/16"], 2),
+    (["exp-example", "--q", "2", "--n-max", "1", "--with-contour", "1/16"], 2),
     # nodes 0 and 1 lie on the circle about 1/2
     (["hermite", "--h", "0.5", "--k", "1", "--contour", "0.5/16"], 1),
     # nodes 0 and 21 lie on the circle about 21/2 that the hermite loop's k = 21 takes
-    (["exp-example", "--q", "2", "--n-max", "40", "--with-contour", "--contour", "10.5/65536"],
-     21),
+    (["exp-example", "--q", "2", "--n-max", "40", "--with-contour", "10.5/65536"], 21),
 ])
 def test_contour_through_a_node_or_pole_is_bad_parameter(argv, top, capsys, no_quadrature):
     """A circle through a node, a pole of every integrand, is refused before the first
@@ -640,7 +640,27 @@ def test_contour_reports_are_pinned():
         "b3bab37c6c747a3e29da9ec18a5da78163a1a8969b7c76e4f6493e266b8a683d"
 
 
-def test_float_overflowing_scalar_is_parse_error(tmp_path, capsys):
+def test_with_contour_spec_reports_are_pinned():
+    """sha256 over (q, n_max, spec), exit code and report of exp-example --with-contour R/M at
+    three q, n_max = 1..4 and three circles, captured while the circle still came on a --contour
+    beside a bare --with-contour: taking it on --with-contour moved no report and no exit code
+    (q = 1/6 at n_max 3 and 4 exits 1 on 9/1024 only: contour_biortho is about 5.9e-8)."""
+    digest, codes = hashlib.sha256(), collections.Counter()
+    for q in ("2", "1/6", "5/6"):
+        for n_max in range(1, 5):
+            for spec in ("6/2048", "9/1024", "5/4096"):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(["exp-example", "--q", q, "--n-max", str(n_max),
+                                 "--with-contour", spec])
+                digest.update(json.dumps([q, n_max, spec, code, out.getvalue()]).encode() + b"\0")
+                codes[code] += 1
+    assert codes == {0: 34, 1: 2}
+    assert digest.hexdigest() == \
+        "a97c44c3ce5680ac79c0aabed79658e16f8b2b8dacf9ce0a5ee97900f1bc3da1"
+
+
+def test_float_overflowing_scalar_is_invalid_parameter(tmp_path, capsys):
     payload = {"nodes": ["0", "1", "2"], "values": ["1e400", "2", "3"], "mode": "float"}
     code = main(["interpolate", write_problem(tmp_path, payload), "--degree", "1"])
     assert code == 2
@@ -749,6 +769,10 @@ ERROR_CASES = {  # name -> (argv, exit code, first line of stderr); CI runs them
     # the family runs to --n-max + 1: the message names the option's value, not the family's size
     "index-out-of-range": (["check-biortho", "problem.json", "--n-max", "4"], 3,
                            "error: IndexOutOfRange: --n-max 4 needs at least 6 samples"),
+    "negative-n-max": (["check-biortho", "problem.json", "--n-max", "-1"], 3,
+                       "error: IndexOutOfRange: --n-max -1 is negative"),
+    "negative-n-max-2": (["check-biortho", "problem.json", "--n-max", "-2"], 3,
+                         "error: IndexOutOfRange: --n-max -2 is negative"),
 }
 
 
@@ -913,7 +937,7 @@ def test_exp_example_past_the_old_sample_point(capsys):
     (("-1 2e-20 1e200 -7/2 1.7e308 5e-324", "2e-20 2 1e-20 -1 1e-300 1", "exact"),
      ["recurrence"], "InvalidParameter: an exact value exceeds"),
     # e**(300 * 3) at the last node of the biorthogonality check overflows
-    (None, ["exp-example", "--q", "1e300", "--n-max", "0", "--with-contour", "--contour", "1/16"],
+    (None, ["exp-example", "--q", "1e300", "--n-max", "0", "--with-contour", "1/16"],
      "InvalidParameter: e**(h a) overflows"),
     # a radius-0.5 circle keeps e**(h zeta) finite, but the reference e**h overflows
     (None, ["hermite", "--h", "800", "--k", "0", "--contour", "0.5/16"],
@@ -941,7 +965,7 @@ def test_overflow_and_underflow_exit_2_with_a_typed_error(problem, argv, message
 
 @pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000],
                          ids=["bad-utf8", "deep-nesting"])
-def test_unreadable_problem_file_is_parse_error(content, tmp_path, capsys):
+def test_unreadable_problem_file_is_invalid_parameter(content, tmp_path, capsys):
     path = tmp_path / "problem.json"
     path.write_bytes(content)
     code = main(["interpolate", str(path), "--degree", "0"])
@@ -966,7 +990,7 @@ NOT_ARRAYS = "'nodes' and 'values' must be arrays of scalar strings"
     (WORKED, ["--poly", '{"0": "1"}'], "--poly must be a JSON array of scalar strings"),
 ], ids=["not-an-object", "missing-values", "nodes-not-array", "values-not-array", "empty",
         "unknown-mode", "poly-not-array"])
-def test_malformed_problem_is_parse_error(problem, extra, message, tmp_path, capsys):
+def test_malformed_problem_is_invalid_parameter(problem, extra, message, tmp_path, capsys):
     path = write_problem(tmp_path, problem)
     code = main(["expand", path, *(extra or ["--poly", '["1"]'])])
     captured = capsys.readouterr()
@@ -1070,16 +1094,18 @@ CONTOURS = ["5/16", "1/16", "0.5/16", "1.5/64", "2/4096", "30/1024", "0/64", "-2
 
 @st.composite
 def contour_calls(draw):
-    """exp-example and hermite argv: valid, junk and extreme --q, --n-max, --h, --k, --contour,
-    in the "--q=-1/3" form."""
+    """exp-example and hermite argv: valid, junk and extreme --q, --n-max, --h, --k and circle
+    specs, in the "--q=-1/3" form."""
+    spec = draw(st.sampled_from(CONTOURS))
     if draw(st.booleans()):
         argv = ["exp-example", "--q=" + draw(st.sampled_from(Q_TEXTS)),
                 "--n-max", str(draw(st.sampled_from([*range(-3, 13), 41])))]
-        argv += draw(st.sampled_from([[], [], ["--with-contour"]]))  # a third: contours cost most
-    else:
-        argv = ["hermite", "--h=" + draw(st.sampled_from(H_TEXTS)),
-                "--k", str(draw(st.sampled_from([*range(-2, 13), 10**12])))]
-    return argv + draw(st.sampled_from([[], ["--contour=" + draw(st.sampled_from(CONTOURS))]]))
+        # a third of the calls on contours, which cost most, half of them on a spec
+        return argv + draw(st.sampled_from([[], [], [], [], ["--with-contour"],
+                                            ["--with-contour=" + spec]]))
+    argv = ["hermite", "--h=" + draw(st.sampled_from(H_TEXTS)),
+            "--k", str(draw(st.sampled_from([*range(-2, 13), 10**12])))]
+    return argv + draw(st.sampled_from([[], ["--contour=" + spec]]))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -1130,7 +1156,7 @@ def test_unknown_options_still_exit_2(argv, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["hermite", "--h", "0.5", "--k", "3", "--contour", "0.3/64"],
-    ["exp-example", "--q", "2", "--n-max", "3", "--with-contour", "--contour", "1.4/64"],
+    ["exp-example", "--q", "2", "--n-max", "3", "--with-contour", "1.4/64"],
 ])
 def test_contour_circle_leaving_a_node_outside_is_bad_parameter(argv, capsys):
     """Such a circle used to give a finite, wrong integral and a failed check (exit 1)."""

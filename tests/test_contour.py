@@ -241,7 +241,10 @@ PARENT_OUTCOMES = [
 ]
 
 
-@pytest.mark.parametrize("call, args, expected", PARENT_OUTCOMES)
+@pytest.mark.parametrize("call, args, expected", PARENT_OUTCOMES, ids=[
+    "hermite-ln2", "hermite-off-axis", "hermite-overflow", "hermite-node-on-circle",
+    "hermite-omega-overflow", "biortho-ln2", "biortho-signed-zero-centre", "biortho-16-samples",
+    "biortho-pole-on-circle"])
 def test_quadrature_outcomes_are_pinned(call, args, expected):
     """Literal outcomes, so that the batched route and its oracle cannot drift together."""
     assert outcome(call, *args) == re.sub(r"^(NonFiniteSample|PoleEvaluation): ",
